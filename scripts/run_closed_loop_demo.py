@@ -24,7 +24,6 @@ def main() -> None:
     parser.add_argument("--learning-rate", type=float, default=0.01)
     parser.add_argument("--beta-kl", type=float, default=1e-3)
     parser.add_argument("--seed", type=int, default=811)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default=None, help="also write the full report here")
     parser.add_argument("--format", choices=("csv", "json"), default="json")
     args = parser.parse_args()
@@ -41,7 +40,7 @@ def main() -> None:
             "seed": str(args.seed),
         }
     )
-    report = run_ttpo(config, workers=args.workers)
+    report = run_ttpo(config)
     agg = report.aggregate
 
     print(f"update rule          {config.mode}")

@@ -25,7 +25,6 @@ def main() -> None:
         help="vote-accuracy distribution (low accuracy keeps thresholds binding)",
     )
     parser.add_argument("--seed", type=int, default=91)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     config = resolve_config(
@@ -39,7 +38,7 @@ def main() -> None:
             "seed": str(args.seed),
         }
     )
-    reports = run_ablation(config, workers=args.workers)
+    reports = run_ablation(config)
 
     print(f"{'alpha=beta':>10}  {'mean tau':>8}  {'savings':>8}  {'accuracy':>8}  {'stop err':>8}")
     for value, report in zip(config.values, reports):

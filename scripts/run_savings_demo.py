@@ -20,7 +20,6 @@ def main() -> None:
     parser.add_argument("--p-easy", type=float, default=0.95)
     parser.add_argument("--p-hard", type=float, default=0.5)
     parser.add_argument("--m", type=int, default=4, help="answer-space size")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default=None, help="also write the full report here")
     parser.add_argument("--format", choices=("csv", "json"), default="json")
     args = parser.parse_args()
@@ -34,7 +33,7 @@ def main() -> None:
             "seed": str(args.seed),
         }
     )
-    report = run_compare(config, workers=args.workers)
+    report = run_compare(config)
     agg = report.aggregate
 
     print(f"instances            {agg.count}")

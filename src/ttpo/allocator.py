@@ -2,14 +2,15 @@
 
 ``allocate`` draws votes one at a time, feeds them to a sequential stopper,
 and stops at the first terminal decision, returning the pseudo-label plus
-full cost accounting. ``batch_allocate`` drives many independent sources,
-optionally on a thread pool; because every source carries its own random
-stream, batched, serial, and parallel execution produce identical results.
+full cost accounting. It is the online path, for sources that must be
+drawn from only as far as the test reads, and the reference that
+``stopper.stop_batch`` reproduces for recorded vote streams.
+``batch_allocate`` runs many independent sources, one after another, with
+a failure confined to its own slot.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -111,15 +112,11 @@ def retain_for_update(result: AllocationResult, n: int) -> list[tuple[int, int]]
 
 
 def batch_allocate(
-    sources: Sequence[VoteSource],
-    config: StopperConfig,
-    max_workers: int | None = None,
+    sources: Sequence[VoteSource], config: StopperConfig
 ) -> list[AllocationResult | Exception]:
     """Allocate over many sources; failures land in their slot, not raised.
 
-    Results align positionally with the sources. With ``max_workers`` set,
-    instances run on a thread pool; per-source random streams make the
-    outcome identical to the serial order.
+    Results align positionally with the sources.
     """
 
     def run_one(source: VoteSource) -> AllocationResult | Exception:
@@ -128,7 +125,4 @@ def batch_allocate(
         except Exception as exc:  # noqa: BLE001 - slot-isolated by contract
             return exc
 
-    if max_workers is not None and max_workers > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run_one, sources))
     return [run_one(source) for source in sources]

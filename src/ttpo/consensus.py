@@ -132,6 +132,17 @@ def top_two(tally: VoteTally) -> TopTwo:
     return TopTwo(leader=leader, runner_up=runner_up, gap=counts[leader] - counts[runner_up])
 
 
+def plurality(votes: np.ndarray, lengths: np.ndarray, m: int) -> np.ndarray:
+    """Leader of each row's first ``lengths[i]`` votes over ``m`` answers.
+
+    Array form of ``top_two(tally).leader`` for a ``[B, L]`` vote matrix:
+    ties break toward the lowest answer id.
+    """
+    live = np.arange(votes.shape[1]) < np.asarray(lengths)[:, None]
+    counts = ((votes[:, :, None] == np.arange(m)) & live[:, :, None]).sum(axis=1)
+    return counts.argmax(axis=1)
+
+
 def log_likelihood(tally: VoteTally, hypothesis: AnswerId, model: AnswerModel) -> float:
     """Log-probability of the tally under "``hypothesis`` is the true answer".
 

@@ -7,33 +7,30 @@ policies: allocate, pseudo-label, update, repeat. ``run_ablation`` re-runs
 the comparison across one stopping-rule axis with everything else held
 fixed, including the random streams, so differences isolate the axis.
 
-All drivers are deterministic in (config, seed) and support instance-level
-parallelism; rows are assembled in corpus order regardless of worker count.
+All drivers are deterministic in (config, seed). They take each instance's
+votes as arrays and decide a block of instances per ``stop_batch`` call,
+which reproduces ``allocate`` row for row; rows come out in corpus order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Callable
 
 import numpy as np
 
-from .allocator import allocate
 from .config import (
     ABLATION_AXES,
     ExperimentConfig,
     SyntheticCorpusSpec,
-    TraceCorpusSpec,
     config_echo,
 )
-from .consensus import VoteTally, top_two
+from .consensus import plurality
 from .errors import AllocationError, ConfigurationError, CorpusError
 from .optimizer import SoftmaxAnswerPolicy, build_rewarded_samples, pg_update, sft_update
 from .report import ExperimentReport, InstanceRow, build_report
 from .seeding import stream_seed
-from .stopper import ErrorBudget
+from .stopper import ErrorBudget, ThresholdTable, stop_batch
 from .synth import (
     CategoricalVoteSource,
     PolicyVoteSource,
@@ -45,13 +42,11 @@ from .synth import (
 )
 from .version import __version__
 
+# Cells in one block's [instances, votes, answers] count tensor; bounds the
+# kernel's working memory whatever the corpus size.
+_BLOCK_CELLS = 1 << 16
 
-def _map_rows(jobs: list, worker: Callable, workers: int) -> list[InstanceRow]:
-    """Apply worker to each job, preserving corpus order under parallelism."""
-    if workers <= 1:
-        return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, jobs))
+Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _attributed(instance_id: str, exc: Exception) -> Exception:
@@ -60,111 +55,158 @@ def _attributed(instance_id: str, exc: Exception) -> Exception:
     return exc
 
 
-def _fixed_arm(source, budget: int, m: int) -> tuple[int, int, int]:
-    """Majority vote over up to `budget` draws: (label, cost, votes used)."""
-    counts = [0] * m
-    cost = 0
-    drawn = 0
-    for _ in range(budget):
-        vote = source.draw()
-        if vote is None:
-            break
-        answer, vote_cost = vote
-        counts[answer] += 1
-        cost += vote_cost
-        drawn += 1
-    if drawn == 0:
-        raise AllocationError("vote source exhausted before any vote")
-    label = top_two(VoteTally(counts=tuple(counts))).leader
-    return label, cost, drawn
+def _blocks(count: int, m: int, width: int) -> list[slice]:
+    """Consecutive instance slices whose count tensors fit _BLOCK_CELLS."""
+    size = max(1, _BLOCK_CELLS // (width * m))
+    return [slice(start, start + size) for start in range(0, count, size)]
 
 
-def _compare_synthetic_row(
-    config: ExperimentConfig, instance: SyntheticInstance
-) -> InstanceRow:
-    adaptive = CategoricalVoteSource(
-        instance, stream_seed(config.seed, "adaptive", 0, instance.instance_id)
+def _take_all(sources: list, n: int) -> Draws:
+    """Up to n draws from each source, zero-padded: (votes, costs, lengths)."""
+    votes = np.zeros((len(sources), n), dtype=np.int64)
+    costs = np.zeros_like(votes)
+    lengths = np.empty(len(sources), dtype=np.int64)
+    for row, source in enumerate(sources):
+        answers, spent = source.take(n)
+        votes[row, : answers.size] = answers
+        costs[row, : answers.size] = spent
+        lengths[row] = answers.size
+    return votes, costs, lengths
+
+
+def _spent(costs: np.ndarray, tau: np.ndarray) -> list[int]:
+    """Per-row cost of the first tau votes."""
+    return np.where(np.arange(costs.shape[1]) < tau[:, None], costs, 0).sum(axis=1).tolist()
+
+
+def _race(
+    config: ExperimentConfig,
+    table: ThresholdTable,
+    m: np.ndarray,
+    adaptive: Draws,
+    fixed: Draws,
+) -> list[tuple[int, int, str, bool, int, int, int]]:
+    """Both arms over one block of instances.
+
+    Per row: tau, pseudo-label id, decision kind, truncated, adaptive cost,
+    and the fixed arm's plurality label id and cost over its first
+    fixed_budget draws.
+    """
+    votes, costs, lengths = adaptive
+    stops = stop_batch(votes, lengths, m, table)
+    budget = config.fixed_budget
+    fixed_votes, fixed_costs, fixed_lengths = fixed
+    fixed_label = plurality(
+        fixed_votes[:, :budget], np.minimum(fixed_lengths, budget), int(m.max())
     )
-    fixed = CategoricalVoteSource(
-        instance, stream_seed(config.seed, "fixed", 0, instance.instance_id)
-    )
-    result = allocate(adaptive, config.stopper)
-    fixed_label, fixed_cost, _ = _fixed_arm(fixed, config.fixed_budget, instance.m)
-    return InstanceRow(
-        instance_id=instance.instance_id,
-        tau=result.tau,
-        pseudo_label=result.pseudo_label,
-        pseudo_correct=result.pseudo_label == instance.true_answer,
-        cost=result.total_cost,
-        savings_fraction=1.0 - result.total_cost / fixed_cost,
-        decision_kind=result.decision_kind.value,
-        truncated=result.truncated,
-        fixed_cost=fixed_cost,
-        fixed_label=fixed_label,
-        fixed_correct=fixed_label == instance.true_answer,
-    )
-
-
-def _compare_trace_row(
-    config: ExperimentConfig, source: TraceVoteSource, label: str | None
-) -> InstanceRow:
-    result = allocate(source.clone(), config.stopper)
-    fixed_id, fixed_cost, _ = _fixed_arm(source.clone(), config.fixed_budget, source.m)
-    pseudo = source.answer_string(result.pseudo_label)
-    fixed_answer = source.answer_string(fixed_id)
-    return InstanceRow(
-        instance_id=source.instance_id,
-        tau=result.tau,
-        pseudo_label=result.pseudo_label if pseudo is None else pseudo,
-        pseudo_correct=None if label is None or pseudo is None else pseudo == label,
-        cost=result.total_cost,
-        savings_fraction=1.0 - result.total_cost / fixed_cost,
-        decision_kind=result.decision_kind.value,
-        truncated=result.truncated,
-        fixed_cost=fixed_cost,
-        fixed_label=fixed_id if fixed_answer is None else fixed_answer,
-        fixed_correct=(
-            None if label is None or fixed_answer is None else fixed_answer == label
-        ),
+    return list(
+        zip(
+            stops.tau.tolist(),
+            stops.label.tolist(),
+            [kind.value for kind in stops.kind],
+            stops.truncated.tolist(),
+            _spent(costs, stops.tau),
+            fixed_label.tolist(),
+            fixed_costs[:, :budget].sum(axis=1).tolist(),
+        )
     )
 
 
-def run_compare(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def _categorical_draws(
+    config: ExperimentConfig, block: list[SyntheticInstance], purpose: str, n: int
+) -> Draws:
+    return _take_all(
+        [
+            CategoricalVoteSource(inst, stream_seed(config.seed, purpose, 0, inst.instance_id))
+            for inst in block
+        ],
+        n,
+    )
+
+
+def _compare_synthetic(config: ExperimentConfig) -> list[InstanceRow]:
+    spec = config.corpus
+    instances = gen_instances(spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote)
+    table = ThresholdTable(config.stopper)
+    rows = []
+    width = max(config.stopper.m_max, config.fixed_budget)
+    for part in _blocks(len(instances), spec.m, width):
+        block = instances[part]
+        outcomes = _race(
+            config,
+            table,
+            np.full(len(block), spec.m),
+            _categorical_draws(config, block, "adaptive", config.stopper.m_max),
+            _categorical_draws(config, block, "fixed", config.fixed_budget),
+        )
+        for inst, (tau, label, kind, truncated, cost, f_label, f_cost) in zip(block, outcomes):
+            rows.append(
+                InstanceRow(
+                    instance_id=inst.instance_id,
+                    tau=tau,
+                    pseudo_label=label,
+                    pseudo_correct=label == inst.true_answer,
+                    cost=cost,
+                    savings_fraction=1.0 - cost / f_cost,
+                    decision_kind=kind,
+                    truncated=truncated,
+                    fixed_cost=f_cost,
+                    fixed_label=f_label,
+                    fixed_correct=f_label == inst.true_answer,
+                )
+            )
+    return rows
+
+
+def _compare_trace(config: ExperimentConfig) -> list[InstanceRow]:
+    sources = list(load_trace(config.corpus.trace_path).values())
+    labels = load_labels(config.corpus.labels_path) if config.corpus.labels_path else {}
+    if not sources:
+        return []
+    table = ThresholdTable(config.stopper)
+    rows = []
+    width = max(config.stopper.m_max, config.fixed_budget)
+    for part in _blocks(len(sources), max(source.m for source in sources), width):
+        block: list[TraceVoteSource] = sources[part]
+        # Both arms replay the same trace, so one prefix serves both.
+        draws = _take_all([source.clone() for source in block], width)
+        outcomes = _race(config, table, np.array([s.m for s in block]), draws, draws)
+        for source, (tau, label, kind, truncated, cost, f_label, f_cost) in zip(
+            block, outcomes
+        ):
+            gold = labels.get(source.instance_id)
+            pseudo = source.answer_string(label)
+            fixed_answer = source.answer_string(f_label)
+            rows.append(
+                InstanceRow(
+                    instance_id=source.instance_id,
+                    tau=tau,
+                    pseudo_label=label if pseudo is None else pseudo,
+                    pseudo_correct=None if gold is None or pseudo is None else pseudo == gold,
+                    cost=cost,
+                    savings_fraction=1.0 - cost / f_cost,
+                    decision_kind=kind,
+                    truncated=truncated,
+                    fixed_cost=f_cost,
+                    fixed_label=f_label if fixed_answer is None else fixed_answer,
+                    fixed_correct=(
+                        None if gold is None or fixed_answer is None else fixed_answer == gold
+                    ),
+                )
+            )
+    return rows
+
+
+def run_compare(config: ExperimentConfig) -> ExperimentReport:
     """Race adaptive allocation against fixed-budget majority voting."""
     if config.mode != "compare":
         raise ConfigurationError(
             f"run_compare needs mode 'compare', got {config.mode!r}"
         )
-
     if isinstance(config.corpus, SyntheticCorpusSpec):
-        spec = config.corpus
-        instances = gen_instances(
-            spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote
-        )
-
-        def worker(instance: SyntheticInstance) -> InstanceRow:
-            try:
-                return _compare_synthetic_row(config, instance)
-            except Exception as exc:
-                raise _attributed(instance.instance_id, exc) from exc
-
-        rows = _map_rows(instances, worker, workers)
+        rows = _compare_synthetic(config)
     else:
-        sources = load_trace(config.corpus.trace_path)
-        labels = (
-            load_labels(config.corpus.labels_path)
-            if config.corpus.labels_path
-            else {}
-        )
-
-        def worker(source: TraceVoteSource) -> InstanceRow:
-            try:
-                return _compare_trace_row(config, source, labels.get(source.instance_id))
-            except Exception as exc:
-                raise _attributed(source.instance_id, exc) from exc
-
-        rows = _map_rows(list(sources.values()), worker, workers)
-
+        rows = _compare_trace(config)
     return build_report(rows, config_echo(config), config.seed, __version__)
 
 
@@ -182,54 +224,12 @@ def initial_policy(instance: SyntheticInstance) -> SoftmaxAnswerPolicy:
     return SoftmaxAnswerPolicy(logits=logits)
 
 
-def _ttpo_row(config: ExperimentConfig, instance: SyntheticInstance) -> InstanceRow:
-    policy = initial_policy(instance)
-    reference = policy
-    total_tau = 0
-    total_cost = 0
-    result = None
-    for round_index in range(config.rounds):
-        source = PolicyVoteSource(
-            policy,
-            stream_seed(config.seed, "policy", round_index, instance.instance_id),
-            cost=instance.cost_per_vote,
-        )
-        result = allocate(source, config.stopper)
-        total_tau += result.tau
-        total_cost += result.total_cost
-        if config.mode == "ttpo_rl":
-            samples = build_rewarded_samples(
-                result.retained_answers(), result.pseudo_label, config.update
-            )
-            policy = pg_update(policy, samples, reference, config.update)
-        else:
-            policy = sft_update(policy, result.pseudo_label, config.update)
-    assert result is not None
-    # The fixed-budget baseline is deterministic here: every draw costs
-    # cost_per_vote, so a fixed arm would cost exactly budget * rounds.
-    fixed_cost = config.rounds * config.fixed_budget * instance.cost_per_vote
-    initial = initial_policy(instance)
-    return InstanceRow(
-        instance_id=instance.instance_id,
-        tau=total_tau,
-        pseudo_label=result.pseudo_label,
-        pseudo_correct=result.pseudo_label == instance.true_answer,
-        cost=total_cost,
-        savings_fraction=1.0 - total_cost / fixed_cost,
-        decision_kind=result.decision_kind.value,
-        truncated=result.truncated,
-        fixed_cost=fixed_cost,
-        pre_update_greedy_correct=initial.greedy_answer() == instance.true_answer,
-        post_update_greedy_correct=policy.greedy_answer() == instance.true_answer,
-        pre_true_prob=initial.prob(instance.true_answer),
-        post_true_prob=policy.prob(instance.true_answer),
-        pre_pseudo_prob=initial.prob(result.pseudo_label),
-        post_pseudo_prob=policy.prob(result.pseudo_label),
-    )
+def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
+    """Closed loop per instance: allocate, pseudo-label, update, repeat.
 
-
-def run_ttpo(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Closed loop per instance: allocate, pseudo-label, update, repeat."""
+    Runs round-major: each round decides every instance's votes in blocks,
+    then updates each instance's policy from its own outcome.
+    """
     if config.mode not in ("ttpo_rl", "ttpo_sft"):
         raise ConfigurationError(
             f"run_ttpo needs mode 'ttpo_rl' or 'ttpo_sft', got {config.mode!r}"
@@ -240,14 +240,76 @@ def run_ttpo(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     instances = gen_instances(
         spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote
     )
+    table = ThresholdTable(config.stopper)
+    m_max = config.stopper.m_max
+    initial = [initial_policy(instance) for instance in instances]
+    policies = list(initial)
+    total_tau = [0] * len(instances)
+    total_cost = [0] * len(instances)
+    last: list[tuple[int, str, bool]] = [(0, "", False)] * len(instances)
+    for round_index in range(config.rounds):
+        for part in _blocks(len(instances), spec.m, m_max):
+            block = range(len(instances))[part]
+            sources = [
+                PolicyVoteSource(
+                    policies[i],
+                    stream_seed(config.seed, "policy", round_index, instances[i].instance_id),
+                    cost=instances[i].cost_per_vote,
+                )
+                for i in block
+            ]
+            votes, costs, lengths = _take_all(sources, m_max)
+            stops = stop_batch(votes, lengths, np.full(len(block), spec.m), table)
+            for i, row_votes, tau, label, kind, truncated, spent in zip(
+                block,
+                votes,
+                stops.tau.tolist(),
+                stops.label.tolist(),
+                stops.kind,
+                stops.truncated.tolist(),
+                _spent(costs, stops.tau),
+            ):
+                total_tau[i] += tau
+                total_cost[i] += spent
+                last[i] = (label, kind.value, truncated)
+                try:
+                    if config.mode == "ttpo_rl":
+                        # The warm-up prefix predates the stopping decision,
+                        # so it carries no selection bias into the rewards.
+                        retained = row_votes[: min(config.stopper.n_min, tau)].tolist()
+                        samples = build_rewarded_samples(retained, label, config.update)
+                        policies[i] = pg_update(policies[i], samples, initial[i], config.update)
+                    else:
+                        policies[i] = sft_update(policies[i], label, config.update)
+                except Exception as exc:
+                    raise _attributed(instances[i].instance_id, exc) from exc
 
-    def worker(instance: SyntheticInstance) -> InstanceRow:
-        try:
-            return _ttpo_row(config, instance)
-        except Exception as exc:
-            raise _attributed(instance.instance_id, exc) from exc
-
-    rows = _map_rows(instances, worker, workers)
+    # The fixed-budget baseline is deterministic here: every draw costs
+    # cost_per_vote, so a fixed arm would cost exactly budget * rounds.
+    rows = []
+    for instance, start, policy, tau, cost, (label, kind, truncated) in zip(
+        instances, initial, policies, total_tau, total_cost, last
+    ):
+        fixed_cost = config.rounds * config.fixed_budget * instance.cost_per_vote
+        rows.append(
+            InstanceRow(
+                instance_id=instance.instance_id,
+                tau=tau,
+                pseudo_label=label,
+                pseudo_correct=label == instance.true_answer,
+                cost=cost,
+                savings_fraction=1.0 - cost / fixed_cost,
+                decision_kind=kind,
+                truncated=truncated,
+                fixed_cost=fixed_cost,
+                pre_update_greedy_correct=start.greedy_answer() == instance.true_answer,
+                post_update_greedy_correct=policy.greedy_answer() == instance.true_answer,
+                pre_true_prob=start.prob(instance.true_answer),
+                post_true_prob=policy.prob(instance.true_answer),
+                pre_pseudo_prob=start.prob(label),
+                post_pseudo_prob=policy.prob(label),
+            )
+        )
     return build_report(rows, config_echo(config), config.seed, __version__)
 
 
@@ -263,7 +325,6 @@ def run_ablation(
     config: ExperimentConfig,
     axis: str | None = None,
     values: tuple[float, ...] | None = None,
-    workers: int = 1,
 ) -> list[ExperimentReport]:
     """One comparison report per axis value, sharing corpus and streams."""
     if config.mode != "ablate":
@@ -285,5 +346,5 @@ def run_ablation(
             axis=None,
             values=(),
         )
-        reports.append(run_compare(sub, workers=workers))
+        reports.append(run_compare(sub))
     return reports

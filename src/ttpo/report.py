@@ -12,7 +12,8 @@ from __future__ import annotations
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 
@@ -158,6 +159,14 @@ def build_report(
     )
 
 
+_ROW_COLUMNS = tuple(f.name for f in fields(InstanceRow))
+_AGGREGATE_COLUMNS = tuple(f.name for f in fields(Aggregate))
+# Field values in column order. Every field is a scalar, so a shallow read
+# renders the same as dataclasses.asdict without its per-value deep copy.
+_row_values = attrgetter(*_ROW_COLUMNS)
+_aggregate_values = attrgetter(*_AGGREGATE_COLUMNS)
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -171,9 +180,9 @@ def _cell(value) -> str:
 def report_document(report: ExperimentReport) -> dict:
     """The report as a plain JSON-ready dict."""
     return {
-        "aggregate": asdict(report.aggregate),
+        "aggregate": dict(zip(_AGGREGATE_COLUMNS, _aggregate_values(report.aggregate))),
         "config": report.config,
-        "rows": [asdict(row) for row in report.rows],
+        "rows": [dict(zip(_ROW_COLUMNS, _row_values(row))) for row in report.rows],
         "seed": report.seed,
         "version": report.version,
     }
@@ -185,13 +194,11 @@ def render_report(report: ExperimentReport, fmt: str) -> str:
         return json.dumps(report_document(report), sort_keys=True, indent=2) + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
-    columns = [f.name for f in fields(InstanceRow)]
     out = io.StringIO()
-    out.write(",".join(columns) + "\n")
+    out.write(",".join(_ROW_COLUMNS) + "\n")
     for row in report.rows:
-        values = asdict(row)
-        out.write(",".join(_cell(values[c]) for c in columns) + "\n")
-    for name, value in asdict(report.aggregate).items():
+        out.write(",".join(map(_cell, _row_values(row))) + "\n")
+    for name, value in zip(_AGGREGATE_COLUMNS, _aggregate_values(report.aggregate)):
         out.write(f"# {name} = {_cell(value)}\n")
     for key in sorted(report.config):
         out.write(f"# config.{key} = {report.config[key]}\n")
@@ -218,12 +225,11 @@ def render_ablation(
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
-    columns = [f.name for f in fields(Aggregate)]
     out = io.StringIO()
-    out.write("value," + ",".join(columns) + "\n")
+    out.write("value," + ",".join(_AGGREGATE_COLUMNS) + "\n")
     for value, report in zip(values, reports):
-        agg = asdict(report.aggregate)
-        out.write(_cell(value) + "," + ",".join(_cell(agg[c]) for c in columns) + "\n")
+        cells = map(_cell, _aggregate_values(report.aggregate))
+        out.write(_cell(value) + "," + ",".join(cells) + "\n")
     out.write(f"# axis = {axis}\n")
     for key in sorted(parent_config):
         out.write(f"# config.{key} = {parent_config[key]}\n")

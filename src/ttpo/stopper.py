@@ -11,6 +11,12 @@ The noise level ``p0`` is either fixed up front (controlled simulations) or
 estimated from the warm-up tally at ``t = n_min`` as the degraded majority
 fraction, then frozen: re-estimating mid-test would couple the test statistic
 to its own threshold and void the error guarantee.
+
+Two drivers apply the same rule. :class:`SprtStopper` steps one vote at a
+time and serves live sources. :func:`stop_batch` decides a whole block of
+recorded vote streams at once from cumulative counts; because the frozen
+threshold depends only on ``m`` and the warm-up maximum count, one
+:class:`ThresholdTable` per run covers every instance.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import mpmath
+import numpy as np
 
 from .consensus import AnswerModel, VoteTally, tally_ingest, top_two
-from .errors import ConfigurationError
+from .errors import AllocationError, ConfigurationError
 
 # Float quotients of two doubles are reliable to ~1e-13 absolute at this
 # magnitude; only ratios this close to an integer need exact resolution.
@@ -220,6 +227,11 @@ def clamp_p0(p0: float, m: int, epsilon: float) -> float:
     return min(max(p0, lower), upper)
 
 
+def _majority_p0(config: StopperConfig, max_count: int, t: int, m: int) -> float:
+    """Degraded majority fraction of a t-vote tally, clamped above chance."""
+    return clamp_p0(config.degradation * max_count / t, m, config.p0_floor_epsilon)
+
+
 def estimate_p0(tally_at_n_min: VoteTally, config: StopperConfig, m: int) -> float:
     """Degraded majority fraction of the warm-up tally, clamped above chance.
 
@@ -236,8 +248,7 @@ def estimate_p0(tally_at_n_min: VoteTally, config: StopperConfig, m: int) -> flo
             f"p0 is estimated at exactly n_min={config.n_min} votes, "
             f"got {tally_at_n_min.total}"
         )
-    raw = config.degradation * max(tally_at_n_min.counts) / config.n_min
-    return clamp_p0(raw, m, config.p0_floor_epsilon)
+    return _majority_p0(config, max(tally_at_n_min.counts), config.n_min, m)
 
 
 class SprtStopper:
@@ -338,8 +349,7 @@ class SprtStopper:
         if self._t < 1:
             raise RuntimeError("cannot finalize a test that saw no votes")
         if self._model is None:
-            raw = self.config.degradation * max(self._tally.counts) / self._t
-            self._freeze(clamp_p0(raw, self.m, self.config.p0_floor_epsilon))
+            self._freeze(_majority_p0(self.config, max(self._tally.counts), self._t, self.m))
         pair = top_two(self._tally)
         self._decision = StopDecision(StopKind.BUDGET_EXHAUSTED, chosen=pair.leader)
         return self._decision
@@ -350,3 +360,120 @@ class SprtStopper:
             raise RuntimeError("no terminal decision yet")
         assert self._decision.chosen is not None
         return self._decision.chosen
+
+
+class ThresholdTable:
+    """Frozen ``(p0, gap_upper)`` per ``(m, warm-up maximum count)``.
+
+    Under adaptive ``p0`` the frozen model depends on the warm-up votes only
+    through their maximum count, so at most ``n_min + 1`` entries exist per
+    answer-space size (one per size under ``p0_fixed``). Entries come from
+    :func:`compute_thresholds` on first use; build one table per run and
+    share it across :func:`stop_batch` calls.
+    """
+
+    def __init__(self, config: StopperConfig):
+        self.config = config
+        self._entries: dict[tuple[int, int | None], tuple[float, int]] = {}
+
+    def lookup(self, m: int, warm_max: int) -> tuple[float, int]:
+        """``(p0, gap_upper)`` frozen at ``t = n_min`` for this warm-up maximum."""
+        config = self.config
+        key = (m, None if config.p0_fixed is not None else warm_max)
+        entry = self._entries.get(key)
+        if entry is None:
+            if config.p0_fixed is not None:
+                p0 = clamp_p0(config.p0_fixed, m, config.p0_floor_epsilon)
+            else:
+                p0 = _majority_p0(config, warm_max, config.n_min, m)
+            gap = compute_thresholds(config.budget, AnswerModel(p0=p0, m=m)).gap_upper
+            entry = self._entries[key] = (p0, gap)
+        return entry
+
+
+@dataclass(frozen=True, eq=False)
+class BatchStops:
+    """Per-row outcome of :func:`stop_batch`, aligned with its input rows."""
+
+    tau: np.ndarray
+    label: np.ndarray
+    kind: tuple[StopKind, ...]
+    truncated: np.ndarray
+    p0_used: np.ndarray
+
+
+def stop_batch(
+    votes: np.ndarray, lengths: np.ndarray, m: np.ndarray, table: ThresholdTable
+) -> BatchStops:
+    """Run the sequential test over every row of a ``[B, L]`` vote matrix.
+
+    Row ``i`` holds one instance's votes in draw order; only its first
+    ``lengths[i]`` entries are read, and ``m[i]`` is its answer-space size.
+    A row shorter than ``table.config.m_max`` is a source that ran dry. Row
+    ``i`` of the result equals what :func:`~ttpo.allocator.allocate` returns
+    for a source emitting those votes: stopping time, pseudo-label, decision
+    kind, truncation, and the frozen ``p0``.
+    """
+    config = table.config
+    votes = np.asarray(votes)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    m = np.asarray(m, dtype=np.int64)
+    rows = votes.shape[0]
+    if lengths.shape != (rows,) or m.shape != (rows,):
+        raise ValueError("lengths and m need one entry per vote row")
+    if rows == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return BatchStops(empty, empty, (), np.empty(0, dtype=bool), np.empty(0))
+    if np.any(m < 2):
+        raise ConfigurationError(f"need at least two candidate answers, got m={m.min()}")
+    if np.any(lengths < 1):
+        raise AllocationError("vote source exhausted before any vote")
+    if np.any(lengths > votes.shape[1]):
+        raise ValueError("a row length exceeds the vote matrix width")
+
+    # Votes past the budget are never read.
+    width = min(votes.shape[1], config.m_max)
+    seen = np.minimum(lengths, width)
+    steps = np.arange(width)
+    live = steps < seen[:, None]
+    live_votes = np.where(live, votes[:, :width], -1)
+    if np.any(live & (live_votes < 0)) or np.any(live_votes >= m[:, None]):
+        raise ValueError("vote out of range for its row's answer space")
+
+    # counts[i, s, j]: votes for answer j among row i's first s + 1.
+    counts = np.cumsum(
+        live_votes[:, :, None] == np.arange(int(m.max())), axis=1, dtype=np.int32
+    )
+    top = np.partition(counts, -2, axis=2)
+    gap = top[:, :, -1] - top[:, :, -2]
+
+    n_min = config.n_min
+    warmed = seen >= n_min
+    warm_max = top[:, n_min - 1, -1] if width >= n_min else np.zeros(rows, np.int32)
+    p0_used = np.empty(rows)
+    threshold = np.zeros(rows, dtype=np.int64)
+    for i in np.flatnonzero(warmed | (config.p0_fixed is not None)):
+        p0_used[i], threshold[i] = table.lookup(int(m[i]), int(warm_max[i]))
+    if config.p0_fixed is None:
+        for i in np.flatnonzero(~warmed):
+            t = int(seen[i])
+            p0_used[i] = _majority_p0(config, int(top[i, t - 1, -1]), t, int(m[i]))
+
+    # Streaks of gap >= threshold from t = n_min on; a run's length at step s
+    # is s minus the last step at or before s that missed.
+    hit = live & (steps >= n_min - 1) & (gap >= threshold[:, None])
+    last_miss = np.maximum.accumulate(np.where(hit, -1, steps), axis=1)
+    confirmed = steps - last_miss >= config.streak_k
+    stopped = confirmed.any(axis=1)
+    tau = np.where(stopped, confirmed.argmax(axis=1) + 1, seen)
+    label = counts[np.arange(rows), tau - 1].argmax(axis=1)
+    kind = tuple(
+        StopKind.STOP_LEADER if s else StopKind.BUDGET_EXHAUSTED for s in stopped.tolist()
+    )
+    return BatchStops(
+        tau=tau,
+        label=label,
+        kind=kind,
+        truncated=~stopped & (seen < config.m_max),
+        p0_used=p0_used,
+    )

@@ -4,7 +4,8 @@ Three source kinds feed the allocator: exact categorical simulators (a vote
 hits the true answer with probability ``p0_true``, otherwise lands uniformly
 on a wrong answer), snapshots of a softmax answer policy, and replay of
 recorded rollout traces from real model runs. Sources draw one vote at a
-time but batch their underlying RNG work for speed.
+time but batch their underlying RNG work for speed; ``take(n)`` hands out
+the next ``n`` draws as arrays, with exactly the RNG calls those draws make.
 """
 
 from __future__ import annotations
@@ -153,11 +154,46 @@ def gen_instances(
     return instances
 
 
-class CategoricalVoteSource:
+class _BufferedSource:
+    """Block access for sources that refill a vote buffer from their RNG.
+
+    Subclasses keep ``_buffer``/``_pos``, a ``_refill`` that replaces the
+    buffer, and a constant per-vote ``_cost``.
+    """
+
+    _buffer: np.ndarray
+    _pos: int
+    _cost: int
+
+    def _refill(self) -> None:
+        raise NotImplementedError
+
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Answers and costs of the next ``n`` draws.
+
+        Consumes the buffer exactly as ``n`` calls to ``draw`` would, so the
+        stream continues identically afterwards.
+        """
+        if n < 0:
+            raise ValueError(f"cannot take a negative number of votes, got {n}")
+        chunks = [np.empty(0, dtype=np.int64)]
+        while n > 0:
+            if self._pos >= self._buffer.size:
+                self._refill()
+            chunk = self._buffer[self._pos : self._pos + n]
+            self._pos += chunk.size
+            n -= chunk.size
+            chunks.append(chunk)
+        answers = np.concatenate(chunks)
+        return answers, np.full(answers.size, self._cost, dtype=np.int64)
+
+
+class CategoricalVoteSource(_BufferedSource):
     """Exact simulator of the symmetric vote-noise model, buffered."""
 
     def __init__(self, instance: SyntheticInstance, stream_seed: int):
         self._instance = instance
+        self._cost = instance.cost_per_vote
         self._rng = np.random.default_rng(stream_seed)
         self._buffer = np.empty(0, dtype=np.int64)
         self._pos = 0
@@ -181,10 +217,10 @@ class CategoricalVoteSource:
             self._refill()
         answer = int(self._buffer[self._pos])
         self._pos += 1
-        return answer, self._instance.cost_per_vote
+        return answer, self._cost
 
 
-class PolicyVoteSource:
+class PolicyVoteSource(_BufferedSource):
     """Draws answers from a snapshot of a softmax policy's distribution.
 
     The snapshot is taken at construction: after a policy update the caller
@@ -287,6 +323,16 @@ class TraceVoteSource:
     def clone(self) -> "TraceVoteSource":
         """A fresh source over the same records, rewound to the start."""
         return TraceVoteSource(self.instance_id, self._records)
+
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Answer ids and token costs of the next ``n`` draws (fewer at the end)."""
+        if n < 0:
+            raise ValueError(f"cannot take a negative number of votes, got {n}")
+        records = self._records[self._pos : self._pos + n]
+        self._pos += len(records)
+        answers = [self._id_by_answer[record.answer] for record in records]
+        tokens = [record.tokens for record in records]
+        return np.array(answers, dtype=np.int64), np.array(tokens, dtype=np.int64)
 
     def draw(self) -> tuple[int, int] | None:
         if self._pos >= len(self._records):

@@ -1,0 +1,173 @@
+"""Per-vote reference drivers: reports built row by row from ``allocate``.
+
+The experiment drivers decide blocks of instances with ``stop_batch``; these
+build the same reports the slow way, one ``allocate`` call per instance and
+round, with the fixed arm drawn one vote at a time. Tests require the two to
+render to identical bytes.
+"""
+
+from dataclasses import replace
+
+from ttpo.allocator import allocate
+from ttpo.config import SyntheticCorpusSpec, config_echo
+from ttpo.consensus import VoteTally, top_two
+from ttpo.errors import AllocationError
+from ttpo.experiment import initial_policy
+from ttpo.optimizer import build_rewarded_samples, pg_update, sft_update
+from ttpo.report import InstanceRow, build_report
+from ttpo.seeding import stream_seed
+from ttpo.stopper import ErrorBudget
+from ttpo.synth import (
+    CategoricalVoteSource,
+    PolicyVoteSource,
+    gen_instances,
+    load_labels,
+    load_trace,
+)
+from ttpo.version import __version__
+
+
+def fixed_arm(source, budget, m):
+    """Majority vote over up to `budget` draws: (label, cost)."""
+    counts = [0] * m
+    cost = 0
+    drawn = 0
+    for _ in range(budget):
+        vote = source.draw()
+        if vote is None:
+            break
+        answer, vote_cost = vote
+        counts[answer] += 1
+        cost += vote_cost
+        drawn += 1
+    if drawn == 0:
+        raise AllocationError("vote source exhausted before any vote")
+    return top_two(VoteTally(counts=tuple(counts))).leader, cost
+
+
+def _synthetic_compare_row(config, instance):
+    adaptive = CategoricalVoteSource(
+        instance, stream_seed(config.seed, "adaptive", 0, instance.instance_id)
+    )
+    fixed = CategoricalVoteSource(
+        instance, stream_seed(config.seed, "fixed", 0, instance.instance_id)
+    )
+    result = allocate(adaptive, config.stopper)
+    fixed_label, fixed_cost = fixed_arm(fixed, config.fixed_budget, instance.m)
+    return InstanceRow(
+        instance_id=instance.instance_id,
+        tau=result.tau,
+        pseudo_label=result.pseudo_label,
+        pseudo_correct=result.pseudo_label == instance.true_answer,
+        cost=result.total_cost,
+        savings_fraction=1.0 - result.total_cost / fixed_cost,
+        decision_kind=result.decision_kind.value,
+        truncated=result.truncated,
+        fixed_cost=fixed_cost,
+        fixed_label=fixed_label,
+        fixed_correct=fixed_label == instance.true_answer,
+    )
+
+
+def _trace_compare_row(config, source, label):
+    result = allocate(source.clone(), config.stopper)
+    fixed_id, fixed_cost = fixed_arm(source.clone(), config.fixed_budget, source.m)
+    pseudo = source.answer_string(result.pseudo_label)
+    fixed_answer = source.answer_string(fixed_id)
+    return InstanceRow(
+        instance_id=source.instance_id,
+        tau=result.tau,
+        pseudo_label=result.pseudo_label if pseudo is None else pseudo,
+        pseudo_correct=None if label is None or pseudo is None else pseudo == label,
+        cost=result.total_cost,
+        savings_fraction=1.0 - result.total_cost / fixed_cost,
+        decision_kind=result.decision_kind.value,
+        truncated=result.truncated,
+        fixed_cost=fixed_cost,
+        fixed_label=fixed_id if fixed_answer is None else fixed_answer,
+        fixed_correct=(
+            None if label is None or fixed_answer is None else fixed_answer == label
+        ),
+    )
+
+
+def reference_compare(config):
+    if isinstance(config.corpus, SyntheticCorpusSpec):
+        spec = config.corpus
+        instances = gen_instances(
+            spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote
+        )
+        rows = [_synthetic_compare_row(config, inst) for inst in instances]
+    else:
+        sources = load_trace(config.corpus.trace_path)
+        labels = (
+            load_labels(config.corpus.labels_path) if config.corpus.labels_path else {}
+        )
+        rows = [
+            _trace_compare_row(config, source, labels.get(source.instance_id))
+            for source in sources.values()
+        ]
+    return build_report(rows, config_echo(config), config.seed, __version__)
+
+
+def _ttpo_row(config, instance):
+    policy = initial_policy(instance)
+    reference = policy
+    total_tau = 0
+    total_cost = 0
+    for round_index in range(config.rounds):
+        source = PolicyVoteSource(
+            policy,
+            stream_seed(config.seed, "policy", round_index, instance.instance_id),
+            cost=instance.cost_per_vote,
+        )
+        result = allocate(source, config.stopper)
+        total_tau += result.tau
+        total_cost += result.total_cost
+        if config.mode == "ttpo_rl":
+            samples = build_rewarded_samples(
+                result.retained_answers(), result.pseudo_label, config.update
+            )
+            policy = pg_update(policy, samples, reference, config.update)
+        else:
+            policy = sft_update(policy, result.pseudo_label, config.update)
+    fixed_cost = config.rounds * config.fixed_budget * instance.cost_per_vote
+    initial = initial_policy(instance)
+    return InstanceRow(
+        instance_id=instance.instance_id,
+        tau=total_tau,
+        pseudo_label=result.pseudo_label,
+        pseudo_correct=result.pseudo_label == instance.true_answer,
+        cost=total_cost,
+        savings_fraction=1.0 - total_cost / fixed_cost,
+        decision_kind=result.decision_kind.value,
+        truncated=result.truncated,
+        fixed_cost=fixed_cost,
+        pre_update_greedy_correct=initial.greedy_answer() == instance.true_answer,
+        post_update_greedy_correct=policy.greedy_answer() == instance.true_answer,
+        pre_true_prob=initial.prob(instance.true_answer),
+        post_true_prob=policy.prob(instance.true_answer),
+        pre_pseudo_prob=initial.prob(result.pseudo_label),
+        post_pseudo_prob=policy.prob(result.pseudo_label),
+    )
+
+
+def reference_ttpo(config):
+    spec = config.corpus
+    instances = gen_instances(
+        spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote
+    )
+    rows = [_ttpo_row(config, inst) for inst in instances]
+    return build_report(rows, config_echo(config), config.seed, __version__)
+
+
+def reference_ablation(config):
+    reports = []
+    for value in config.values:
+        if config.axis == "alpha_beta":
+            stopper = replace(config.stopper, budget=ErrorBudget(alpha=value, beta=value))
+        else:
+            stopper = replace(config.stopper, n_min=int(value))
+        sub = replace(config, mode="compare", stopper=stopper, axis=None, values=())
+        reports.append(reference_compare(sub))
+    return reports

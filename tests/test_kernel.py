@@ -1,0 +1,205 @@
+"""The array stopping kernel against the per-vote reference, ``allocate``."""
+
+import numpy as np
+import pytest
+
+from scalar_reference import reference_compare, reference_ttpo
+from ttpo.allocator import allocate
+from ttpo.config import resolve_config
+from ttpo.consensus import AnswerModel
+from ttpo.errors import AllocationError, ConfigurationError
+from ttpo.experiment import run_compare, run_ttpo
+from ttpo.report import render_report
+from ttpo.stopper import (
+    ErrorBudget,
+    StopKind,
+    StopperConfig,
+    ThresholdTable,
+    compute_thresholds,
+    stop_batch,
+)
+from ttpo.synth import TraceRecord, canonical_trace_line
+
+
+class ListSource:
+    """Finite source over a fixed vote list; None once it runs dry."""
+
+    def __init__(self, m, votes):
+        self._m = m
+        self._votes = [int(v) for v in votes]
+        self._pos = 0
+
+    @property
+    def m(self):
+        return self._m
+
+    def draw(self):
+        if self._pos >= len(self._votes):
+            return None
+        self._pos += 1
+        return self._votes[self._pos - 1], 1
+
+
+def random_block(rng, rows, width, m_choices):
+    """Votes that favour answer 0 by a per-row margin, plus ragged lengths."""
+    m = rng.choice(m_choices, size=rows)
+    accuracy = rng.uniform(0.2, 0.97, size=rows)
+    hit = rng.random((rows, width)) < accuracy[:, None]
+    noise = (rng.random((rows, width)) * m[:, None]).astype(np.int64)
+    votes = np.where(hit, 0, noise)
+    lengths = rng.integers(1, width + 1, size=rows)
+    return votes, lengths, m
+
+
+def assert_matches_allocate(votes, lengths, m, config):
+    stops = stop_batch(votes, lengths, m, ThresholdTable(config))
+    for i in range(len(votes)):
+        result = allocate(ListSource(int(m[i]), votes[i, : lengths[i]]), config)
+        assert (
+            int(stops.tau[i]),
+            int(stops.label[i]),
+            stops.kind[i],
+            bool(stops.truncated[i]),
+            float(stops.p0_used[i]),
+        ) == (
+            result.tau,
+            result.pseudo_label,
+            result.decision_kind,
+            result.truncated,
+            result.p0_used,
+        ), (i, votes[i, : lengths[i]].tolist(), config)
+    return stops
+
+
+CASES = {
+    "default": StopperConfig(),
+    "short_warm_up": StopperConfig(n_min=4, m_max=40, streak_k=2),
+    "p0_fixed": StopperConfig(n_min=6, m_max=48, streak_k=3, p0_fixed=0.75),
+    "streak_one": StopperConfig(n_min=5, m_max=30, streak_k=1),
+    # One step to decide: a confirmed stop outranks the exhausted budget.
+    "n_min_is_budget": StopperConfig(n_min=20, m_max=20, streak_k=1),
+    "long_budget": StopperConfig(
+        budget=ErrorBudget(alpha=0.01, beta=0.01), n_min=8, m_max=300, streak_k=4
+    ),
+    "loose_budget": StopperConfig(
+        budget=ErrorBudget(alpha=0.2, beta=0.3), n_min=3, m_max=25, streak_k=2,
+        degradation=1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_kernel_matches_allocate_on_random_streams(name):
+    config = CASES[name]
+    rng = np.random.default_rng(sorted(CASES).index(name) + 2100)
+    # Wider than the budget, so rows both run dry and get cut at m_max.
+    width = config.m_max + 20
+    stops = []
+    for _ in range(6):
+        votes, lengths, m = random_block(rng, 250, width, [2, 3, 4, 7])
+        stops.append(assert_matches_allocate(votes, lengths, m, config))
+    kinds = {kind for s in stops for kind in s.kind}
+    truncated = np.concatenate([s.truncated for s in stops])
+    taus = np.concatenate([s.tau for s in stops])
+    # Every outcome path is exercised: stops, full budgets, and sources
+    # running dry both before and after the warm-up ends.
+    assert kinds == {StopKind.STOP_LEADER, StopKind.BUDGET_EXHAUSTED}
+    assert np.any(truncated & (taus < config.n_min))
+    if config.n_min < config.m_max:
+        assert np.any(truncated & (taus >= config.n_min))
+    assert np.any(~truncated & (taus == config.m_max))
+
+
+def test_kernel_reads_no_vote_past_the_budget():
+    config = StopperConfig(n_min=4, m_max=10, streak_k=2)
+    votes = np.array([[0, 1] * 5 + [2] * 6])
+    tail = votes.copy()
+    tail[0, 10:] = 0
+    for block in (votes, tail):
+        stops = stop_batch(block, [16], [3], ThresholdTable(config))
+        assert stops.tau.tolist() == [10]
+        assert stops.kind == (StopKind.BUDGET_EXHAUSTED,)
+        assert not stops.truncated[0]
+
+
+def test_threshold_table_matches_compute_thresholds():
+    config = StopperConfig(n_min=8)
+    table = ThresholdTable(config)
+    for m in (2, 5):
+        for warm_max in range(config.n_min + 1):
+            p0, gap = table.lookup(m, warm_max)
+            model = AnswerModel(p0=p0, m=m)
+            assert gap == compute_thresholds(config.budget, model).gap_upper
+    fixed = ThresholdTable(StopperConfig(p0_fixed=0.8))
+    assert fixed.lookup(4, 0) == fixed.lookup(4, 32)
+
+
+def test_kernel_rejects_bad_blocks():
+    table = ThresholdTable(StopperConfig(n_min=2, m_max=4))
+    votes = np.zeros((1, 4), dtype=np.int64)
+    with pytest.raises(ConfigurationError):
+        stop_batch(votes, [4], [1], table)
+    with pytest.raises(AllocationError):
+        stop_batch(votes, [0], [2], table)
+    with pytest.raises(ValueError):
+        stop_batch(votes, [5], [2], table)
+    with pytest.raises(ValueError):
+        stop_batch(np.array([[0, 3, 0, 0]]), [4], [3], table)
+    with pytest.raises(ValueError):
+        stop_batch(np.array([[0, -1, 0, 0]]), [4], [3], table)
+    # Out-of-range entries past a row's length are padding, never read.
+    assert stop_batch(np.array([[1, 1, 9, 9]]), [2], [2], table).label.tolist() == [1]
+    empty = stop_batch(np.zeros((0, 4), dtype=np.int64), [], [], table)
+    assert empty.tau.size == 0 and empty.kind == ()
+
+
+def test_trace_compare_matches_scalar_reference(tmp_path):
+    # Ragged traces: shorter than the warm-up, between warm-up and budget,
+    # and longer than both arms; answer spaces of different sizes in one
+    # block, and a fixed budget above the adaptive one.
+    rng = np.random.default_rng(5150)
+    lines = []
+    labels = ["instance_id,answer"]
+    for index in range(90):
+        instance_id = f"q{index:03d}"
+        vocab = [f"a{j}" for j in range(int(rng.integers(1, 9)))]
+        length = int(rng.choice([3, 10, 25, 40, 70]))
+        accuracy = rng.uniform(0.3, 0.95)
+        for position in range(length):
+            answer = vocab[0] if rng.random() < accuracy else str(rng.choice(vocab))
+            record = TraceRecord(instance_id, position, answer, int(rng.integers(1, 50)))
+            lines.append(canonical_trace_line(record))
+        labels.append(f"{instance_id},{vocab[0]}")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    gold = tmp_path / "gold.csv"
+    gold.write_text("\n".join(labels) + "\n")
+    config = resolve_config(
+        {
+            "mode": "compare",
+            "corpus": "trace",
+            "trace": str(trace),
+            "labels": str(gold),
+            "n_min": "12",
+            "m_max": "32",
+            "streak_k": "3",
+            "fixed_budget": "48",
+        }
+    )
+    report = run_compare(config)
+    assert any(row.truncated and row.tau < 12 for row in report.rows)
+    assert any(row.truncated and row.tau >= 12 for row in report.rows)
+    for fmt in ("json", "csv"):
+        assert render_report(report, fmt) == render_report(reference_compare(config), fmt)
+
+
+@pytest.mark.parametrize("mode", ["ttpo_rl", "ttpo_sft"])
+def test_multi_block_closed_loop_matches_scalar_reference(mode):
+    # Several instance blocks per round and several rounds, so every
+    # policy update feeds the next round's block.
+    config = resolve_config(
+        {"mode": mode, "count": "300", "m": "8", "rounds": "2", "p0": "uniform:0.2,0.8"}
+    )
+    assert render_report(run_ttpo(config), "csv") == render_report(
+        reference_ttpo(config), "csv"
+    )

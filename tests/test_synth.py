@@ -351,3 +351,63 @@ class TestLoadLabels:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError):
             load_labels(tmp_path / "absent.csv")
+
+
+def _fresh_sources():
+    instance = SyntheticInstance(
+        instance_id="i", true_answer=1, m=5, p0_true=0.6, cost_per_vote=3
+    )
+    policy = SoftmaxAnswerPolicy(logits=np.array([0.3, -1.0, 2.0, 0.0]))
+    return [
+        lambda: CategoricalVoteSource(instance, stream_seed(3, "arm", 0, "i")),
+        lambda: PolicyVoteSource(policy, stream_seed(3, "policy", 0, "i"), cost=2),
+    ]
+
+
+class TestTake:
+    """take(n) is n draws at once: same votes, same costs, same stream after."""
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("kind", [0, 1])
+    def test_take_equals_repeated_draws(self, kind, n):
+        make = _fresh_sources()[kind]
+        drawn = make()
+        taken = make()
+        expected = [drawn.draw() for _ in range(n)]
+        answers, costs = taken.take(n)
+        assert list(zip(answers.tolist(), costs.tolist())) == expected
+        # The streams stay in step afterwards.
+        assert [taken.draw() for _ in range(300)] == [drawn.draw() for _ in range(300)]
+
+    @pytest.mark.parametrize("kind", [0, 1])
+    def test_interleaved_draw_and_take(self, kind):
+        make = _fresh_sources()[kind]
+        drawn = make()
+        mixed = make()
+        got = []
+        for step, n in enumerate([3, 250, 1, 256, 40, 600, 7]):
+            if step % 2:
+                got += [mixed.draw() for _ in range(n)]
+            else:
+                answers, costs = mixed.take(n)
+                got += list(zip(answers.tolist(), costs.tolist()))
+        assert got == [drawn.draw() for _ in range(len(got))]
+
+    def test_negative_rejected(self):
+        for make in _fresh_sources():
+            with pytest.raises(ValueError):
+                make().take(-1)
+
+    def test_trace_take_stops_at_the_end(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        records = [TraceRecord("q", i, "ab"[i % 2], 10 + i) for i in range(5)]
+        path.write_text("\n".join(canonical_trace_line(r) for r in records) + "\n")
+        source = load_trace(path)["q"]
+        drawn = source.clone()
+        expected = [drawn.draw() for _ in range(7)]
+        answers, costs = source.take(2)
+        rest_answers, rest_costs = source.take(5)
+        got = list(zip(answers.tolist() + rest_answers.tolist(), costs.tolist() + rest_costs.tolist()))
+        assert got == [e for e in expected if e is not None]
+        assert source.draw() is None
+        assert source.take(3)[0].size == 0
