@@ -29,8 +29,6 @@ from .consensus import (
     TopTwo,
     VoteTally,
     log_bayes_factor_closed_form,
-    log_bayes_factor_full,
-    log_likelihood,
     posterior,
     tally_ingest,
     top_two,
@@ -67,13 +65,10 @@ from .stopper import (
     StopKind,
     StopperConfig,
     ThresholdTable,
-    Thresholds,
     clamp_p0,
     compute_thresholds,
     estimate_p0,
-    gap_thresholds,
     stop_batch,
-    wald_thresholds,
 )
 from .synth import (
     CategoricalVoteSource,
@@ -112,7 +107,6 @@ __all__ = [
     "SyntheticCorpusSpec",
     "SyntheticInstance",
     "ThresholdTable",
-    "Thresholds",
     "TopTwo",
     "TraceCorpusSpec",
     "TraceRecord",
@@ -134,7 +128,6 @@ __all__ = [
     "consensus_reward",
     "emit_report",
     "estimate_p0",
-    "gap_thresholds",
     "gen_instances",
     "initial_policy",
     "kl_divergence",
@@ -142,8 +135,6 @@ __all__ = [
     "load_report",
     "load_trace",
     "log_bayes_factor_closed_form",
-    "log_bayes_factor_full",
-    "log_likelihood",
     "parse_kv_file",
     "pg_gradient",
     "pg_update",
@@ -159,5 +150,4 @@ __all__ = [
     "stream_seed",
     "tally_ingest",
     "top_two",
-    "wald_thresholds",
 ]

@@ -6,8 +6,9 @@ allocation against fixed-budget voting, `ttpo` runs the closed update loop,
 a recorded rollout trace. Configuration comes from an optional flat
 key=value file overlaid by flags; flags always win.
 
-Exit codes: 0 success, 1 configuration error, 2 input/corpus error,
-3 internal error.
+Exit codes: 0 success, 1 configuration error (an unreadable config file
+or unwritable report path included), 2 input/corpus error (an unreadable
+trace or labels file included), 3 internal error.
 """
 
 from __future__ import annotations

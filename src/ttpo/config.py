@@ -111,11 +111,14 @@ class ExperimentConfig:
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
     """Parse a flat 'key = value' config file; '#' starts a comment line."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ConfigurationError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

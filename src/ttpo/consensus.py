@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import softmax
 
 AnswerId = int
 
@@ -143,20 +142,6 @@ def plurality(votes: np.ndarray, lengths: np.ndarray, m: int) -> np.ndarray:
     return counts.argmax(axis=1)
 
 
-def log_likelihood(tally: VoteTally, hypothesis: AnswerId, model: AnswerModel) -> float:
-    """Log-probability of the tally under "``hypothesis`` is the true answer".
-
-    Equals ``v * ln(p0) + (total - v) * ln(wrong_mass)`` with ``v`` the vote
-    count of the hypothesis. Stays in log space throughout.
-    """
-    if tally.m != model.m:
-        raise ValueError(f"tally covers {tally.m} answers but model expects {model.m}")
-    if not 0 <= hypothesis < model.m:
-        raise ValueError(f"hypothesis {hypothesis} out of range for m={model.m}")
-    v = tally.count(hypothesis)
-    return v * math.log(model.p0) + (tally.total - v) * math.log(model.wrong_mass)
-
-
 def log_bayes_factor_closed_form(gap: int, model: AnswerModel) -> float:
     """Log evidence ratio of leader over runner-up given their count gap."""
     if gap < 0:
@@ -164,14 +149,16 @@ def log_bayes_factor_closed_form(gap: int, model: AnswerModel) -> float:
     return gap * math.log(model.kappa)
 
 
-def log_bayes_factor_full(tally: VoteTally, model: AnswerModel) -> float:
-    """Log evidence ratio computed from the two full log-likelihoods.
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Normalized exponentials, shifted by the maximum so nothing overflows."""
+    e = np.exp(x - x.max())
+    return e / e.sum()
 
-    Algebraically identical to the closed form in the gap; kept as the
-    independent slow path so the two can be checked against each other.
-    """
-    pair = top_two(tally)
-    return log_likelihood(tally, pair.leader, model) - log_likelihood(tally, pair.runner_up, model)
+
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Logarithm of :func:`_softmax`, computed without leaving log space."""
+    s = x - x.max()
+    return s - np.log(np.exp(s).sum())
 
 
 def posterior(tally: VoteTally, model: AnswerModel) -> np.ndarray:
@@ -183,4 +170,4 @@ def posterior(tally: VoteTally, model: AnswerModel) -> np.ndarray:
         raise ValueError(f"tally covers {tally.m} answers but model expects {model.m}")
     counts = np.asarray(tally.counts, dtype=float)
     log_lik = counts * math.log(model.p0) + (tally.total - counts) * math.log(model.wrong_mass)
-    return softmax(log_lik)
+    return _softmax(log_lik)

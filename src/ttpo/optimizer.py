@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import log_softmax, softmax
 
+from .consensus import _log_softmax, _softmax
 from .errors import ConfigurationError
 
 ADVANTAGE_MODES = ("mean_baseline", "group_normalized")
@@ -53,10 +53,10 @@ class SoftmaxAnswerPolicy:
         return SoftmaxAnswerPolicy(logits=logits, temperature=self.temperature)
 
     def probabilities(self) -> np.ndarray:
-        return softmax(self.logits / self.temperature)
+        return _softmax(self.logits / self.temperature)
 
     def log_probabilities(self) -> np.ndarray:
-        return log_softmax(self.logits / self.temperature)
+        return _log_softmax(self.logits / self.temperature)
 
     def prob(self, answer: int) -> float:
         return float(self.probabilities()[answer])

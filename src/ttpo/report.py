@@ -16,6 +16,8 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
+from .errors import ConfigurationError
+
 
 @dataclass(frozen=True)
 class InstanceRow:
@@ -240,7 +242,10 @@ def _write_text(rendered: str, path: str | Path) -> None:
     if str(path) == "-":
         sys.stdout.write(rendered)
         return
-    Path(path).write_text(rendered, encoding="utf-8")
+    try:
+        Path(path).write_text(rendered, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write report {path}: {exc.strerror}") from exc
 
 
 def emit_report(report: ExperimentReport, path: str | Path, fmt: str) -> None:

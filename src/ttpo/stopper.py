@@ -2,10 +2,15 @@
 
 The stopper runs a top-two sequential probability ratio test: votes accrue
 into a tally, the evidence for the current leader over the runner-up is
-``gap * ln(kappa)``, and sampling stops once that evidence clears a Wald
-threshold for a configurable number of consecutive steps. Because the
-evidence is monotone in the integer vote gap, the Wald thresholds reduce to
-integer gap thresholds computed once and compared exactly thereafter.
+``gap * ln(kappa)`` with ``kappa = p0 (m - 1) / (1 - p0)``, and sampling
+stops once that evidence clears the Wald bound ``ln((1 - beta) / alpha)``
+for a configurable number of consecutive steps. The evidence is monotone in
+the integer vote gap, so the whole test is one integer, ``gap_upper``: the
+least ``g`` with ``kappa**g >= (1 - beta) / alpha``. It is computed exactly
+in rationals once per frozen model (:func:`compute_thresholds`) and
+compared as an integer thereafter. The tracked gap is never negative, so
+Wald's lower boundary (accept the runner-up) can never fire and is not
+computed.
 
 The noise level ``p0`` is either fixed up front (controlled simulations) or
 estimated from the warm-up tally at ``t = n_min`` as the degraded majority
@@ -23,19 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 
-import mpmath
 import numpy as np
 
 from .consensus import AnswerModel, VoteTally, tally_ingest, top_two
 from .errors import AllocationError, ConfigurationError
-
-# Float quotients of two doubles are reliable to ~1e-13 absolute at this
-# magnitude; only ratios this close to an integer need exact resolution.
-_NEAR_INTEGER = 1e-9
-# Beyond this the off-by-one question is moot (no budget reaches such gaps).
-_EXACT_RESOLUTION_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -57,32 +56,13 @@ class ErrorBudget:
             )
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Wald log thresholds and their integer vote-gap equivalents.
-
-    ``log_upper = ln((1-beta)/alpha) > 0`` accepts the leader,
-    ``log_lower = ln(beta/(1-alpha)) < 0`` would accept the runner-up.
-    ``gap_upper/gap_lower`` are the smallest integer gaps whose evidence
-    clears each bound for the ``kappa`` in force.
-    """
-
-    log_upper: float
-    log_lower: float
-    gap_upper: int
-    gap_lower: int
-
-
 class StopKind(Enum):
     CONTINUE = "continue"
     STOP_LEADER = "stop_leader"
-    STOP_RUNNER_UP = "stop_runner_up"
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-_TERMINAL_KINDS = frozenset(
-    {StopKind.STOP_LEADER, StopKind.STOP_RUNNER_UP, StopKind.BUDGET_EXHAUSTED}
-)
+_TERMINAL_KINDS = frozenset({StopKind.STOP_LEADER, StopKind.BUDGET_EXHAUSTED})
 
 
 @dataclass(frozen=True)
@@ -142,78 +122,42 @@ class StopperConfig:
             )
 
 
-def wald_thresholds(budget: ErrorBudget) -> tuple[float, float]:
-    """Log acceptance bounds (upper, lower) for the given error budgets."""
-    log_upper = math.log((1.0 - budget.beta) / budget.alpha)
-    log_lower = math.log(budget.beta / (1.0 - budget.alpha))
-    return log_upper, log_lower
+def compute_thresholds(config: StopperConfig, p0: float, m: int) -> int:
+    """Integer vote-gap threshold for the model ``(p0, m)``, capped at ``m_max + 1``.
 
-
-def _resolve_gap(
-    float_ratio: float,
-    log_threshold: float,
-    side: str,
-    model: AnswerModel,
-    budget: ErrorBudget | None,
-) -> int:
-    """Ceil (upper side) or floor (lower side) of a log-threshold ratio.
-
-    Fast path trusts 64-bit arithmetic. When the float ratio lands within
-    _NEAR_INTEGER of an integer the rounding direction is genuinely in doubt
-    (e.g. alpha=beta=0.1, p0=0.9, m=2 makes the ratio exactly 1), so the
-    ratio is recomputed at 60 decimal digits from the shortest-decimal
-    readings of the config values, which recovers the intended exact value.
+    The least ``g`` in ``[1, m_max + 1]`` with ``kappa**g >= (1-beta)/alpha``,
+    or ``m_max + 1`` when no such ``g`` exists. ``alpha``, ``beta`` and ``p0``
+    are read as the exact rationals their shortest decimal reprs denote, so
+    an exact-integer ratio (``alpha = beta = 0.1``, ``kappa = 3`` gives 2) is
+    not pushed up by rounding. The float quotient of logs only picks where to
+    start; each answer is confirmed by integer cross-multiplication of the
+    two powers. The cap never changes a decision: the gap after ``t`` votes
+    is at most ``t <= m_max``, so any threshold above ``m_max`` is never met.
     """
-    round_out = math.ceil if side == "upper" else math.floor
-    nearest = round(float_ratio)
-    if not (abs(float_ratio) < _EXACT_RESOLUTION_LIMIT and abs(float_ratio - nearest) < _NEAR_INTEGER):
-        return round_out(float_ratio)
-    with mpmath.workdps(60):
-        if budget is not None:
-            a = mpmath.mpf(repr(budget.alpha))
-            b = mpmath.mpf(repr(budget.beta))
-            numer = mpmath.log((1 - b) / a) if side == "upper" else mpmath.log(b / (1 - a))
-        else:
-            numer = mpmath.mpf(log_threshold)
-        p0 = mpmath.mpf(repr(model.p0))
-        denom = mpmath.log(p0 * (model.m - 1) / (1 - p0))
-        ratio = numer / denom
-        near = mpmath.nint(ratio)
-        if abs(ratio - near) < mpmath.mpf("1e-30"):
-            return int(near)
-        out = mpmath.ceil(ratio) if side == "upper" else mpmath.floor(ratio)
-        return int(out)
-
-
-def gap_thresholds(
-    log_upper: float,
-    log_lower: float,
-    model: AnswerModel,
-    budget: ErrorBudget | None = None,
-) -> tuple[int, int]:
-    """Integer vote-gap equivalents of the Wald log thresholds.
-
-    Passing the originating ``budget`` lets near-integer ratios be resolved
-    exactly from the configured alpha/beta rather than from the already
-    rounded log values.
-    """
-    if model.kappa <= 1.0:
-        raise ConfigurationError(
-            f"kappa must exceed 1 for a decidable test, got {model.kappa}"
-        )
-    log_kappa = math.log(model.kappa)
-    gap_upper = _resolve_gap(log_upper / log_kappa, log_upper, "upper", model, budget)
-    gap_lower = _resolve_gap(log_lower / log_kappa, log_lower, "lower", model, budget)
-    return gap_upper, gap_lower
-
-
-def compute_thresholds(budget: ErrorBudget, model: AnswerModel) -> Thresholds:
-    """Wald log thresholds and gap thresholds in one bundle."""
-    log_upper, log_lower = wald_thresholds(budget)
-    gap_upper, gap_lower = gap_thresholds(log_upper, log_lower, model, budget=budget)
-    return Thresholds(
-        log_upper=log_upper, log_lower=log_lower, gap_upper=gap_upper, gap_lower=gap_lower
+    (an, ad), (bn, bd), (pn, pd) = (
+        Decimal(repr(float(x))).as_integer_ratio()
+        for x in (config.budget.alpha, config.budget.beta, p0)
     )
+    if not (pd < pn * m and pn < pd):  # kappa > 1 exactly when 1/m < p0 < 1
+        raise ConfigurationError(
+            f"kappa must exceed 1 for a decidable test, got p0={p0}, m={m}"
+        )
+    # kappa = p0 (m-1) / (1-p0) = kn/kd and (1-beta)/alpha = wn/wd, unreduced.
+    kn, kd = pn * (m - 1), pd - pn
+    wn, wd = (bd - bn) * ad, bd * an
+
+    def clears(g: int) -> bool:
+        return kn**g * wd >= wn * kd**g
+
+    cap = config.m_max + 1
+    log_kappa = math.log(kn / kd)
+    estimate = math.log(wn / wd) / log_kappa if log_kappa > 0.0 else cap
+    g = min(max(math.ceil(estimate), 1), cap)
+    while g > 1 and clears(g - 1):
+        g -= 1
+    while g < cap and not clears(g):
+        g += 1
+    return g
 
 
 def clamp_p0(p0: float, m: int, epsilon: float) -> float:
@@ -269,13 +213,13 @@ class SprtStopper:
         self._streak = 0
         self._decision: StopDecision | None = None
         self._model: AnswerModel | None = None
-        self._thresholds: Thresholds | None = None
+        self._gap_upper: int | None = None
         if config.p0_fixed is not None:
             self._freeze(clamp_p0(config.p0_fixed, m, config.p0_floor_epsilon))
 
     def _freeze(self, p0: float) -> None:
         self._model = AnswerModel(p0=p0, m=self.m)
-        self._thresholds = compute_thresholds(self.config.budget, self._model)
+        self._gap_upper = compute_thresholds(self.config, p0, self.m)
 
     @property
     def t(self) -> int:
@@ -297,8 +241,9 @@ class SprtStopper:
         return self._model
 
     @property
-    def thresholds(self) -> Thresholds | None:
-        return self._thresholds
+    def gap_upper(self) -> int | None:
+        """The frozen integer gap threshold; None until p0 is fixed or estimated."""
+        return self._gap_upper
 
     @property
     def is_terminal(self) -> bool:
@@ -316,18 +261,14 @@ class SprtStopper:
             return StopDecision(StopKind.CONTINUE)
         if self._model is None:
             self._freeze(estimate_p0(self._tally, self.config, self.m))
-        assert self._thresholds is not None
+        assert self._gap_upper is not None
         pair = top_two(self._tally)
-        if pair.gap >= self._thresholds.gap_upper:
+        if pair.gap >= self._gap_upper:
             self._streak += 1
         else:
             self._streak = 0
         if self._streak >= self.config.streak_k:
             decision = StopDecision(StopKind.STOP_LEADER, chosen=pair.leader)
-        elif pair.gap <= self._thresholds.gap_lower:
-            # Unreachable while leader/runner-up are tracked dynamically
-            # (the gap is never negative); kept so the rule stays total.
-            decision = StopDecision(StopKind.STOP_RUNNER_UP, chosen=pair.runner_up)
         elif self._t >= self.config.m_max:
             decision = StopDecision(StopKind.BUDGET_EXHAUSTED, chosen=pair.leader)
         else:
@@ -386,8 +327,7 @@ class ThresholdTable:
                 p0 = clamp_p0(config.p0_fixed, m, config.p0_floor_epsilon)
             else:
                 p0 = _majority_p0(config, warm_max, config.n_min, m)
-            gap = compute_thresholds(config.budget, AnswerModel(p0=p0, m=m)).gap_upper
-            entry = self._entries[key] = (p0, gap)
+            entry = self._entries[key] = (p0, compute_thresholds(config, p0, m))
         return entry
 
 

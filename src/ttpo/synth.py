@@ -372,13 +372,20 @@ def _parse_trace_line(line_no: int, line: str) -> TraceRecord:
     return TraceRecord(**fields)
 
 
+def _open_corpus_file(path: str | Path, what: str, newline: str | None = None):
+    """Open a corpus input for reading; failing to open it is a corpus error."""
+    try:
+        return Path(path).open(encoding="utf-8", newline=newline)
+    except FileNotFoundError as exc:
+        raise CorpusError(f"{what} file not found: {path}") from exc
+    except OSError as exc:
+        raise CorpusError(f"cannot read {what} file {path}: {exc.strerror}") from exc
+
+
 def load_trace(path: str | Path) -> dict[str, TraceVoteSource]:
     """Load a line-delimited trace file into per-instance replay sources."""
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"trace file not found: {path}")
     grouped: dict[str, dict[int, TraceRecord]] = {}
-    with path.open(encoding="utf-8") as handle:
+    with _open_corpus_file(path, "trace") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -408,11 +415,8 @@ def load_labels(path: str | Path) -> dict[str, str]:
     """Load an instance_id,answer CSV sidecar of gold labels."""
     import csv
 
-    path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"labels file not found: {path}")
     labels: dict[str, str] = {}
-    with path.open(encoding="utf-8", newline="") as handle:
+    with _open_corpus_file(path, "labels", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["instance_id", "answer"]:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from likelihood_reference import log_bayes_factor_full
 from scalar_reference import reference_ablation, reference_compare, reference_ttpo
 from test_optimizer import fd_gradient
 from test_stopper import oracle_gap_thresholds
@@ -23,7 +24,6 @@ from ttpo.consensus import (
     AnswerModel,
     VoteTally,
     log_bayes_factor_closed_form,
-    log_bayes_factor_full,
     top_two,
 )
 from ttpo.experiment import run_ablation, run_compare, run_ttpo
@@ -36,7 +36,7 @@ from ttpo.optimizer import (
 )
 from ttpo.report import render_report
 from ttpo.seeding import stream_seed
-from ttpo.stopper import ErrorBudget, StopperConfig, gap_thresholds, wald_thresholds
+from ttpo.stopper import ErrorBudget, StopperConfig, ThresholdTable, compute_thresholds
 from ttpo.synth import CategoricalVoteSource, P0Spec, gen_instances
 
 
@@ -58,26 +58,32 @@ def test_criterion_1_closed_form_evidence_matches_full_likelihood():
 
 def test_criterion_2_integer_thresholds_match_high_precision_oracle():
     # Full grid of error budgets x vote accuracy x answer-space size against
-    # an 80-digit oracle, exact integer equality. Includes the spot value
-    # alpha=beta=0.05, p0=0.9, m=2 -> stop threshold 2 (kappa=9, ratio 19).
+    # an 80-digit oracle, exact integer equality with the oracle's upper
+    # (stop) threshold. Includes the spot value alpha=beta=0.05, p0=0.9,
+    # m=2 -> stop threshold 2 (kappa=9, ratio 19). For every grid budget,
+    # every (m, warm-up max) key a stock-config ThresholdTable can reach for
+    # m = 2..12 must equal the oracle capped at m_max + 1, the least gap no
+    # run can reach, and a near-unit kappa lands exactly on the cap.
     grid = ("0.01", "0.03", "0.05", "0.07", "0.1")
     for alpha in grid:
         for beta in grid:
-            budget = ErrorBudget(alpha=float(alpha), beta=float(beta))
-            log_upper, log_lower = wald_thresholds(budget)
+            config = StopperConfig(budget=ErrorBudget(alpha=float(alpha), beta=float(beta)))
+            cap = config.m_max + 1
             for p0 in ("0.55", "0.7", "0.8", "0.9"):
                 for m in (2, 4, 8):
-                    model = AnswerModel(p0=float(p0), m=m)
-                    got = gap_thresholds(log_upper, log_lower, model, budget=budget)
-                    assert got == oracle_gap_thresholds(alpha, beta, p0, m), (
-                        alpha, beta, p0, m,
-                    )
-    spot_up, _ = gap_thresholds(
-        *wald_thresholds(ErrorBudget(alpha=0.05, beta=0.05)),
-        AnswerModel(p0=0.9, m=2),
-        budget=ErrorBudget(alpha=0.05, beta=0.05),
-    )
-    assert spot_up == 2
+                    got = compute_thresholds(config, float(p0), m)
+                    oracle_upper, _ = oracle_gap_thresholds(alpha, beta, p0, m)
+                    # The cap is idle on this grid: equality is uncapped.
+                    assert got == oracle_upper < cap, (alpha, beta, p0, m)
+            table = ThresholdTable(config)
+            for m in range(2, 13):
+                for warm_max in range(config.n_min + 1):
+                    p0, got = table.lookup(m, warm_max)
+                    oracle_upper, _ = oracle_gap_thresholds(alpha, beta, repr(p0), m)
+                    assert got == min(oracle_upper, cap), (alpha, beta, m, warm_max)
+    stock = StopperConfig()
+    assert compute_thresholds(stock, 0.9, 2) == 2
+    assert compute_thresholds(stock, 0.5 + 2.5e-13, 2) == stock.m_max + 1
 
 
 def test_criterion_3_stopping_error_stays_inside_wald_bound():

@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, overrides, exit codes, outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +187,41 @@ def test_malformed_trace_is_corpus_error(tmp_path, capsys):
 def test_bad_values_exit_one(argv, capsys):
     assert run_cli(*argv) == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (("compare", "--config", "{dir}"), 1, "configuration error: cannot read config file"),
+        (("replay", "{dir}"), 2, "corpus error: cannot read trace file"),
+        (("replay", "{trace}", "--labels", "{dir}"), 2, "corpus error: cannot read labels file"),
+        (("compare", "--out", "{dir}"), 1, "configuration error: cannot write report"),
+        (
+            ("compare", "--out", "{dir}/missing/x.json"),
+            1,
+            "configuration error: cannot write report",
+        ),
+    ],
+    ids=["config-dir", "replay-dir", "labels-dir", "out-dir", "out-missing-parent"],
+)
+def test_unreadable_or_unwritable_paths(tmp_path, capsys, argv, code, message):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(canonical_trace_line(TraceRecord("q1", 0, "a", 1)) + "\n")
+    argv = [arg.format(dir=tmp_path, trace=trace) for arg in argv]
+    assert run_cli(*argv, "--seed", "1") == code
+    assert message in capsys.readouterr().err
+
+
+def test_cli_import_loads_neither_scipy_nor_mpmath():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    probe = (
+        "import sys, ttpo.cli; ttpo.cli.build_parser(); "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_unknown_config_key_exit_one(tmp_path, capsys):

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from likelihood_reference import log_bayes_factor_full, log_likelihood
 from ttpo.consensus import (
     AnswerModel,
     VoteTally,
     log_bayes_factor_closed_form,
-    log_bayes_factor_full,
-    log_likelihood,
     posterior,
     tally_ingest,
     top_two,

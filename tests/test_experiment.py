@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from ttpo.config import resolve_config
@@ -333,9 +334,13 @@ def test_report_json_is_loadable_structure():
     assert len(doc["rows"]) == 5
 
 
-# blake2b of the rendered reports for acceptance criterion 8's three
-# configs, recorded from the per-vote drivers before the array kernel
-# replaced them. Any byte drift in either format fails here.
+# blake2b of the rendered reports (JSON, CSV). The first four are
+# acceptance criterion 8's configs, recorded from the per-vote drivers
+# before the array kernel replaced them. The last three were recorded with
+# the scipy softmax and the float/mpmath threshold resolution, before the
+# exact integer rule and the numpy softmax replaced them: the second update
+# rule, a fixed-p0 run on an exact-integer threshold ratio, and a replay
+# over many answer-space sizes. Any byte drift in either format fails here.
 GOLDEN_DIGESTS = {
     "compare": (
         "b06999877fe930e51f31dc364d83709dd84ac917906a77ab7a9c37bef1202db57ceb58ac7447039c88f5d8422f9938fad8a11b52d38816d99b27cad5bf87f221",
@@ -353,7 +358,49 @@ GOLDEN_DIGESTS = {
         "e12991558d3441e6a52a5dcb4687efaf54284e2d892abe703b83c0d79f60702792a00ef5df2acf5ae83370a7b1b420a3b5eafd693de6428dba978ce909298b97",
         "02d8622f84dde69e49165219f5d9ceb54cdf0c5b9d3b55f2b35fab564af5d80b1026cc47b9e70e843b22f7f280749c0ce85d70b8732a9fc61306b9e7f2a33038",
     ),
+    "ttpo_sft": (
+        "805a1a6cd77debe483da7791fbaa3c16894e0f900285219326c4743ce4c9c6f7ea0a063e0803cd2e253bb205ae4e0bd441d335246d6329fe5d552a7218bfec58",
+        "4c8efc14e578bf037ce00ad5409d2df98c9ff1e068c3b43309de98995656ad0fc787612ce7007da72420f396673ae2401d913668d2bf0ca690d3ea9e89e5449f",
+    ),
+    "compare-p0-fixed": (
+        "a791a5e4b4e4f10a907743f223b773a6e148b08ab714098d15753a44bc7a21f23e479ea46f8084bd7af9e80d7676490f1765a0a2f75ff481a56423f88fbf713c",
+        "8640ecd7afc305be77010b6ba0ee49b7b96704c9c8806c75268b377baed42de45d02359ccabcac5c085fddb6463f0969025820915166663165b163254f5c7248",
+    ),
+    "replay-wide": (
+        "59e05e1990be022e8c6ab4d7100c329240a0bc068b043e53979c2befd29ab9693df398fd47fcae4cfc4b0f620af17281da831bf338e43575626eec6ad34a037d",
+        "0aef396625362e548c3365ba68e474adf5e7c4f6f2f8c0910be2301810bca02675b26a1e3207604413e51f5a93e6b8fbee16403871d156b1e3ee28482add13dd",
+    ),
 }
+
+
+def write_golden_trace(directory):
+    """Ragged replay trace whose instances span many (m, warm-up max) keys.
+
+    Answer spaces run from 2 to 24 distinct answers and lengths from below
+    the warm-up to past the budget; per-instance accuracy ranges from near
+    chance to near unanimous, so the warm-up maximum takes most values.
+    """
+    rng = np.random.default_rng(4242)
+    shapes = []
+    lines = []
+    labels = ["instance_id,answer"]
+    for index in range(150):
+        instance_id = f"g{index:03d}"
+        vocab = [f"v{j}" for j in range(int(rng.integers(2, 25)))]
+        length = int(rng.choice([6, 20, 31, 32, 33, 50, 64, 90]))
+        accuracy = rng.uniform(0.05, 1.0)
+        answers = [
+            vocab[0] if rng.random() < accuracy else str(rng.choice(vocab))
+            for _ in range(length)
+        ]
+        for position, answer in enumerate(answers):
+            record = TraceRecord(instance_id, position, answer, int(rng.integers(1, 400)))
+            lines.append(canonical_trace_line(record))
+        labels.append(f"{instance_id},{vocab[0]}")
+        shapes.append((len(set(answers)), length))
+    (directory / "golden_trace.jsonl").write_text("\n".join(lines) + "\n")
+    (directory / "golden_labels.csv").write_text("\n".join(labels) + "\n")
+    return shapes
 
 
 def _golden_reports():
@@ -370,16 +417,49 @@ def _golden_reports():
             "seed": "79",
         }
     )
+    sft = resolve_config(
+        {"mode": "ttpo_sft", "count": "200", "m": "5", "rounds": "2", "seed": "80"}
+    )
+    # kappa = 3 and (1 - beta) / alpha = 9 = kappa**2: an exact-integer ratio.
+    fixed = resolve_config(
+        {
+            "mode": "compare",
+            "count": "300",
+            "m": "2",
+            "p0": "uniform:0.55,0.95",
+            "p0_mode": "fixed:0.75",
+            "alpha": "0.1",
+            "beta": "0.1",
+            "seed": "81",
+        }
+    )
+    # Relative paths: the trace and labels paths are echoed into the report.
+    replay = resolve_config(
+        {
+            "mode": "compare",
+            "corpus": "trace",
+            "trace": "golden_trace.jsonl",
+            "labels": "golden_labels.csv",
+            "seed": "82",
+        }
+    )
     low, high = run_ablation(ablate)
     return {
         "compare": run_compare(compare),
         "ttpo": run_ttpo(ttpo),
         "ablate-0.05": low,
         "ablate-0.1": high,
+        "ttpo_sft": run_ttpo(sft),
+        "compare-p0-fixed": run_compare(fixed),
+        "replay-wide": run_compare(replay),
     }
 
 
-def test_reports_match_golden_digests():
+def test_reports_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shapes = write_golden_trace(tmp_path)
+    assert max(distinct for distinct, _ in shapes) >= 20
+    assert {length for _, length in shapes} >= {6, 32, 90}
     for name, report in _golden_reports().items():
         digests = tuple(
             hashlib.blake2b(render_report(report, fmt).encode("utf-8")).hexdigest()

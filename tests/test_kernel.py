@@ -6,7 +6,6 @@ import pytest
 from scalar_reference import reference_compare, reference_ttpo
 from ttpo.allocator import allocate
 from ttpo.config import resolve_config
-from ttpo.consensus import AnswerModel
 from ttpo.errors import AllocationError, ConfigurationError
 from ttpo.experiment import run_compare, run_ttpo
 from ttpo.report import render_report
@@ -128,8 +127,7 @@ def test_threshold_table_matches_compute_thresholds():
     for m in (2, 5):
         for warm_max in range(config.n_min + 1):
             p0, gap = table.lookup(m, warm_max)
-            model = AnswerModel(p0=p0, m=m)
-            assert gap == compute_thresholds(config.budget, model).gap_upper
+            assert gap == compute_thresholds(config, p0, m)
     fixed = ThresholdTable(StopperConfig(p0_fixed=0.8))
     assert fixed.lookup(4, 0) == fixed.lookup(4, 32)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import log_softmax
 
 from ttpo.errors import ConfigurationError
 from ttpo.optimizer import (
@@ -23,13 +22,24 @@ from ttpo.optimizer import (
 )
 
 
+def reference_log_softmax(logits, temperature):
+    """Pure-Python log-softmax, independent of the library's numpy helper.
+
+    Shifted log-sum-exp with the sum taken by ``math.fsum``.
+    """
+    z = [float(v) / temperature for v in logits]
+    top = max(z)
+    log_norm = top + math.log(math.fsum(math.exp(v - top) for v in z))
+    return np.array([v - log_norm for v in z])
+
+
 def objective(logits, temperature, samples, ref, config):
     """The scalar objective pg_gradient differentiates; used for FD checks."""
-    log_pi = log_softmax(np.asarray(logits, dtype=float) / temperature)
+    log_pi = reference_log_softmax(logits, temperature)
     value = sum(s.advantage * log_pi[s.answer] for s in samples) / len(samples)
     if config.beta_kl > 0.0:
         pi = np.exp(log_pi)
-        log_ref = ref.log_probabilities()
+        log_ref = reference_log_softmax(ref.logits, ref.temperature)
         value -= config.beta_kl * float(np.dot(pi, log_pi - log_ref))
     return value
 
@@ -69,6 +79,16 @@ class TestSoftmaxAnswerPolicy:
             policy = SoftmaxAnswerPolicy(logits=logits, temperature=temperature)
             assert policy.greedy_answer() == 1
             assert int(np.argmax(policy.probabilities())) == 1
+
+    def test_wide_logit_spread_stays_finite_in_log_space(self):
+        # exp(-1200) underflows to 0; log-probabilities must not become -inf.
+        policy = SoftmaxAnswerPolicy(logits=np.array([0.0, -1200.0, 5.0, 900.0]))
+        log_pi = policy.log_probabilities()
+        assert np.all(np.isfinite(log_pi))
+        np.testing.assert_allclose(
+            log_pi, reference_log_softmax(policy.logits, 1.0), rtol=1e-15, atol=1e-12
+        )
+        assert policy.probabilities().sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_logits_are_frozen(self):
         policy = SoftmaxAnswerPolicy(logits=np.zeros(3))

@@ -1,6 +1,4 @@
-"""Tests for threshold computation, p0 calibration, and the stepping rule."""
-
-import math
+"""Tests for the integer gap threshold, p0 calibration, and the stepping rule."""
 
 import mpmath
 import numpy as np
@@ -19,8 +17,6 @@ from ttpo.stopper import (
     clamp_p0,
     compute_thresholds,
     estimate_p0,
-    gap_thresholds,
-    wald_thresholds,
 )
 
 
@@ -57,55 +53,37 @@ class TestErrorBudget:
             ErrorBudget(alpha=alpha, beta=beta)
 
 
-class TestWaldThresholds:
-    def test_symmetric_five_percent(self):
-        log_upper, log_lower = wald_thresholds(ErrorBudget(0.05, 0.05))
-        assert log_upper == pytest.approx(2.9444389791664403, abs=1e-12)
-        assert log_lower == pytest.approx(-2.9444389791664403, abs=1e-12)
-        assert math.exp(log_upper) == pytest.approx(19.0)
-        assert math.exp(log_lower) == pytest.approx(1.0 / 19.0)
-
-    def test_asymmetric(self):
-        log_upper, log_lower = wald_thresholds(ErrorBudget(alpha=0.01, beta=0.1))
-        assert log_upper == pytest.approx(4.499809670330265, abs=1e-12)
-        assert math.exp(log_upper) == pytest.approx(90.0)
-        assert math.exp(log_lower) == pytest.approx(0.1 / 0.99)
-
-    @given(
-        st.floats(min_value=1e-4, max_value=0.49),
-        st.floats(min_value=1e-4, max_value=0.49),
-    )
-    def test_sign_structure(self, alpha, beta):
-        log_upper, log_lower = wald_thresholds(ErrorBudget(alpha, beta))
-        assert log_upper > 0.0 > log_lower
+def gap_upper(alpha, beta, p0, m, m_max=64):
+    budget = ErrorBudget(alpha=alpha, beta=beta)
+    return compute_thresholds(StopperConfig(budget=budget, m_max=m_max), p0, m)
 
 
 class TestGapThresholds:
     def test_kappa_nine(self):
-        model = AnswerModel(p0=0.9, m=2)
-        assert gap_thresholds(*wald_thresholds(ErrorBudget(0.05, 0.05)), model) == (2, -2)
+        assert AnswerModel(p0=0.9, m=2).kappa == pytest.approx(9.0)
+        assert gap_upper(0.05, 0.05, 0.9, 2) == 2
 
     def test_kappa_two(self):
         model = AnswerModel(p0=0.5, m=3)
         assert model.kappa == pytest.approx(2.0)
-        assert gap_thresholds(*wald_thresholds(ErrorBudget(0.05, 0.05)), model) == (5, -5)
+        assert gap_upper(0.05, 0.05, 0.5, 3) == 5
 
     def test_near_unit_kappa_accepted(self):
-        # Limit behavior: thresholds blow up but construction must not fail.
-        model = AnswerModel(p0=0.5 + 2.5e-13, m=2)
-        gap_upper, gap_lower = gap_thresholds(
-            *wald_thresholds(ErrorBudget(0.05, 0.05)), model
-        )
-        assert gap_upper > 10**9
-        assert gap_lower < -(10**9)
+        # Limit behavior: the uncapped threshold is ~1.5e13, so the rule
+        # returns exactly the cap m_max + 1, a gap no run can reach.
+        for m_max in (32, 64, 1000):
+            assert gap_upper(0.05, 0.05, 0.5 + 2.5e-13, 2, m_max=m_max) == m_max + 1
 
     def test_exact_integer_ratio_resolved(self):
         # alpha=beta=0.1 with kappa=9 makes the upper ratio exactly 1, and
         # kappa=3 makes it exactly 2; float rounding must not bump either.
-        budget = ErrorBudget(0.1, 0.1)
-        lu, ll = wald_thresholds(budget)
-        assert gap_thresholds(lu, ll, AnswerModel(p0=0.9, m=2), budget=budget) == (1, -1)
-        assert gap_thresholds(lu, ll, AnswerModel(p0=0.75, m=2), budget=budget) == (2, -2)
+        assert gap_upper(0.1, 0.1, 0.9, 2) == 1
+        assert gap_upper(0.1, 0.1, 0.75, 2) == 2
+        # kappa**2 == (1-beta)/alpha exactly (19/6 squared, 1.2 squared), yet
+        # the float quotient of logs is 2.0000000000000004: the exact check
+        # must walk the estimate back down to 2.
+        assert gap_upper(0.072, 0.278, 0.76, 2) == 2
+        assert gap_upper(0.1, 0.856, 0.375, 3) == 2
 
     def test_grid_matches_high_precision_oracle(self):
         alphas_betas = [
@@ -116,40 +94,34 @@ class TestGapThresholds:
         ms = [2, 3, 4, 5, 10]
         checked = 0
         for alpha, beta in alphas_betas:
-            budget = ErrorBudget(float(alpha), float(beta))
             for p0 in p0s:
                 for m in ms:
                     if float(p0) * m <= 1.0:
                         continue
-                    model = AnswerModel(p0=float(p0), m=m)
-                    got = gap_thresholds(
-                        *wald_thresholds(budget), model, budget=budget
-                    )
-                    assert got == oracle_gap_thresholds(alpha, beta, p0, m), (
-                        alpha, beta, p0, m
-                    )
+                    # m_max far above every grid threshold, so the cap is idle.
+                    got = gap_upper(float(alpha), float(beta), float(p0), m, m_max=10_000)
+                    oracle_upper, _ = oracle_gap_thresholds(alpha, beta, p0, m)
+                    assert got == oracle_upper, (alpha, beta, p0, m)
                     checked += 1
         assert checked > 200
 
     def test_sign_invariants(self):
         for p0, m in [(0.51, 2), (0.9, 2), (0.35, 3), (0.6, 10)]:
-            model = AnswerModel(p0=p0, m=m)
-            gap_upper, gap_lower = gap_thresholds(
-                *wald_thresholds(ErrorBudget(0.05, 0.05)), model
-            )
-            assert gap_upper >= 1
-            assert gap_lower <= -1
+            assert 1 <= gap_upper(0.05, 0.05, p0, m) <= 65
+
+    def test_at_or_below_chance_rejected(self):
+        for p0, m in [(0.5, 2), (0.25, 4), (0.1, 3), (1.0, 2)]:
+            with pytest.raises(ConfigurationError):
+                gap_upper(0.05, 0.05, p0, m)
 
     def test_alpha_monotonicity(self):
         # Shrinking alpha at fixed beta and kappa never loosens the gap bar.
-        model = AnswerModel(p0=0.8, m=4)
         previous = None
         for alpha in [0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001]:
-            budget = ErrorBudget(alpha=alpha, beta=0.05)
-            gap_upper, _ = gap_thresholds(*wald_thresholds(budget), model, budget=budget)
+            got = gap_upper(alpha, 0.05, 0.8, 4)
             if previous is not None:
-                assert gap_upper >= previous
-            previous = gap_upper
+                assert got >= previous
+            previous = got
 
 
 class TestClampAndEstimate:
@@ -226,12 +198,6 @@ class TestStopDecision:
         with pytest.raises(ValueError):
             StopDecision(StopKind.STOP_LEADER)
 
-    def test_runner_up_kind_passes_through(self):
-        # Unreachable via stepping, but the decision type stays total.
-        decision = StopDecision(StopKind.STOP_RUNNER_UP, chosen=3)
-        assert decision.terminal
-        assert decision.chosen == 3
-
 
 def drive(stopper: SprtStopper, votes) -> list[StopDecision]:
     return [stopper.step(v) for v in votes]
@@ -241,7 +207,7 @@ class TestSprtStopper:
     def test_immediate_stop_with_unit_streak(self):
         config = StopperConfig(n_min=1, streak_k=1, p0_fixed=0.9)
         stopper = SprtStopper(config, m=2)
-        assert stopper.thresholds.gap_upper == 2
+        assert stopper.gap_upper == 2
         first, second = drive(stopper, [0, 0])
         assert first.kind is StopKind.CONTINUE
         assert second.kind is StopKind.STOP_LEADER
@@ -263,7 +229,7 @@ class TestSprtStopper:
         # streak_k=3: the dip resets the counter, stop fires on step six.
         config = StopperConfig(n_min=4, m_max=64, streak_k=3, p0_fixed=0.7)
         stopper = SprtStopper(config, m=4)
-        assert stopper.thresholds.gap_upper == 2
+        assert stopper.gap_upper == 2
         votes = [0, 0, 0, 1, 2, 1, 0, 2, 3]
         decisions = drive(stopper, votes)
         assert [d.kind for d in decisions[:-1]] == [StopKind.CONTINUE] * 8
@@ -365,7 +331,7 @@ class TestSprtStopper:
         assert stopper.t == len(decisions)
         last = decisions[-1]
         assert last.terminal
-        gap_upper = stopper.thresholds.gap_upper
+        gap_upper = stopper.gap_upper
         if last.kind is StopKind.STOP_LEADER:
             assert len(gaps) >= streak_k
             assert all(g >= gap_upper for g in gaps[-streak_k:])
@@ -375,7 +341,7 @@ class TestSprtStopper:
 
     def test_wrong_pick_rate_within_wald_bound(self):
         # Classical SPRT regime: streak_k=1, model matches the stream
-        # (p0=0.75, m=2, kappa=3, gap thresholds +/-3). The chance of
+        # (p0=0.75, m=2, kappa=3, gap threshold 3). The chance of
         # stopping on the wrong answer is 26/728 ~ 0.036, below the Wald
         # bound alpha/(1-beta) ~ 0.0526; assert with Monte Carlo slack.
         rng = np.random.default_rng(907)
