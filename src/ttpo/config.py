@@ -117,6 +117,10 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
         raise ConfigurationError(f"config file not found: {path}") from exc
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"cannot read config file {path}: not valid UTF-8 ({exc.reason})"
+        ) from exc
     values: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

@@ -169,7 +169,7 @@ def _compare_trace(config: ExperimentConfig) -> list[InstanceRow]:
     for part in _blocks(len(sources), max(source.m for source in sources), width):
         block: list[TraceVoteSource] = sources[part]
         # Both arms replay the same trace, so one prefix serves both.
-        draws = _take_all([source.clone() for source in block], width)
+        draws = _take_all(block, width)
         outcomes = _race(config, table, np.array([s.m for s in block]), draws, draws)
         for source, (tau, label, kind, truncated, cost, f_label, f_cost) in zip(
             block, outcomes

@@ -6,11 +6,21 @@ on a wrong answer), snapshots of a softmax answer policy, and replay of
 recorded rollout traces from real model runs. Sources draw one vote at a
 time but batch their underlying RNG work for speed; ``take(n)`` hands out
 the next ``n`` draws as arrays, with exactly the RNG calls those draws make.
+
+A rollout trace is UTF-8 text with one JSON object per line, carrying
+``instance_id`` (string), ``rollout_index`` (integer >= 0), ``answer``
+(string) and ``tokens`` (integer, 1 to 2**63 - 1). Other keys are ignored,
+whitespace around the object is allowed, and blank lines are skipped. Each
+instance's ``rollout_index`` values must be exactly 0, 1, ..., n-1, in any
+line order. Any other line is a ``CorpusError`` naming its line number.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -282,20 +292,20 @@ class TraceVoteSource:
     """Replays one instance's recorded rollouts in index order.
 
     Exhaustion is reported by returning None from draw, never by raising.
-    The answer-id dictionary is built in first-seen order over the full
-    trace, and m is the distinct-answer count floored at 2 so the noise
-    model stays well formed even for unanimous traces.
+    Answers get ids in first-seen order over the full trace, and m is the
+    distinct-answer count floored at 2 so the noise model stays well formed
+    even for unanimous traces. The id and token columns are built once and
+    are read-only; clones share them.
     """
 
-    def __init__(self, instance_id: str, records: list[TraceRecord]):
+    def __init__(self, instance_id: str, answers: Sequence[str], tokens: Sequence[int]):
         self.instance_id = instance_id
-        self._records = records
-        id_by_answer: dict[str, int] = {}
-        for record in records:
-            if record.answer not in id_by_answer:
-                id_by_answer[record.answer] = len(id_by_answer)
+        self._answer_by_id = list(dict.fromkeys(answers))
+        id_by_answer = {answer: i for i, answer in enumerate(self._answer_by_id)}
         self._id_by_answer = id_by_answer
-        self._answers = [record.answer for record in records]
+        self._ids = np.fromiter(map(id_by_answer.__getitem__, answers), np.int64, len(answers))
+        self._tokens = np.array(tokens, dtype=np.int64)
+        self._ids.flags.writeable = self._tokens.flags.writeable = False
         self._m = max(2, len(id_by_answer))
         self._pos = 0
 
@@ -305,51 +315,73 @@ class TraceVoteSource:
 
     @property
     def records(self) -> list[TraceRecord]:
-        return list(self._records)
+        return self._records(self._ids.size)
+
+    def _records(self, count: int) -> list[TraceRecord]:
+        names = self._answer_by_id
+        return [
+            TraceRecord(self.instance_id, index, names[answer_id], tokens)
+            for index, (answer_id, tokens) in enumerate(
+                zip(self._ids[:count].tolist(), self._tokens[:count].tolist())
+            )
+        ]
 
     def answer_id(self, answer: str) -> int | None:
         return self._id_by_answer.get(answer)
 
     def answer_string(self, answer_id: int) -> str | None:
-        for answer, mapped in self._id_by_answer.items():
-            if mapped == answer_id:
-                return answer
+        if 0 <= answer_id < len(self._answer_by_id):
+            return self._answer_by_id[answer_id]
         return None
 
     def consumed(self) -> list[TraceRecord]:
         """Records replayed so far, in replay order."""
-        return list(self._records[: self._pos])
+        return self._records(self._pos)
 
     def clone(self) -> "TraceVoteSource":
         """A fresh source over the same records, rewound to the start."""
-        return TraceVoteSource(self.instance_id, self._records)
+        twin = copy.copy(self)
+        twin._pos = 0
+        return twin
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Answer ids and token costs of the next ``n`` draws (fewer at the end)."""
+        """Answer ids and token costs of the next ``n`` draws (fewer at the end).
+
+        The arrays are read-only views of the source's columns.
+        """
         if n < 0:
             raise ValueError(f"cannot take a negative number of votes, got {n}")
-        records = self._records[self._pos : self._pos + n]
-        self._pos += len(records)
-        answers = [self._id_by_answer[record.answer] for record in records]
-        tokens = [record.tokens for record in records]
-        return np.array(answers, dtype=np.int64), np.array(tokens, dtype=np.int64)
+        start = self._pos
+        self._pos = min(start + n, self._ids.size)
+        return self._ids[start : self._pos], self._tokens[start : self._pos]
 
     def draw(self) -> tuple[int, int] | None:
-        if self._pos >= len(self._records):
+        pos = self._pos
+        if pos >= self._ids.size:
             return None
-        record = self._records[self._pos]
-        self._pos += 1
-        return self._id_by_answer[record.answer], record.tokens
+        self._pos = pos + 1
+        return int(self._ids[pos]), int(self._tokens[pos])
 
 
-def _parse_trace_line(line_no: int, line: str) -> TraceRecord:
+# Token costs are stored as int64.
+_MAX_TOKENS = 2**63 - 1
+
+# The C scanner behind json.loads, minus the whitespace skip and the
+# trailing-data check; lines it cannot take whole go to _parse_trace_line.
+_scan_value = json.JSONDecoder().scan_once
+
+
+def _parse_trace_line(line_no: int, line: str) -> tuple[str, int, str, int]:
+    """(instance_id, rollout_index, answer, tokens) of one line, or the error."""
     try:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"trace line {line_no}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise CorpusError(f"trace line {line_no}: invalid JSON (nested too deeply)") from exc
     if not isinstance(raw, dict):
         raise CorpusError(f"trace line {line_no}: expected an object")
-    fields = {}
+    fields = []
     for name, kind in (
         ("instance_id", str),
         ("rollout_index", int),
@@ -364,50 +396,88 @@ def _parse_trace_line(line_no: int, line: str) -> TraceRecord:
             raise CorpusError(
                 f"trace line {line_no}: field {name!r} must be {kind.__name__}"
             )
-        fields[name] = value
-    if fields["rollout_index"] < 0:
+        fields.append(value)
+    instance_id, rollout_index, answer, tokens = fields
+    if rollout_index < 0:
         raise CorpusError(f"trace line {line_no}: rollout_index must be >= 0")
-    if fields["tokens"] < 1:
+    if tokens < 1:
         raise CorpusError(f"trace line {line_no}: tokens must be >= 1")
-    return TraceRecord(**fields)
+    if tokens > _MAX_TOKENS:
+        raise CorpusError(f"trace line {line_no}: tokens must be <= {_MAX_TOKENS}")
+    return instance_id, rollout_index, answer, tokens
 
 
+@contextmanager
 def _open_corpus_file(path: str | Path, what: str, newline: str | None = None):
-    """Open a corpus input for reading; failing to open it is a corpus error."""
+    """A corpus input open for reading; failing to open or decode it is a corpus error."""
     try:
-        return Path(path).open(encoding="utf-8", newline=newline)
+        handle = Path(path).open(encoding="utf-8", newline=newline)
     except FileNotFoundError as exc:
         raise CorpusError(f"{what} file not found: {path}") from exc
     except OSError as exc:
         raise CorpusError(f"cannot read {what} file {path}: {exc.strerror}") from exc
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise CorpusError(
+                f"cannot read {what} file {path}: not valid UTF-8 ({exc.reason})"
+            ) from exc
 
 
 def load_trace(path: str | Path) -> dict[str, TraceVoteSource]:
-    """Load a line-delimited trace file into per-instance replay sources."""
-    grouped: dict[str, dict[int, TraceRecord]] = {}
+    """Load a line-delimited trace file into per-instance replay sources.
+
+    Each line is decoded once. A line that is exactly one well-formed record
+    object (plus its newline) is taken straight from the decoded dict; any
+    other line goes through ``_parse_trace_line``, which accepts it or
+    raises the error that names it.
+    """
+    grouped: dict[str, dict[int, tuple[str, int]]] = {}
     with _open_corpus_file(path, "trace") as handle:
         for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
+            try:
+                raw, end = _scan_value(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                raw = end = None
+            if type(raw) is dict and line[end:] in ("\n", ""):
+                instance_id = raw.get("instance_id")
+                index = raw.get("rollout_index")
+                answer = raw.get("answer")
+                tokens = raw.get("tokens")
+                if not (
+                    type(instance_id) is str
+                    and type(index) is int
+                    and type(answer) is str
+                    and type(tokens) is int
+                    and index >= 0
+                    and 1 <= tokens <= _MAX_TOKENS
+                ):
+                    instance_id, index, answer, tokens = _parse_trace_line(line_no, line)
+            elif not line.strip():
                 continue
-            record = _parse_trace_line(line_no, line)
-            per_instance = grouped.setdefault(record.instance_id, {})
-            if record.rollout_index in per_instance:
+            else:
+                instance_id, index, answer, tokens = _parse_trace_line(line_no, line)
+            per_instance = grouped.get(instance_id)
+            if per_instance is None:
+                per_instance = grouped[instance_id] = {}
+            elif index in per_instance:
                 raise CorpusError(
                     f"trace line {line_no}: duplicate rollout_index "
-                    f"{record.rollout_index} for instance {record.instance_id!r}"
+                    f"{index} for instance {instance_id!r}"
                 )
-            per_instance[record.rollout_index] = record
+            per_instance[index] = (answer, tokens)
     sources = {}
     for instance_id, by_index in grouped.items():
-        indices = sorted(by_index)
-        if indices != list(range(len(indices))):
+        count = len(by_index)
+        if max(by_index) != count - 1:
+            indices = sorted(by_index)
             raise CorpusError(
                 f"instance {instance_id!r}: rollout_index values must be dense "
-                f"from 0, got {indices[:8]}{'...' if len(indices) > 8 else ''}"
+                f"from 0, got {indices[:8]}{'...' if count > 8 else ''}"
             )
-        sources[instance_id] = TraceVoteSource(
-            instance_id, [by_index[i] for i in indices]
-        )
+        answers, tokens = zip(*map(by_index.__getitem__, range(count)))
+        sources[instance_id] = TraceVoteSource(instance_id, answers, tokens)
     return sources
 
 

@@ -212,6 +212,64 @@ def test_unreadable_or_unwritable_paths(tmp_path, capsys, argv, code, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (
+            ("compare", "--config", "{bad}"),
+            1,
+            "configuration error: cannot read config file {bad}: not valid UTF-8",
+        ),
+        (
+            ("replay", "{bad}"),
+            2,
+            "corpus error: cannot read trace file {bad}: not valid UTF-8",
+        ),
+        (
+            ("replay", "{trace}", "--labels", "{bad}"),
+            2,
+            "corpus error: cannot read labels file {bad}: not valid UTF-8",
+        ),
+        (
+            ("replay", "{deep}"),
+            2,
+            "corpus error: trace line 2: invalid JSON (nested too deeply)",
+        ),
+    ],
+    ids=["config", "trace", "labels", "trace-nested-too-deeply"],
+)
+def test_undecodable_inputs(tmp_path, capsys, argv, code, message):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(canonical_trace_line(TraceRecord("q1", 0, "a", 1)) + "\n")
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text(trace.read_text() + "[" * 100_000 + "\n")
+    names = {"bad": bad, "trace": trace, "deep": deep}
+    argv = [arg.format(**names) for arg in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "r.json")) == code
+    err = capsys.readouterr().err
+    assert message.format(**names) in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("module", ["ttpo", "ttpo.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True
+        )
+
+    bad = run("compare", "--bogus")
+    assert bad.returncode == 1
+    assert "unrecognized arguments: --bogus" in bad.stderr
+    helped = run("--help")
+    assert helped.returncode == 0
+    assert "usage: ttpo" in helped.stdout
+
+
 def test_cli_import_loads_neither_scipy_nor_mpmath():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     probe = (
