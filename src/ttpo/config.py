@@ -14,7 +14,7 @@ from pathlib import Path
 from .errors import ConfigurationError
 from .optimizer import ADVANTAGE_MODES, UpdateConfig
 from .stopper import ErrorBudget, StopperConfig
-from .synth import P0Spec
+from .synth import MAX_COST, P0Spec
 
 MODES = ("compare", "ttpo_rl", "ttpo_sft", "ablate")
 FORMATS = ("csv", "json")
@@ -93,6 +93,18 @@ class ExperimentConfig:
             )
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
+        if isinstance(self.corpus, SyntheticCorpusSpec):
+            # The most a run can spend on one instance.
+            worst = (
+                self.corpus.cost_per_vote
+                * self.rounds
+                * max(self.stopper.m_max, self.fixed_budget)
+            )
+            if worst > MAX_COST:
+                raise ConfigurationError(
+                    f"cost_per_vote * rounds * max(m_max, fixed_budget) = {worst} "
+                    f"exceeds {MAX_COST}"
+                )
         if self.mode == "ablate":
             if self.axis not in ABLATION_AXES:
                 raise ConfigurationError(

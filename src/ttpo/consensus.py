@@ -150,15 +150,17 @@ def log_bayes_factor_closed_form(gap: int, model: AnswerModel) -> float:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    """Normalized exponentials, shifted by the maximum so nothing overflows."""
-    e = np.exp(x - x.max())
-    return e / e.sum()
+    """Normalized exponentials along the last axis, shifted by the maximum
+    so nothing overflows. Each row of a matrix gets exactly the bits the
+    row alone would."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
     """Logarithm of :func:`_softmax`, computed without leaving log space."""
-    s = x - x.max()
-    return s - np.log(np.exp(s).sum())
+    s = x - x.max(axis=-1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
 
 
 def posterior(tally: VoteTally, model: AnswerModel) -> np.ndarray:

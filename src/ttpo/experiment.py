@@ -10,6 +10,9 @@ fixed, including the random streams, so differences isolate the axis.
 All drivers are deterministic in (config, seed). They take each instance's
 votes as arrays and decide a block of instances per ``stop_batch`` call,
 which reproduces ``allocate`` row for row; rows come out in corpus order.
+``run_ttpo`` holds every policy as one row of a logits matrix and updates a
+block's rows with one batched step, which reproduces the one-policy updates
+row for row.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .config import (
     SyntheticCorpusSpec,
     config_echo,
 )
-from .consensus import plurality
+from .consensus import _log_softmax, _softmax, plurality
 from .errors import AllocationError, ConfigurationError, CorpusError
-from .optimizer import SoftmaxAnswerPolicy, build_rewarded_samples, pg_update, sft_update
+from .optimizer import SoftmaxAnswerPolicy, advantages, consensus_rewards, pg_step, sft_step
 from .report import ExperimentReport, InstanceRow, build_report
 from .seeding import stream_seed
 from .stopper import ErrorBudget, ThresholdTable, stop_batch
@@ -74,9 +77,9 @@ def _take_all(sources: list, n: int) -> Draws:
     return votes, costs, lengths
 
 
-def _spent(costs: np.ndarray, tau: np.ndarray) -> list[int]:
+def _spent(costs: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Per-row cost of the first tau votes."""
-    return np.where(np.arange(costs.shape[1]) < tau[:, None], costs, 0).sum(axis=1).tolist()
+    return np.where(np.arange(costs.shape[1]) < tau[:, None], costs, 0).sum(axis=1)
 
 
 def _race(
@@ -105,7 +108,7 @@ def _race(
             stops.label.tolist(),
             [kind.value for kind in stops.kind],
             stops.truncated.tolist(),
-            _spent(costs, stops.tau),
+            _spent(costs, stops.tau).tolist(),
             fixed_label.tolist(),
             fixed_costs[:, :budget].sum(axis=1).tolist(),
         )
@@ -227,8 +230,10 @@ def initial_policy(instance: SyntheticInstance) -> SoftmaxAnswerPolicy:
 def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     """Closed loop per instance: allocate, pseudo-label, update, repeat.
 
-    Runs round-major: each round decides every instance's votes in blocks,
-    then updates each instance's policy from its own outcome.
+    Every policy is one row of an ``[instances, m]`` logits matrix, and the
+    initial matrix is the reference. Each round goes block by block: one
+    softmax gives the block's vote sources, ``stop_batch`` decides them, and
+    one batched step updates the block's rows from their own outcomes.
     """
     if config.mode not in ("ttpo_rl", "ttpo_sft"):
         raise ConfigurationError(
@@ -242,72 +247,84 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     )
     table = ThresholdTable(config.stopper)
     m_max = config.stopper.m_max
-    initial = [initial_policy(instance) for instance in instances]
-    policies = list(initial)
-    total_tau = [0] * len(instances)
-    total_cost = [0] * len(instances)
-    last: list[tuple[int, str, bool]] = [(0, "", False)] * len(instances)
+    update = config.update
+    initial = np.stack([initial_policy(instance).logits for instance in instances])
+    ref_log_probs = _log_softmax(initial)
+    logits = initial.copy()
+    count = len(instances)
+    total_tau = np.zeros(count, dtype=np.int64)
+    # No overflow: the config caps cost_per_vote * rounds * m_max at int64.
+    total_cost = np.zeros(count, dtype=np.int64)
+    labels = np.zeros(count, dtype=np.int64)
+    truncated = np.zeros(count, dtype=bool)
+    kinds = [""] * count
     for round_index in range(config.rounds):
-        for part in _blocks(len(instances), spec.m, m_max):
-            block = range(len(instances))[part]
+        for part in _blocks(count, spec.m, m_max):
+            probs = _softmax(logits[part])
             sources = [
                 PolicyVoteSource(
-                    policies[i],
-                    stream_seed(config.seed, "policy", round_index, instances[i].instance_id),
-                    cost=instances[i].cost_per_vote,
+                    row,
+                    stream_seed(config.seed, "policy", round_index, instance.instance_id),
+                    cost=instance.cost_per_vote,
                 )
-                for i in block
+                for row, instance in zip(probs, instances[part])
             ]
             votes, costs, lengths = _take_all(sources, m_max)
-            stops = stop_batch(votes, lengths, np.full(len(block), spec.m), table)
-            for i, row_votes, tau, label, kind, truncated, spent in zip(
-                block,
-                votes,
-                stops.tau.tolist(),
-                stops.label.tolist(),
-                stops.kind,
-                stops.truncated.tolist(),
-                _spent(costs, stops.tau),
-            ):
-                total_tau[i] += tau
-                total_cost[i] += spent
-                last[i] = (label, kind.value, truncated)
-                try:
-                    if config.mode == "ttpo_rl":
-                        # The warm-up prefix predates the stopping decision,
-                        # so it carries no selection bias into the rewards.
-                        retained = row_votes[: min(config.stopper.n_min, tau)].tolist()
-                        samples = build_rewarded_samples(retained, label, config.update)
-                        policies[i] = pg_update(policies[i], samples, initial[i], config.update)
-                    else:
-                        policies[i] = sft_update(policies[i], label, config.update)
-                except Exception as exc:
-                    raise _attributed(instances[i].instance_id, exc) from exc
+            stops = stop_batch(votes, lengths, np.full(len(sources), spec.m), table)
+            total_tau[part] += stops.tau
+            total_cost[part] += _spent(costs, stops.tau)
+            labels[part] = stops.label
+            truncated[part] = stops.truncated
+            kinds[part] = [kind.value for kind in stops.kind]
+            if config.mode == "ttpo_rl":
+                # Policy sources never run dry and m_max >= n_min, so every
+                # row stopped at or after its n_min warm-up votes. They
+                # predate the stopping decision, so they carry no selection
+                # bias into the rewards.
+                retained = votes[:, : config.stopper.n_min]
+                rewards = consensus_rewards(retained, stops.label)
+                adv = advantages(rewards, update.advantage_mode, update.std_epsilon)
+                logits[part] = pg_step(
+                    logits[part], probs, retained, adv, ref_log_probs[part], update
+                )
+            else:
+                logits[part] = sft_step(logits[part], probs, stops.label, update)
 
     # The fixed-budget baseline is deterministic here: every draw costs
     # cost_per_vote, so a fixed arm would cost exactly budget * rounds.
+    pre, post = _softmax(initial), _softmax(logits)
     rows = []
-    for instance, start, policy, tau, cost, (label, kind, truncated) in zip(
-        instances, initial, policies, total_tau, total_cost, last
+    for instance, pre_p, post_p, pre_top, post_top, tau, cost, label, kind, cut in zip(
+        instances,
+        pre.tolist(),
+        post.tolist(),
+        initial.argmax(axis=1).tolist(),
+        logits.argmax(axis=1).tolist(),
+        total_tau.tolist(),
+        total_cost.tolist(),
+        labels.tolist(),
+        kinds,
+        truncated.tolist(),
     ):
         fixed_cost = config.rounds * config.fixed_budget * instance.cost_per_vote
+        true = instance.true_answer
         rows.append(
             InstanceRow(
                 instance_id=instance.instance_id,
                 tau=tau,
                 pseudo_label=label,
-                pseudo_correct=label == instance.true_answer,
+                pseudo_correct=label == true,
                 cost=cost,
                 savings_fraction=1.0 - cost / fixed_cost,
                 decision_kind=kind,
-                truncated=truncated,
+                truncated=cut,
                 fixed_cost=fixed_cost,
-                pre_update_greedy_correct=start.greedy_answer() == instance.true_answer,
-                post_update_greedy_correct=policy.greedy_answer() == instance.true_answer,
-                pre_true_prob=start.prob(instance.true_answer),
-                post_true_prob=policy.prob(instance.true_answer),
-                pre_pseudo_prob=start.prob(label),
-                post_pseudo_prob=policy.prob(label),
+                pre_update_greedy_correct=pre_top == true,
+                post_update_greedy_correct=post_top == true,
+                pre_true_prob=pre_p[true],
+                post_true_prob=post_p[true],
+                pre_pseudo_prob=pre_p[label],
+                post_pseudo_prob=post_p[label],
             )
         )
     return build_report(rows, config_echo(config), config.seed, __version__)

@@ -2,17 +2,20 @@
 
 Three source kinds feed the allocator: exact categorical simulators (a vote
 hits the true answer with probability ``p0_true``, otherwise lands uniformly
-on a wrong answer), snapshots of a softmax answer policy, and replay of
-recorded rollout traces from real model runs. Sources draw one vote at a
-time but batch their underlying RNG work for speed; ``take(n)`` hands out
-the next ``n`` draws as arrays, with exactly the RNG calls those draws make.
+on a wrong answer), snapshots of a policy's answer probability vector, and
+replay of recorded rollout traces from real model runs. Sources draw one
+vote at a time but batch their underlying RNG work for speed; ``take(n)``
+hands out the next ``n`` draws as arrays, with exactly the RNG calls those
+draws make.
 
 A rollout trace is UTF-8 text with one JSON object per line, carrying
 ``instance_id`` (string), ``rollout_index`` (integer >= 0), ``answer``
 (string) and ``tokens`` (integer, 1 to 2**63 - 1). Other keys are ignored,
 whitespace around the object is allowed, and blank lines are skipped. Each
 instance's ``rollout_index`` values must be exactly 0, 1, ..., n-1, in any
-line order. Any other line is a ``CorpusError`` naming its line number.
+line order, and its ``tokens`` must sum to at most 2**63 - 1. Any other
+line is a ``CorpusError`` naming its line number; an instance whose tokens
+sum too high is one naming the instance.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, CorpusError
-from .optimizer import SoftmaxAnswerPolicy
 
 _BUFFER_SIZE = 256
 
@@ -231,18 +233,25 @@ class CategoricalVoteSource(_BufferedSource):
 
 
 class PolicyVoteSource(_BufferedSource):
-    """Draws answers from a snapshot of a softmax policy's distribution.
+    """Draws answers from a snapshot of a policy's answer distribution.
 
-    The snapshot is taken at construction: after a policy update the caller
-    builds a fresh source, keeping mutation visible in the simulation loop
-    rather than hidden inside the source.
+    ``probabilities`` is the policy's vector over its ``m`` answers, e.g. a
+    row of the closed loop's softmax or ``SoftmaxAnswerPolicy.probabilities()``.
+    The snapshot is a copy taken at construction: after a policy update the
+    caller builds a fresh source, keeping mutation visible in the simulation
+    loop rather than hidden inside the source.
     """
 
-    def __init__(self, policy: SoftmaxAnswerPolicy, stream_seed: int, cost: int = 1):
+    def __init__(self, probabilities: np.ndarray, stream_seed: int, cost: int = 1):
         if cost < 1:
             raise ValueError(f"cost must be >= 1, got {cost}")
-        self._probs = policy.probabilities()
-        self._m = policy.m
+        probs = np.array(probabilities, dtype=float)
+        if probs.ndim != 1 or probs.size < 2:
+            raise ValueError("probabilities must be a vector over at least two answers")
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
+        self._probs = probs
+        self._m = probs.size
         self._cost = cost
         self._rng = np.random.default_rng(stream_seed)
         self._buffer = np.empty(0, dtype=np.int64)
@@ -363,8 +372,9 @@ class TraceVoteSource:
         return int(self._ids[pos]), int(self._tokens[pos])
 
 
-# Token costs are stored as int64.
-_MAX_TOKENS = 2**63 - 1
+# Costs are stored and added up as int64: a token count, an instance's token
+# total, and a synthetic run's cost per instance must each fit.
+MAX_COST = 2**63 - 1
 
 # The C scanner behind json.loads, minus the whitespace skip and the
 # trailing-data check; lines it cannot take whole go to _parse_trace_line.
@@ -402,8 +412,8 @@ def _parse_trace_line(line_no: int, line: str) -> tuple[str, int, str, int]:
         raise CorpusError(f"trace line {line_no}: rollout_index must be >= 0")
     if tokens < 1:
         raise CorpusError(f"trace line {line_no}: tokens must be >= 1")
-    if tokens > _MAX_TOKENS:
-        raise CorpusError(f"trace line {line_no}: tokens must be <= {_MAX_TOKENS}")
+    if tokens > MAX_COST:
+        raise CorpusError(f"trace line {line_no}: tokens must be <= {MAX_COST}")
     return instance_id, rollout_index, answer, tokens
 
 
@@ -451,7 +461,7 @@ def load_trace(path: str | Path) -> dict[str, TraceVoteSource]:
                     and type(answer) is str
                     and type(tokens) is int
                     and index >= 0
-                    and 1 <= tokens <= _MAX_TOKENS
+                    and 1 <= tokens <= MAX_COST
                 ):
                     instance_id, index, answer, tokens = _parse_trace_line(line_no, line)
             elif not line.strip():
@@ -477,6 +487,12 @@ def load_trace(path: str | Path) -> dict[str, TraceVoteSource]:
                 f"from 0, got {indices[:8]}{'...' if count > 8 else ''}"
             )
         answers, tokens = zip(*map(by_index.__getitem__, range(count)))
+        # A total that fits keeps every prefix sum exact.
+        total = sum(tokens)
+        if total > MAX_COST:
+            raise CorpusError(
+                f"instance {instance_id!r}: tokens sum to {total}, more than {MAX_COST}"
+            )
         sources[instance_id] = TraceVoteSource(instance_id, answers, tokens)
     return sources
 

@@ -2,18 +2,20 @@
 
 The experiment drivers decide blocks of instances with ``stop_batch``; these
 build the same reports the slow way, one ``allocate`` call per instance and
-round, with the fixed arm drawn one vote at a time. Tests require the two to
-render to identical bytes.
+round, with the fixed arm drawn one vote at a time. The closed loop updates
+each policy on its own with the per-sample rules in ``optimizer_reference``.
+Tests require the two to render to identical bytes.
 """
 
 from dataclasses import replace
+
+import numpy as np
 
 from ttpo.allocator import allocate
 from ttpo.config import SyntheticCorpusSpec, config_echo
 from ttpo.consensus import VoteTally, top_two
 from ttpo.errors import AllocationError
 from ttpo.experiment import initial_policy
-from ttpo.optimizer import build_rewarded_samples, pg_update, sft_update
 from ttpo.report import InstanceRow, build_report
 from ttpo.seeding import stream_seed
 from ttpo.stopper import ErrorBudget
@@ -25,6 +27,8 @@ from ttpo.synth import (
     load_trace,
 )
 from ttpo.version import __version__
+
+import optimizer_reference as oracle
 
 
 def fixed_arm(source, budget, m):
@@ -117,7 +121,7 @@ def _ttpo_row(config, instance):
     total_cost = 0
     for round_index in range(config.rounds):
         source = PolicyVoteSource(
-            policy,
+            oracle.probabilities(policy),
             stream_seed(config.seed, "policy", round_index, instance.instance_id),
             cost=instance.cost_per_vote,
         )
@@ -125,14 +129,15 @@ def _ttpo_row(config, instance):
         total_tau += result.tau
         total_cost += result.total_cost
         if config.mode == "ttpo_rl":
-            samples = build_rewarded_samples(
+            samples = oracle.build_rewarded_samples(
                 result.retained_answers(), result.pseudo_label, config.update
             )
-            policy = pg_update(policy, samples, reference, config.update)
+            policy = oracle.pg_update(policy, samples, reference, config.update)
         else:
-            policy = sft_update(policy, result.pseudo_label, config.update)
+            policy = oracle.sft_update(policy, result.pseudo_label, config.update)
     fixed_cost = config.rounds * config.fixed_budget * instance.cost_per_vote
     initial = initial_policy(instance)
+    start, end = oracle.probabilities(initial), oracle.probabilities(policy)
     return InstanceRow(
         instance_id=instance.instance_id,
         tau=total_tau,
@@ -143,12 +148,12 @@ def _ttpo_row(config, instance):
         decision_kind=result.decision_kind.value,
         truncated=result.truncated,
         fixed_cost=fixed_cost,
-        pre_update_greedy_correct=initial.greedy_answer() == instance.true_answer,
-        post_update_greedy_correct=policy.greedy_answer() == instance.true_answer,
-        pre_true_prob=initial.prob(instance.true_answer),
-        post_true_prob=policy.prob(instance.true_answer),
-        pre_pseudo_prob=initial.prob(result.pseudo_label),
-        post_pseudo_prob=policy.prob(result.pseudo_label),
+        pre_update_greedy_correct=int(np.argmax(initial.logits)) == instance.true_answer,
+        post_update_greedy_correct=int(np.argmax(policy.logits)) == instance.true_answer,
+        pre_true_prob=float(start[instance.true_answer]),
+        post_true_prob=float(end[instance.true_answer]),
+        pre_pseudo_prob=float(start[result.pseudo_label]),
+        post_pseudo_prob=float(end[result.pseudo_label]),
     )
 
 

@@ -310,3 +310,55 @@ def test_internal_error_exit_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_compare", boom)
     assert run_cli("compare") == 3
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (
+            ("replay", "{trace}"),
+            2,
+            f"corpus error: instance 'q1': tokens sum to {70 * 2**62}, more than {2**63 - 1}",
+        ),
+        (
+            ("compare", "--config", "{config}"),
+            1,
+            "configuration error: cost_per_vote * rounds * max(m_max, fixed_budget)",
+        ),
+        (
+            ("ttpo", "--update", "rl", "--config", "{config}"),
+            1,
+            "configuration error: cost_per_vote * rounds * max(m_max, fixed_budget)",
+        ),
+    ],
+    ids=["replay-token-total", "compare-cost-per-vote", "ttpo-cost-per-vote"],
+)
+def test_costs_past_int64_are_rejected(tmp_path, capsys, argv, code, message):
+    # Each token count and cost is a valid int64 on its own; the totals a run
+    # adds up are not.
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(
+        "".join(
+            canonical_trace_line(TraceRecord("q1", i, "a" if i % 3 else "b", 2**62)) + "\n"
+            for i in range(70)
+        )
+    )
+    config = tmp_path / "run.cfg"
+    config.write_text(f"cost_per_vote = {2**62}\ncount = 5\n")
+    out = tmp_path / "r.json"
+    argv = [arg.format(trace=trace, config=config) for arg in argv]
+    assert run_cli(*argv, "--out", str(out)) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_update_is_internal_error(tmp_path, capsys):
+    # A KL weight this large makes the second round's step overflow.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "count = 8\nm = 4\np0 = constant:0.6\nrounds = 2\n"
+        "learning_rate = 12\nbeta_kl = 1.7e308\n"
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run_cli("ttpo", "--update", "rl", "--config", str(cfg), "--seed", "0") == 3
+    assert "internal error: logits must be finite" in capsys.readouterr().err

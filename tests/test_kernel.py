@@ -201,3 +201,24 @@ def test_multi_block_closed_loop_matches_scalar_reference(mode):
     assert render_report(run_ttpo(config), "csv") == render_report(
         reference_ttpo(config), "csv"
     )
+
+
+@pytest.mark.parametrize(
+    "update",
+    [
+        {"advantage_mode": "group_normalized", "beta_kl": "0"},
+        {"advantage_mode": "group_normalized", "beta_kl": "0.5", "learning_rate": "0.4"},
+        {"advantage_mode": "mean_baseline", "beta_kl": "2", "learning_rate": "0.4"},
+    ],
+    ids=["group-no-kl", "group-kl", "mean-heavy-kl"],
+)
+def test_multi_block_pg_variants_match_scalar_reference(update):
+    # Three blocks of 128 policies and three rounds; the reference updates
+    # each policy on its own with the per-sample oracle.
+    config = resolve_config(
+        {"mode": "ttpo_rl", "count": "300", "m": "8", "rounds": "3", "p0": "uniform:0.2,0.8"}
+        | update
+    )
+    assert render_report(run_ttpo(config), "csv") == render_report(
+        reference_ttpo(config), "csv"
+    )

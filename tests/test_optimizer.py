@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import optimizer_reference as oracle
+from ttpo.consensus import _log_softmax, _softmax
 from ttpo.errors import ConfigurationError
 from ttpo.optimizer import (
     RewardedSample,
@@ -15,9 +17,13 @@ from ttpo.optimizer import (
     advantages,
     build_rewarded_samples,
     consensus_reward,
+    consensus_rewards,
     kl_divergence,
     pg_gradient,
+    pg_gradients,
+    pg_step,
     pg_update,
+    sft_step,
     sft_update,
 )
 
@@ -416,3 +422,170 @@ class TestBuildRewardedSamples:
     def test_reward_range_enforced(self):
         with pytest.raises(ValueError):
             RewardedSample(answer=0, reward=1.5, advantage=0.0)
+
+
+def _block_answers(rng, m, n, labels):
+    """Per row: random answers, answers that never hit the label, or all the label."""
+    answers = rng.integers(0, m, (labels.size, n))
+    for row, label in enumerate(labels):
+        kind = row % 3
+        if kind == 1:
+            answers[row] = (label + rng.integers(1, m, n)) % m
+        elif kind == 2:
+            answers[row] = label
+    return answers
+
+
+class TestBatchedStep:
+    """pg_step / sft_step on a block give, row by row, the one-policy oracle's bits."""
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.35, 2.5])
+    def test_block_matches_per_policy_oracle_bit_for_bit(self, temperature):
+        rng = np.random.default_rng(int(temperature * 100))
+        for m in range(2, 65):
+            rows = 6
+            n = int(rng.integers(1, 65))
+            logits = rng.normal(0.0, 2.0, (rows, m))
+            ref_logits = rng.normal(0.0, 2.0, (rows, m))
+            labels = rng.integers(0, m, rows)
+            answers = _block_answers(rng, m, n, labels)
+            probs = _softmax(logits / temperature)
+            ref_log_probs = _log_softmax(ref_logits / temperature)
+            for mode in ("mean_baseline", "group_normalized"):
+                for beta_kl in (0.0, 1e-3, 0.7):
+                    config = UpdateConfig(
+                        learning_rate=0.3, beta_kl=beta_kl, advantage_mode=mode
+                    )
+                    rewards = consensus_rewards(answers, labels)
+                    adv = advantages(rewards, mode, config.std_epsilon)
+                    grads = pg_gradients(
+                        logits, probs, answers, adv, ref_log_probs, beta_kl, temperature
+                    )
+                    stepped = pg_step(
+                        logits, probs, answers, adv, ref_log_probs, config, temperature
+                    )
+                    for b in range(rows):
+                        policy = SoftmaxAnswerPolicy(logits[b], temperature)
+                        ref = SoftmaxAnswerPolicy(ref_logits[b], temperature)
+                        samples = oracle.build_rewarded_samples(
+                            answers[b].tolist(), int(labels[b]), config
+                        )
+                        assert adv[b].tolist() == [s.advantage for s in samples]
+                        assert grads[b].tobytes() == oracle.pg_gradient(
+                            policy, samples, ref, config
+                        ).tobytes()
+                        assert stepped[b].tobytes() == oracle.pg_update(
+                            policy, samples, ref, config
+                        ).logits.tobytes()
+            config = UpdateConfig(learning_rate=0.3)
+            tuned = sft_step(logits, probs, labels, config)
+            for b in range(rows):
+                policy = SoftmaxAnswerPolicy(logits[b], temperature)
+                expected = oracle.sft_update(policy, int(labels[b]), config)
+                assert tuned[b].tobytes() == expected.logits.tobytes()
+
+    def test_zero_variance_rows_get_zero_advantages(self):
+        # Label absent (all rewards 0) or unanimous (all 1): group mode
+        # divides an exact zero by std_epsilon.
+        answers = np.array([[1, 2, 1, 1], [0, 0, 0, 0]])
+        rewards = consensus_rewards(answers, np.array([0, 0]))
+        assert rewards.tolist() == [[0.0] * 4, [1.0] * 4]
+        adv = advantages(rewards, "group_normalized")
+        assert adv.tolist() == [[0.0] * 4, [0.0] * 4]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_public_wrappers_match_oracle(self, data):
+        m = data.draw(st.integers(min_value=2, max_value=64))
+        finite = st.floats(min_value=-30, max_value=30)
+        logits = np.array(data.draw(st.lists(finite, min_size=m, max_size=m)))
+        ref_logits = np.array(data.draw(st.lists(finite, min_size=m, max_size=m)))
+        temperature = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+        samples = [
+            RewardedSample(answer=a, reward=0.0, advantage=adv)
+            for a, adv in data.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, m - 1), st.floats(min_value=-50, max_value=50)
+                    ),
+                    min_size=1,
+                    max_size=64,
+                )
+            )
+        ]
+        config = UpdateConfig(
+            learning_rate=data.draw(st.sampled_from([1e-3, 0.5])),
+            beta_kl=data.draw(st.sampled_from([0.0, 1e-3, 2.0])),
+        )
+        policy = SoftmaxAnswerPolicy(logits, temperature)
+        ref = SoftmaxAnswerPolicy(ref_logits, temperature)
+        assert pg_gradient(policy, samples, ref, config).tobytes() == oracle.pg_gradient(
+            policy, samples, ref, config
+        ).tobytes()
+        assert pg_update(policy, samples, ref, config).logits.tobytes() == oracle.pg_update(
+            policy, samples, ref, config
+        ).logits.tobytes()
+        label = data.draw(st.integers(0, m - 1))
+        assert sft_update(policy, label, config).logits.tobytes() == oracle.sft_update(
+            policy, label, config
+        ).logits.tobytes()
+
+    def test_mean_advantage_is_summed_left_to_right(self):
+        # A compensated sum (Python 3.12's sum(), math.fsum) reads 2.0 here;
+        # adding left to right loses both 1.0s to the 1e100 and reads 0.0.
+        values = [1.0, 1e100, 1.0, -1e100]
+        assert math.fsum(values) == 2.0
+        rng = np.random.default_rng(12)
+        blocks = [np.array([values])] + [
+            rng.normal(0.0, 1.0, (50, n)) * 10.0 ** rng.integers(-3, 20, (50, n))
+            for n in (4, 9, 33, 64)
+        ]
+        for adv in blocks:
+            uniform = np.full((adv.shape[0], 2), 0.5)
+            # Every sample answers 0, so gradient[1] = -mean_advantage * 0.5 exactly.
+            grads = pg_gradients(
+                np.zeros(uniform.shape),
+                uniform,
+                np.zeros(adv.shape, dtype=np.int64),
+                adv,
+                np.log(uniform),
+                0.0,
+            )
+            for row, grad in zip(adv.tolist(), grads):
+                acc = 0.0
+                for value in row:
+                    acc += value
+                assert -2.0 * grad[1] == acc / len(row)
+
+    def test_block_checks_cover_every_row(self):
+        probs = np.full((3, 4), 0.25)
+        logits = np.zeros((3, 4))
+        answers = np.zeros((3, 2), dtype=np.int64)
+        answers[2, 1] = 4
+        adv = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="sample answer 4 out of range for m=4"):
+            pg_step(logits, probs, answers, adv, np.log(probs), UpdateConfig())
+        with pytest.raises(ValueError, match="need at least one sample"):
+            pg_step(logits, probs, answers[:, :0], adv[:, :0], np.log(probs), UpdateConfig())
+        with pytest.raises(ValueError, match="reference covers 3 answers, policy 4"):
+            pg_step(logits, probs, answers, adv, np.log(probs[:, :3]), UpdateConfig())
+        with pytest.raises(ValueError, match="pseudo-label -1 out of range for m=4"):
+            sft_step(logits, probs, np.array([0, 3, -1]), UpdateConfig())
+        with pytest.raises(ValueError, match="answer ids are non-negative"):
+            consensus_rewards(np.array([[0, -1]]), np.array([0]))
+
+    def test_non_finite_step_rejected(self):
+        # Row 0's label logit 1e308 + 0.5 * 1.7e308 overflows.
+        logits = np.array([[1e308, 1e308], [0.0, 0.0]])
+        probs = _softmax(logits)
+        config = UpdateConfig(learning_rate=1.7e308)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="logits must be finite"):
+                sft_step(logits, probs, np.array([0, 0]), config)
+
+    def test_advantages_rows_are_independent_groups(self):
+        rewards = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        for mode in ("mean_baseline", "group_normalized"):
+            block = advantages(rewards, mode)
+            for row, got in zip(rewards, block):
+                assert got.tobytes() == advantages(row, mode).tobytes()

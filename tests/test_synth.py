@@ -161,24 +161,46 @@ class TestCategoricalVoteSource:
 
 class TestPolicyVoteSource:
     def test_uniform_policy_frequencies(self):
-        source = PolicyVoteSource(SoftmaxAnswerPolicy.uniform(2), stream_seed(4, "p", 0, "x"))
+        source = PolicyVoteSource(
+            SoftmaxAnswerPolicy.uniform(2).probabilities(), stream_seed(4, "p", 0, "x")
+        )
         draws = np.array([source.draw()[0] for _ in range(100_000)])
         assert draws.mean() == pytest.approx(0.5, abs=0.005)
 
     def test_saturated_policy(self):
         policy = SoftmaxAnswerPolicy(logits=np.array([20.0, 0.0, 0.0]))
-        source = PolicyVoteSource(policy, stream_seed(5, "p", 0, "x"))
+        source = PolicyVoteSource(policy.probabilities(), stream_seed(5, "p", 0, "x"))
         assert all(source.draw()[0] == 0 for _ in range(10_000))
 
     def test_deterministic_per_seed(self):
         policy = SoftmaxAnswerPolicy(logits=np.array([0.5, -0.5, 0.1]))
-        a = PolicyVoteSource(policy, 1234)
-        b = PolicyVoteSource(policy, 1234)
+        a = PolicyVoteSource(policy.probabilities(), 1234)
+        b = PolicyVoteSource(policy.probabilities(), 1234)
         assert [a.draw() for _ in range(500)] == [b.draw() for _ in range(500)]
 
     def test_cost_passthrough(self):
-        source = PolicyVoteSource(SoftmaxAnswerPolicy.uniform(2), 0, cost=13)
+        source = PolicyVoteSource(SoftmaxAnswerPolicy.uniform(2).probabilities(), 0, cost=13)
         assert source.draw()[1] == 13
+
+    @pytest.mark.parametrize(
+        "probabilities,message",
+        [
+            (np.array([1.0]), "vector over at least two answers"),
+            (np.array([[0.5, 0.5]]), "vector over at least two answers"),
+            (np.array([0.5, np.nan]), "must be finite"),
+            (np.array([np.inf, 0.0, 0.0]), "must be finite"),
+        ],
+    )
+    def test_invalid_probabilities_rejected(self, probabilities, message):
+        with pytest.raises(ValueError, match=message):
+            PolicyVoteSource(probabilities, 0)
+
+    def test_snapshot_ignores_later_writes(self):
+        probabilities = np.array([1.0, 0.0])
+        source = PolicyVoteSource(probabilities, 7)
+        probabilities[:] = [0.0, 1.0]
+        assert source.m == 2
+        assert source.take(300)[0].tolist() == [0] * 300
 
 
 class TestStreamSeed:
@@ -360,7 +382,7 @@ def _fresh_sources():
     policy = SoftmaxAnswerPolicy(logits=np.array([0.3, -1.0, 2.0, 0.0]))
     return [
         lambda: CategoricalVoteSource(instance, stream_seed(3, "arm", 0, "i")),
-        lambda: PolicyVoteSource(policy, stream_seed(3, "policy", 0, "i"), cost=2),
+        lambda: PolicyVoteSource(policy.probabilities(), stream_seed(3, "policy", 0, "i"), cost=2),
     ]
 
 
