@@ -10,6 +10,9 @@ fixed, including the random streams, so differences isolate the axis.
 All drivers are deterministic in (config, seed). They take each instance's
 votes as arrays and decide a block of instances per ``stop_batch`` call,
 which reproduces ``allocate`` row for row; rows come out in corpus order.
+Synthetic votes are read from many instances' random streams at once
+(``synth._categorical_votes``, ``synth._policy_votes``), as the vote
+sources would draw them.
 ``run_ttpo`` holds every policy as one row of a logits matrix and updates a
 block's rows with one batched step, which reproduces the one-policy updates
 row for row.
@@ -29,16 +32,17 @@ from .config import (
     config_echo,
 )
 from .consensus import _log_softmax, _softmax, plurality
-from .errors import AllocationError, ConfigurationError, CorpusError
+from .errors import ConfigurationError
 from .optimizer import SoftmaxAnswerPolicy, advantages, consensus_rewards, pg_step, sft_step
 from .report import ExperimentReport, InstanceRow, build_report
-from .seeding import stream_seed
+from .seeding import _LANES, stream_seed
 from .stopper import ErrorBudget, ThresholdTable, stop_batch
 from .synth import (
-    CategoricalVoteSource,
-    PolicyVoteSource,
     SyntheticInstance,
     TraceVoteSource,
+    _categorical_votes,
+    _policy_uniforms,
+    _policy_votes,
     gen_instances,
     load_labels,
     load_trace,
@@ -52,16 +56,14 @@ _BLOCK_CELLS = 1 << 16
 Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _attributed(instance_id: str, exc: Exception) -> Exception:
-    if isinstance(exc, (CorpusError, AllocationError)):
-        return type(exc)(f"instance {instance_id!r}: {exc}")
-    return exc
+def _slices(start: int, stop: int, size: int) -> list[slice]:
+    """Consecutive slices of at most ``size`` covering ``[start, stop)``."""
+    return [slice(first, min(first + size, stop)) for first in range(start, stop, size)]
 
 
-def _blocks(count: int, m: int, width: int) -> list[slice]:
+def _blocks(start: int, stop: int, m: int, width: int) -> list[slice]:
     """Consecutive instance slices whose count tensors fit _BLOCK_CELLS."""
-    size = max(1, _BLOCK_CELLS // (width * m))
-    return [slice(start, start + size) for start in range(0, count, size)]
+    return _slices(start, stop, max(1, _BLOCK_CELLS // (width * m)))
 
 
 def _take_all(sources: list, n: int) -> Draws:
@@ -115,16 +117,20 @@ def _race(
     )
 
 
-def _categorical_draws(
-    config: ExperimentConfig, block: list[SyntheticInstance], purpose: str, n: int
-) -> Draws:
-    return _take_all(
-        [
-            CategoricalVoteSource(inst, stream_seed(config.seed, purpose, 0, inst.instance_id))
-            for inst in block
-        ],
-        n,
+def _synthetic_draws(votes: np.ndarray, cost: int) -> Draws:
+    """A synthetic source's draws: it never runs dry and every vote costs ``cost``."""
+    return (
+        votes,
+        np.broadcast_to(np.int64(cost), votes.shape),
+        np.full(votes.shape[0], votes.shape[1], dtype=np.int64),
     )
+
+
+def _categorical_draws(
+    config: ExperimentConfig, chunk: list[SyntheticInstance], purpose: str, n: int
+) -> Draws:
+    seeds = [stream_seed(config.seed, purpose, 0, inst.instance_id) for inst in chunk]
+    return _synthetic_draws(_categorical_votes(chunk, seeds, n), config.corpus.cost_per_vote)
 
 
 def _compare_synthetic(config: ExperimentConfig) -> list[InstanceRow]:
@@ -133,31 +139,38 @@ def _compare_synthetic(config: ExperimentConfig) -> list[InstanceRow]:
     table = ThresholdTable(config.stopper)
     rows = []
     width = max(config.stopper.m_max, config.fixed_budget)
-    for part in _blocks(len(instances), spec.m, width):
-        block = instances[part]
-        outcomes = _race(
-            config,
-            table,
-            np.full(len(block), spec.m),
-            _categorical_draws(config, block, "adaptive", config.stopper.m_max),
-            _categorical_draws(config, block, "fixed", config.fixed_budget),
-        )
-        for inst, (tau, label, kind, truncated, cost, f_label, f_cost) in zip(block, outcomes):
-            rows.append(
-                InstanceRow(
-                    instance_id=inst.instance_id,
-                    tau=tau,
-                    pseudo_label=label,
-                    pseudo_correct=label == inst.true_answer,
-                    cost=cost,
-                    savings_fraction=1.0 - cost / f_cost,
-                    decision_kind=kind,
-                    truncated=truncated,
-                    fixed_cost=f_cost,
-                    fixed_label=f_label,
-                    fixed_correct=f_label == inst.true_answer,
-                )
+    # Each arm's streams are read a lane chunk at a time, then raced per block.
+    for chunk in _slices(0, len(instances), _LANES):
+        batch = instances[chunk]
+        adaptive = _categorical_draws(config, batch, "adaptive", config.stopper.m_max)
+        fixed = _categorical_draws(config, batch, "fixed", config.fixed_budget)
+        for part in _blocks(0, len(batch), spec.m, width):
+            block = batch[part]
+            outcomes = _race(
+                config,
+                table,
+                np.full(len(block), spec.m),
+                tuple(array[part] for array in adaptive),
+                tuple(array[part] for array in fixed),
             )
+            for inst, (tau, label, kind, truncated, cost, f_label, f_cost) in zip(
+                block, outcomes
+            ):
+                rows.append(
+                    InstanceRow(
+                        instance_id=inst.instance_id,
+                        tau=tau,
+                        pseudo_label=label,
+                        pseudo_correct=label == inst.true_answer,
+                        cost=cost,
+                        savings_fraction=1.0 - cost / f_cost,
+                        decision_kind=kind,
+                        truncated=truncated,
+                        fixed_cost=f_cost,
+                        fixed_label=f_label,
+                        fixed_correct=f_label == inst.true_answer,
+                    )
+                )
     return rows
 
 
@@ -169,7 +182,7 @@ def _compare_trace(config: ExperimentConfig) -> list[InstanceRow]:
     table = ThresholdTable(config.stopper)
     rows = []
     width = max(config.stopper.m_max, config.fixed_budget)
-    for part in _blocks(len(sources), max(source.m for source in sources), width):
+    for part in _blocks(0, len(sources), max(source.m for source in sources), width):
         block: list[TraceVoteSource] = sources[part]
         # Both arms replay the same trace, so one prefix serves both.
         draws = _take_all(block, width)
@@ -232,8 +245,10 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
 
     Every policy is one row of an ``[instances, m]`` logits matrix, and the
     initial matrix is the reference. Each round goes block by block: one
-    softmax gives the block's vote sources, ``stop_batch`` decides them, and
-    one batched step updates the block's rows from their own outcomes.
+    softmax gives the block's vote distributions, ``stop_batch`` decides the
+    votes drawn from them, and one batched step updates the block's rows
+    from their own outcomes. Rows are independent, so a chunk of instances
+    runs all its rounds before the next chunk starts.
     """
     if config.mode not in ("ttpo_rl", "ttpo_sft"):
         raise ConfigurationError(
@@ -258,37 +273,49 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     labels = np.zeros(count, dtype=np.int64)
     truncated = np.zeros(count, dtype=bool)
     kinds = [""] * count
-    for round_index in range(config.rounds):
-        for part in _blocks(count, spec.m, m_max):
-            probs = _softmax(logits[part])
-            sources = [
-                PolicyVoteSource(
-                    row,
-                    stream_seed(config.seed, "policy", round_index, instance.instance_id),
-                    cost=instance.cost_per_vote,
+    rounds, cost = config.rounds, spec.cost_per_vote
+    # The policy streams do not depend on the policy, so each chunk of
+    # instances reads every round's uniforms at once, one lane per
+    # (round, instance); only the cdf comparison waits for the round's logits.
+    for chunk in _slices(0, count, max(1, _LANES // rounds)):
+        seeds = [
+            [stream_seed(config.seed, "policy", r, inst.instance_id) for inst in instances[chunk]]
+            for r in range(rounds)
+        ]
+        uniforms = _policy_uniforms([seed for row in seeds for seed in row], m_max)
+        if uniforms is not None:
+            uniforms = uniforms.reshape(rounds, -1, m_max)
+        for round_index in range(rounds):
+            for part in _blocks(chunk.start, chunk.stop, spec.m, m_max):
+                local = slice(part.start - chunk.start, part.stop - chunk.start)
+                probs = _softmax(logits[part])
+                votes = _policy_votes(
+                    probs,
+                    seeds[round_index][local],
+                    None if uniforms is None else uniforms[round_index, local],
+                    m_max,
+                    cost,
                 )
-                for row, instance in zip(probs, instances[part])
-            ]
-            votes, costs, lengths = _take_all(sources, m_max)
-            stops = stop_batch(votes, lengths, np.full(len(sources), spec.m), table)
-            total_tau[part] += stops.tau
-            total_cost[part] += _spent(costs, stops.tau)
-            labels[part] = stops.label
-            truncated[part] = stops.truncated
-            kinds[part] = [kind.value for kind in stops.kind]
-            if config.mode == "ttpo_rl":
-                # Policy sources never run dry and m_max >= n_min, so every
-                # row stopped at or after its n_min warm-up votes. They
-                # predate the stopping decision, so they carry no selection
-                # bias into the rewards.
-                retained = votes[:, : config.stopper.n_min]
-                rewards = consensus_rewards(retained, stops.label)
-                adv = advantages(rewards, update.advantage_mode, update.std_epsilon)
-                logits[part] = pg_step(
-                    logits[part], probs, retained, adv, ref_log_probs[part], update
-                )
-            else:
-                logits[part] = sft_step(logits[part], probs, stops.label, update)
+                votes, costs, lengths = _synthetic_draws(votes, cost)
+                stops = stop_batch(votes, lengths, np.full(len(votes), spec.m), table)
+                total_tau[part] += stops.tau
+                total_cost[part] += _spent(costs, stops.tau)
+                labels[part] = stops.label
+                truncated[part] = stops.truncated
+                kinds[part] = [kind.value for kind in stops.kind]
+                if config.mode == "ttpo_rl":
+                    # Policy sources never run dry and m_max >= n_min, so every
+                    # row stopped at or after its n_min warm-up votes. They
+                    # predate the stopping decision, so they carry no selection
+                    # bias into the rewards.
+                    retained = votes[:, : config.stopper.n_min]
+                    rewards = consensus_rewards(retained, stops.label)
+                    adv = advantages(rewards, update.advantage_mode, update.std_epsilon)
+                    logits[part] = pg_step(
+                        logits[part], probs, retained, adv, ref_log_probs[part], update
+                    )
+                else:
+                    logits[part] = sft_step(logits[part], probs, stops.label, update)
 
     # The fixed-budget baseline is deterministic here: every draw costs
     # cost_per_vote, so a fixed arm would cost exactly budget * rounds.

@@ -1,10 +1,11 @@
 """Experiment reports: per-instance rows, aggregates, and emission.
 
 Reports are plain values. Aggregates are derived from rows alone by
-``compute_aggregate`` (simple sum/len arithmetic so an external reader can
-recompute them exactly), and emission is deterministic: the same report
-always renders to the same bytes, in both CSV and JSON forms. JSON reports
-round-trip through ``load_report`` to an equal value.
+``compute_aggregate`` (left-to-right sums over len, so an external reader
+can recompute them exactly on any Python version), and emission is
+deterministic: the same report always renders to the same bytes, in both
+CSV and JSON forms. JSON reports round-trip through ``load_report`` to an
+equal value.
 """
 
 from __future__ import annotations
@@ -76,7 +77,12 @@ class ExperimentReport:
 
 
 def _mean(values: list) -> float:
-    return sum(values) / len(values)
+    # Added left to right: from Python 3.12 on, sum() compensates float sums,
+    # which would make a report's float means depend on the interpreter.
+    total = 0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def _optional_mean(values: list) -> float | None:
@@ -87,7 +93,7 @@ def _optional_mean(values: list) -> float | None:
 
 
 def compute_aggregate(rows: list[InstanceRow] | tuple[InstanceRow, ...]) -> Aggregate:
-    """Reduce rows to corpus statistics using plain sum/len arithmetic."""
+    """Reduce rows to corpus statistics using left-to-right sum/len arithmetic."""
     if not rows:
         return Aggregate(
             count=0,

@@ -8,6 +8,22 @@ vote at a time but batch their underlying RNG work for speed; ``take(n)``
 hands out the next ``n`` draws as arrays, with exactly the RNG calls those
 draws make.
 
+The source classes define the synthetic streams; the batch drivers read
+them for many instances at once. A source refills 256 votes at a time
+from ``numpy.random.default_rng(stream_seed)``, so its vote ``j`` (1 to 256)
+reads double ``j``, the top 53 bits of PCG64 output ``j``. A categorical
+source's wrong-answer draws follow from output 257 on, each a 32-bit
+Lemire draw over ``m - 1`` answers from the low, then the high, half of an
+output; at ``m = 2`` they read nothing. ``_categorical_votes``,
+``_policy_votes`` and ``gen_instances`` compute those reads from
+``seeding._pcg64_outputs`` across all rows and take a row from its source
+(or, for the corpus, from a ``Generator``) where the lane reading is not
+certain to be numpy's: past 256 votes, where a Lemire draw would reject
+(about ``m / 2**32`` per draw), or where the bound needs 64 bits. Report
+bytes thus rest on numpy's ``Generator`` methods only in those rows.
+Lanes are wide or not worth it: callers pass the corpus, or chunks of
+``seeding._LANES`` seeds, never one kernel block.
+
 A rollout trace is UTF-8 text with one JSON object per line, carrying
 ``instance_id`` (string), ``rollout_index`` (integer >= 0), ``answer``
 (string) and ``tokens`` (integer, 1 to 2**63 - 1). Other keys are ignored,
@@ -30,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, CorpusError
+from .seeding import _doubles, _halves, _lemire, _pcg64_outputs
 
 _BUFFER_SIZE = 256
 
@@ -113,6 +130,16 @@ class P0Spec:
         share, p_easy, p_hard = self.params
         return p_easy if rng.random() < share else p_hard
 
+    def _samples(self, uniforms: np.ndarray) -> list[float]:
+        """``sample`` of each stream whose next ``random()`` is ``uniforms[i]``."""
+        if self.kind == "constant":
+            return [self.params[0]] * uniforms.size
+        if self.kind == "uniform":
+            lo, hi = self.params
+            return (lo + (hi - lo) * uniforms).tolist()
+        share, p_easy, p_hard = self.params
+        return np.where(uniforms < share, p_easy, p_hard).tolist()
+
 
 @dataclass(frozen=True)
 class SyntheticInstance:
@@ -145,21 +172,39 @@ def gen_instances(
     cost_per_vote: int = 1,
     id_prefix: str = "inst",
 ) -> list[SyntheticInstance]:
-    """Deterministic corpus: each instance is a pure function of (seed, id)."""
+    """Deterministic corpus: each instance is a pure function of (seed, id).
+
+    Instance ``i`` is what ``rng = default_rng(seed_i)`` gives through
+    ``rng.integers(m)`` then ``p0_spec.sample(rng)``: the first reads the
+    low half of output 1, the second output 2. All streams are read as
+    lanes; a row whose draw would reject replays the ``Generator``.
+    """
+    # Imported at call time, where perfbench's tracer sees ttpo.seeding's name.
     from .seeding import stream_seed
 
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
+    ids = [f"{id_prefix}-{i:05d}" for i in range(count)]
+    seeds = [stream_seed(seed, "corpus", 0, instance_id) for instance_id in ids]
+    raw = _pcg64_outputs(seeds, [(1, 2)])
+    if m < 2**32:
+        answers, redo = _lemire(_halves(raw[:, :1])[:, 0], m)
+    else:
+        answers, redo = np.zeros(count, np.int64), np.ones(count, bool)
+    p0s = p0_spec._samples(_doubles(raw[:, 1]))
     instances = []
-    for i in range(count):
-        instance_id = f"{id_prefix}-{i:05d}"
-        rng = np.random.default_rng(stream_seed(seed, "corpus", 0, instance_id))
+    for row, (instance_id, answer, p0, replay) in enumerate(
+        zip(ids, answers.tolist(), p0s, redo.tolist())
+    ):
+        if replay:
+            rng = np.random.default_rng(seeds[row])
+            answer, p0 = int(rng.integers(m)), p0_spec.sample(rng)
         instances.append(
             SyntheticInstance(
                 instance_id=instance_id,
-                true_answer=int(rng.integers(m)),
+                true_answer=answer,
                 m=m,
-                p0_true=p0_spec.sample(rng),
+                p0_true=p0,
                 cost_per_vote=cost_per_vote,
             )
         )
@@ -271,6 +316,96 @@ class PolicyVoteSource(_BufferedSource):
         answer = int(self._buffer[self._pos])
         self._pos += 1
         return answer, self._cost
+
+
+def _categorical_votes(
+    instances: Sequence[SyntheticInstance], seeds: Sequence[int], n: int
+) -> np.ndarray:
+    """``CategoricalVoteSource(instances[i], seeds[i]).take(n)[0]`` per row.
+
+    Vote ``j`` is a hit when double ``j`` (outputs 1..n) is below ``p0_true``;
+    otherwise it is the ``j``-th 32-bit Lemire draw over the wrong answers,
+    read from output ``_BUFFER_SIZE + 1`` on, and with m = 2 that draw reads
+    nothing. A row that needs more than one refill, whose ``m - 1`` is at
+    least 2**32, or whose Lemire draw would reject is taken from the source.
+    """
+    votes = np.empty((len(instances), n), dtype=np.int64)
+    exact = np.array(
+        [n <= _BUFFER_SIZE and inst.m - 1 < 2**32 for inst in instances], dtype=bool
+    )
+    rows = np.flatnonzero(exact)
+    if rows.size:
+        picked = [instances[row] for row in rows.tolist()]
+        true = np.array([inst.true_answer for inst in picked])[:, None]
+        p0 = np.array([inst.p0_true for inst in picked])[:, None]
+        bound = np.array([inst.m - 1 for inst in picked], dtype=np.uint64)[:, None]
+        spans = [(1, n)]
+        if (bound > 1).any():
+            spans.append((_BUFFER_SIZE + 1, (n + 1) // 2))
+        raw = _pcg64_outputs([seeds[row] for row in rows.tolist()], spans)
+        hit = _doubles(raw[:, :n]) < p0
+        words = _halves(raw[:, n:])[:, :n] if len(spans) > 1 else np.zeros(hit.shape, np.uint64)
+        wrong, rejected = _lemire(words, bound)
+        wrong += wrong >= true
+        np.copyto(wrong, true, where=hit)
+        votes[rows] = wrong
+        exact[rows] = ~rejected.any(axis=1)
+    for row in np.flatnonzero(~exact).tolist():
+        votes[row] = CategoricalVoteSource(instances[row], seeds[row]).take(n)[0]
+    return votes
+
+
+def _policy_uniforms(seeds: Sequence[int], n: int) -> np.ndarray | None:
+    """Doubles 1..n of each stream, the uniforms ``Generator.choice`` reads.
+
+    None when ``n`` is past one refill: ``_policy_votes`` then takes every
+    row from its source.
+    """
+    if n > _BUFFER_SIZE:
+        return None
+    return _doubles(_pcg64_outputs(seeds, [(1, n)]))
+
+
+def _policy_votes(
+    probs: np.ndarray, seeds: Sequence[int], uniforms: np.ndarray | None, n: int, cost: int
+) -> np.ndarray:
+    """``PolicyVoteSource(probs[i], seeds[i], cost).take(n)[0]`` per row.
+
+    ``choice(m, p=p)`` turns ``random()`` into the count of ``cdf`` entries
+    at or below it, with ``cdf = p.cumsum(); cdf /= cdf[-1]``. A row that
+    ``choice`` would refuse, or any row when ``uniforms`` is None, is taken
+    from its source, which raises what it always raised.
+    """
+    votes = np.empty((probs.shape[0], n), dtype=np.int64)
+    exact = np.zeros(probs.shape[0], dtype=bool) if uniforms is None else _choice_accepts(probs)
+    if exact.any():
+        cdf = probs[exact].cumsum(axis=1)
+        cdf = cdf / cdf[:, -1:]
+        votes[exact] = (uniforms[exact][:, :, None] >= cdf[:, None, :]).sum(axis=2)
+    fallback = np.flatnonzero(~exact).tolist()
+    sources = [PolicyVoteSource(probs[row], seeds[row], cost=cost) for row in fallback]
+    for row, source in zip(fallback, sources):
+        votes[row] = source.take(n)[0]
+    return votes
+
+
+def _choice_accepts(probs: np.ndarray) -> np.ndarray:
+    """Rows ``Generator.choice`` takes as ``p``: no NaN sum, none negative, sum 1.
+
+    The sum is numpy's left-to-right Kahan sum and the tolerance its
+    ``sqrt(eps)``, so a row accepted here is accepted there.
+    """
+    total = probs[:, 0].copy()
+    carry = np.zeros_like(total)
+    # A row holding inf sums to NaN or inf and is refused either way.
+    with np.errstate(invalid="ignore"):
+        for column in probs.T[1:]:
+            step = column - carry
+            new = total + step
+            carry = (new - total) - step
+            total = new
+    tolerance = np.sqrt(np.finfo(np.float64).eps)
+    return ~np.isnan(total) & ~(probs < 0).any(axis=1) & ~(np.abs(total - 1.0) > tolerance)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from ttpo.config import resolve_config
-from ttpo.errors import AllocationError, ConfigurationError, CorpusError
+from ttpo.errors import ConfigurationError, CorpusError
 from ttpo.experiment import (
-    _attributed,
     initial_policy,
     run_ablation,
     run_compare,
@@ -17,7 +16,13 @@ from ttpo.experiment import (
 )
 from scalar_reference import reference_compare, reference_ttpo
 from ttpo.report import render_report
-from ttpo.synth import SyntheticInstance, canonical_trace_line, gen_instances, TraceRecord
+from ttpo.synth import (
+    MAX_COST,
+    SyntheticInstance,
+    TraceRecord,
+    canonical_trace_line,
+    gen_instances,
+)
 
 
 def compare_config(**overrides):
@@ -177,12 +182,16 @@ def test_missing_trace_file_is_corpus_error():
         run_compare(config)
 
 
-def test_error_attribution_names_the_instance():
-    wrapped = _attributed("inst-00042", AllocationError("negative cost"))
-    assert isinstance(wrapped, AllocationError)
-    assert "inst-00042" in str(wrapped)
-    passthrough = _attributed("inst-00042", KeyError("x"))
-    assert isinstance(passthrough, KeyError)
+def test_error_attribution_names_the_instance(tmp_path):
+    # Each token count is in range; only inst-00042's total is not.
+    trace = tmp_path / "rollouts.jsonl"
+    write_trace(
+        trace,
+        {"inst-00041": [("x", 1)] * 3, "inst-00042": [("x", MAX_COST // 2 + 1)] * 2},
+    )
+    config = resolve_config({"mode": "compare", "corpus": "trace", "trace": str(trace)})
+    with pytest.raises(CorpusError, match="'inst-00042': tokens sum to"):
+        run_compare(config)
 
 
 def test_initial_policy_matches_vote_accuracy():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scalar_reference import reference_compare, reference_ttpo
+from ttpo import experiment
 from ttpo.allocator import allocate
 from ttpo.config import resolve_config
 from ttpo.errors import AllocationError, ConfigurationError
@@ -221,4 +222,23 @@ def test_multi_block_pg_variants_match_scalar_reference(update):
     )
     assert render_report(run_ttpo(config), "csv") == render_report(
         reference_ttpo(config), "csv"
+    )
+
+
+@pytest.mark.parametrize("lanes", [1, 7, 64])
+def test_lane_chunks_match_scalar_reference(lanes, monkeypatch):
+    # Chunks of one instance, chunks that cut across blocks, and with four
+    # rounds a chunk narrower than its lane count.
+    monkeypatch.setattr(experiment, "_LANES", lanes)
+    compare = resolve_config(
+        {"mode": "compare", "count": "90", "m": "3", "p0": "uniform:0.2,0.9", "seed": "4"}
+    )
+    assert render_report(run_compare(compare), "csv") == render_report(
+        reference_compare(compare), "csv"
+    )
+    closed_loop = resolve_config(
+        {"mode": "ttpo_rl", "count": "90", "m": "5", "rounds": "4", "p0": "uniform:0.2,0.8"}
+    )
+    assert render_report(run_ttpo(closed_loop), "csv") == render_report(
+        reference_ttpo(closed_loop), "csv"
     )

@@ -1,12 +1,22 @@
 """Report assembly, aggregate arithmetic, and deterministic emission."""
 
 import csv
+import dataclasses
+import functools
 import io
 import json
+import operator
+import os
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ttpo.report
+from ttpo.config import resolve_config
+from ttpo.experiment import run_ttpo
 from ttpo.report import (
     Aggregate,
     ExperimentReport,
@@ -220,3 +230,51 @@ def test_ablation_rendering():
     assert lines[0].startswith("value,count,mean_tau,")
     assert lines[1].startswith("0.01,2,")
     assert "# axis = alpha_beta" in lines
+
+
+def _pyenv_python(version):
+    """A pyenv-installed interpreter of ``version`` (e.g. "3.12"), or None."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    found = sorted(root.glob(f"{version}.*/bin/python"))
+    return found[0] if found else None
+
+
+# Runs in the other interpreter: report.py needs only the standard library
+# and errors.py, so the two are loaded as a stub package, without numpy.
+_AGGREGATE_SCRIPT = """
+import dataclasses, json, sys
+sys.path.insert(0, sys.argv[1])
+from ttpo.report import InstanceRow, compute_aggregate
+for fields in json.load(sys.stdin):
+    rows = [InstanceRow(**row) for row in fields]
+    print(json.dumps(dataclasses.asdict(compute_aggregate(rows))))
+"""
+
+
+@pytest.mark.parametrize("version", ["3.12", "3.13"])
+def test_float_means_do_not_depend_on_the_python_version(version, tmp_path):
+    python = _pyenv_python(version)
+    if python is None:
+        pytest.skip(f"no Python {version} interpreter found")
+    package = tmp_path / "ttpo"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    for name in ("report.py", "errors.py"):
+        shutil.copy(Path(ttpo.report.__file__).with_name(name), package / name)
+    # Ten 0.1s sum to 0.9999999999999999 left to right and to 1.0 compensated.
+    tenths = [row(f"inst-{i:05d}", savings_fraction=0.1) for i in range(10)]
+    assert compute_aggregate(tenths).mean_savings_fraction == (
+        functools.reduce(operator.add, [0.1] * 10) / 10
+    )
+    closed_loop = run_ttpo(resolve_config({"mode": "ttpo_rl", "count": "200", "seed": "78"}))
+    corpora = [tenths, list(closed_loop.rows)]
+    result = subprocess.run(
+        [str(python), "-I", "-c", _AGGREGATE_SCRIPT, str(tmp_path)],
+        input=json.dumps([[dataclasses.asdict(r) for r in rows] for rows in corpora]),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    expected = [json.dumps(dataclasses.asdict(compute_aggregate(rows))) for rows in corpora]
+    assert result.stdout.splitlines() == expected

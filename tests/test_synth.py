@@ -5,15 +5,20 @@ import json
 import numpy as np
 import pytest
 
+from ttpo import seeding
 from ttpo.errors import ConfigurationError, CorpusError
 from ttpo.optimizer import SoftmaxAnswerPolicy
-from ttpo.seeding import stream_seed
+from ttpo.seeding import _halves, _lemire, _pcg64_outputs, _seed_words, stream_seed
 from ttpo.synth import (
     CategoricalVoteSource,
     P0Spec,
     PolicyVoteSource,
     SyntheticInstance,
     TraceRecord,
+    _categorical_votes,
+    _choice_accepts,
+    _policy_uniforms,
+    _policy_votes,
     canonical_trace_line,
     gen_instances,
     load_labels,
@@ -213,6 +218,139 @@ class TestStreamSeed:
         assert stream_seed(1, "b", 0, "x") != base
         assert stream_seed(1, "a", 1, "x") != base
         assert stream_seed(1, "a", 0, "y") != base
+
+
+# Stream seeds as the drivers make them, plus seeds of one, two, three and
+# four 32-bit words, since SeedSequence hashes a seed word by word.
+LANE_SEEDS = [stream_seed(6, "lanes", 0, f"inst-{i:05d}") for i in range(200)] + [
+    0,
+    1,
+    2**32 - 1,
+    2**32,
+    2**96 - 1,
+    2**96,
+    2**128 - 1,
+]
+
+
+class TestLanes:
+    """Reading many streams at once equals one numpy Generator per stream."""
+
+    def test_seed_words_match_seed_sequence(self):
+        for seed, words in zip(LANE_SEEDS, _seed_words(LANE_SEEDS)):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert words.tolist() == expected.tolist(), seed
+
+    @pytest.mark.parametrize("lanes", [3, 4096])
+    def test_outputs_match_the_bit_generator(self, lanes, monkeypatch):
+        monkeypatch.setattr(seeding, "_LANES", lanes)
+        spans = [(1, 5), (9, 2), (257, 40)]
+        got = _pcg64_outputs(LANE_SEEDS, spans)
+        for seed, outputs in zip(LANE_SEEDS, got):
+            raw = np.random.default_rng(seed).bit_generator.random_raw(296)
+            expected = np.concatenate([raw[first - 1 : first - 1 + n] for first, n in spans])
+            assert outputs.tolist() == expected.tolist(), seed
+
+    def test_lemire_on_crafted_words(self):
+        words = np.arange(4096, dtype=np.uint64) * np.uint64(1_048_573)
+        # For 3 * 2**30 the low word of w * bound is (3w mod 4) * 2**30 and the
+        # rejection threshold is 2**30: every fourth word rejects.
+        values, rejected = _lemire(words, 3 * 2**30)
+        assert rejected.tolist() == (words % np.uint64(4) == 0).tolist()
+        assert values.tolist() == (words * np.uint64(3) // np.uint64(4)).tolist()
+        # A power of two never rejects; the draw is the word's top bits.
+        values, rejected = _lemire(words, 4)
+        assert not rejected.any()
+        assert values.tolist() == (words >> np.uint64(30)).tolist()
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 8, 37, 64])
+    def test_categorical_votes_match_sources(self, m):
+        instances = gen_instances(len(LANE_SEEDS), m, P0Spec.uniform(0.05, 0.95), seed=8)
+        # 300 votes is past one refill, so every row falls back to its source.
+        for n in (0, 1, 63, 64, 65, 256, 300):
+            got = _categorical_votes(instances, LANE_SEEDS, n)
+            assert got.shape == (len(instances), n)
+            for inst, seed, votes in zip(instances, LANE_SEEDS, got):
+                expected = CategoricalVoteSource(inst, seed).take(n)[0]
+                assert votes.tolist() == expected.tolist(), (m, n, seed)
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_rows_whose_draw_rejects_fall_back(self, n):
+        # With m - 1 = 3 * 2**30 a quarter of the wrong-answer draws reject,
+        # so some rows hold a rejection among their n draws and some do not.
+        m = 3 * 2**30 + 1
+        instances = [
+            SyntheticInstance(f"i{k}", true_answer=k % 7, m=m, p0_true=0.3)
+            for k in range(len(LANE_SEEDS))
+        ]
+        words = _halves(_pcg64_outputs(LANE_SEEDS, [(257, (n + 1) // 2)]))[:, :n]
+        rejecting = _lemire(words, m - 1)[1].any(axis=1)
+        assert 0 < rejecting.sum() < len(LANE_SEEDS)
+        got = _categorical_votes(instances, LANE_SEEDS, n)
+        for inst, seed, votes in zip(instances, LANE_SEEDS, got):
+            assert votes.tolist() == CategoricalVoteSource(inst, seed).take(n)[0].tolist()
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 37, 3 * 2**30])
+    @pytest.mark.parametrize(
+        "spec",
+        [P0Spec.mixture(0.5, 0.95, 0.5), P0Spec.uniform(0.4, 0.9), P0Spec.constant(0.8)],
+        ids=["mixture", "uniform", "constant"],
+    )
+    def test_corpus_matches_one_generator_per_instance(self, m, spec):
+        # m = 3 * 2**30 makes a quarter of the answer draws reject.
+        for inst in gen_instances(300, m, spec, seed=9):
+            rng = np.random.default_rng(stream_seed(9, "corpus", 0, inst.instance_id))
+            assert (inst.true_answer, inst.p0_true) == (int(rng.integers(m)), spec.sample(rng))
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 37])
+    def test_policy_votes_match_sources(self, m):
+        rng = np.random.default_rng(m)
+        probs = rng.dirichlet(np.full(m, 0.4), size=len(LANE_SEEDS))
+        probs[0] = np.eye(m)[-1]
+        for n in (0, 1, 64, 256, 300):
+            uniforms = _policy_uniforms(LANE_SEEDS, n)
+            assert (uniforms is None) == (n > 256)
+            got = _policy_votes(probs, LANE_SEEDS, uniforms, n, cost=1)
+            for p, seed, votes in zip(probs, LANE_SEEDS, got):
+                assert votes.tolist() == PolicyVoteSource(p, seed).take(n)[0].tolist()
+
+    @pytest.mark.parametrize("spread", [2.0, 1e-7])
+    def test_choice_acceptance_matches_numpy(self, spread):
+        # Sums spread over the tolerance edge; at the narrow spread they sit
+        # so close to it that a plain sum often decides otherwise than numpy.
+        rng = np.random.default_rng(17)
+        tolerance = np.sqrt(np.finfo(np.float64).eps)
+        probs = rng.dirichlet(np.ones(12), size=2000)
+        probs[:, 0] += (1 + rng.uniform(-spread, spread, size=2000)) * tolerance
+        probs[:5, 1] = [-1e-300, np.nan, np.inf, -np.inf, 0.0]
+        expected = []
+        for row in probs:
+            try:
+                np.random.default_rng(0).choice(12, p=row)
+            except ValueError:
+                expected.append(False)
+            else:
+                expected.append(True)
+        assert 100 < sum(expected) < 1900
+        assert _choice_accepts(probs).tolist() == expected
+        if spread < 1:
+            plain = np.abs(probs.cumsum(axis=1)[:, -1] - 1.0) <= tolerance
+            assert (plain != expected).sum() > 10
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ([1.1, -0.1, 0.0], "non-negative"),
+            ([0.5, 0.49, 0.0], "sum to 1"),
+            ([0.5, np.nan, 0.5], "finite"),
+        ],
+    )
+    def test_refused_rows_raise_what_the_source_raises(self, bad, message):
+        probs = np.array([[0.2, 0.3, 0.5], bad])
+        with pytest.raises(ValueError, match=message):
+            PolicyVoteSource(probs[1], LANE_SEEDS[1]).take(4)
+        with pytest.raises(ValueError, match=message):
+            _policy_votes(probs, LANE_SEEDS[:2], _policy_uniforms(LANE_SEEDS[:2], 4), 4, cost=1)
 
 
 def write_trace(path, rows):
