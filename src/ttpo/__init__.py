@@ -9,13 +9,7 @@ or plain cross-entropy), and the experiment layer measures the accuracy
 kept and the rollouts saved against fixed-budget majority voting.
 """
 
-from .allocator import (
-    AllocationResult,
-    VoteSource,
-    allocate,
-    batch_allocate,
-    retain_for_update,
-)
+from .allocator import AllocationResult, VoteSource, allocate, retain_for_update
 from .config import (
     ExperimentConfig,
     SyntheticCorpusSpec,
@@ -24,29 +18,10 @@ from .config import (
     parse_kv_file,
     resolve_config,
 )
-from .consensus import (
-    AnswerModel,
-    TopTwo,
-    VoteTally,
-    log_bayes_factor_closed_form,
-    posterior,
-    tally_ingest,
-    top_two,
-)
+from .consensus import AnswerModel, VoteTally, log_bayes_factor_closed_form, posterior
 from .errors import AllocationError, ConfigurationError, CorpusError
 from .experiment import initial_policy, run_ablation, run_compare, run_ttpo
-from .optimizer import (
-    RewardedSample,
-    SoftmaxAnswerPolicy,
-    UpdateConfig,
-    advantages,
-    build_rewarded_samples,
-    consensus_reward,
-    kl_divergence,
-    pg_gradient,
-    pg_update,
-    sft_update,
-)
+from .optimizer import SoftmaxAnswerPolicy, UpdateConfig, advantages
 from .report import (
     Aggregate,
     ExperimentReport,
@@ -60,14 +35,11 @@ from .report import (
 from .seeding import stream_seed
 from .stopper import (
     ErrorBudget,
-    SprtStopper,
-    StopDecision,
     StopKind,
     StopperConfig,
     ThresholdTable,
     clamp_p0,
     compute_thresholds,
-    estimate_p0,
     stop_batch,
 )
 from .synth import (
@@ -98,16 +70,12 @@ __all__ = [
     "InstanceRow",
     "P0Spec",
     "PolicyVoteSource",
-    "RewardedSample",
     "SoftmaxAnswerPolicy",
-    "SprtStopper",
-    "StopDecision",
     "StopKind",
     "StopperConfig",
     "SyntheticCorpusSpec",
     "SyntheticInstance",
     "ThresholdTable",
-    "TopTwo",
     "TraceCorpusSpec",
     "TraceRecord",
     "TraceVoteSource",
@@ -117,27 +85,20 @@ __all__ = [
     "__version__",
     "advantages",
     "allocate",
-    "batch_allocate",
     "build_report",
-    "build_rewarded_samples",
     "canonical_trace_line",
     "clamp_p0",
     "compute_aggregate",
     "compute_thresholds",
     "config_echo",
-    "consensus_reward",
     "emit_report",
-    "estimate_p0",
     "gen_instances",
     "initial_policy",
-    "kl_divergence",
     "load_labels",
     "load_report",
     "load_trace",
     "log_bayes_factor_closed_form",
     "parse_kv_file",
-    "pg_gradient",
-    "pg_update",
     "posterior",
     "render_report",
     "resolve_config",
@@ -145,9 +106,6 @@ __all__ = [
     "run_ablation",
     "run_compare",
     "run_ttpo",
-    "sft_update",
     "stop_batch",
     "stream_seed",
-    "tally_ingest",
-    "top_two",
 ]

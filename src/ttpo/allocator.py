@@ -1,24 +1,22 @@
-"""The sequential sample-test loop over abstract vote sources.
+"""The online sample-test loop over abstract vote sources.
 
-``allocate`` draws votes one at a time, feeds them to a sequential stopper,
-and stops at the first terminal decision, returning the pseudo-label plus
-full cost accounting. It is the online path, for sources that must be
-drawn from only as far as the test reads, and the reference that
-``stopper.stop_batch`` reproduces for recorded vote streams.
-``batch_allocate`` runs many independent sources, one after another, with
-a failure confined to its own slot.
+``allocate`` draws votes from a live source only as far as the test reads
+and returns the pseudo-label plus full cost accounting. It applies the one
+stopping rule, ``stopper.stop_batch``, to the prefix drawn so far, and
+draws in chunks no longer than the votes the rule needs before it could
+stop, so it never draws past the decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .consensus import VoteTally, posterior
+from .consensus import AnswerModel, VoteTally, posterior
 from .errors import AllocationError, ConfigurationError
-from .stopper import SprtStopper, StopKind, StopperConfig
+from .stopper import StopKind, StopperConfig, ThresholdTable, stop_batch
 
 
 @runtime_checkable
@@ -55,44 +53,60 @@ class AllocationResult:
 
 
 def allocate(source: VoteSource, config: StopperConfig) -> AllocationResult:
-    """Run the sequential test over one source until it reaches a decision."""
-    if source.m < 2:
+    """Run the sequential test over one source until it reaches a decision.
+
+    Draws exactly the votes the decision reads: ``tau`` of them, plus the
+    draw that found the source dry when it runs out first.
+    """
+    m = source.m
+    if m < 2:
         raise ConfigurationError(
-            f"vote source must cover at least two answers, got m={source.m}"
+            f"vote source must cover at least two answers, got m={m}"
         )
-    stopper = SprtStopper(config, source.m)
+    table = ThresholdTable(config)
+    if config.p0_fixed is not None:
+        table.lookup(m, 0)  # an unusable fixed model fails before any draw
+    answers = np.empty(config.m_max, dtype=np.int64)
     votes: list[tuple[int, int]] = []
     total_cost = 0
-    truncated = False
+    # The earliest stop: a full streak that starts at the warm-up's last vote.
+    target = min(config.n_min + config.streak_k - 1, config.m_max)
     while True:
-        drawn = source.draw()
-        if drawn is None:
-            if not votes:
-                raise AllocationError("vote source exhausted before any vote")
-            truncated = True
-            decision = stopper.force_stop()
+        while len(votes) < target:
+            drawn = source.draw()
+            if drawn is None:
+                break
+            answer, cost = drawn
+            if cost < 0:
+                raise AllocationError(f"vote source produced a negative cost {cost}")
+            if not 0 <= answer < m:
+                raise ValueError(f"vote {answer} out of range for m={m}")
+            answers[len(votes)] = answer
+            votes.append((answer, cost))
+            total_cost += cost
+        t = len(votes)
+        stops = stop_batch(answers[None, :t], np.array([t]), np.array([m]), table)
+        # Stop drawing once the source ran dry or the prefix is decided.
+        if t < target or not stops.truncated[0]:
             break
-        answer, cost = drawn
-        if cost < 0:
-            raise AllocationError(f"vote source produced a negative cost {cost}")
-        votes.append((answer, cost))
-        total_cost += cost
-        decision = stopper.step(answer)
-        if decision.terminal:
-            break
-    assert decision.chosen is not None and stopper.model is not None
-    tau = stopper.t
+        # The gap moves by at most one per vote: it needs gap_upper - gap
+        # more votes to reach the threshold, then a full streak to confirm.
+        climb = max(int(stops.gap_upper[0]) - int(stops.gap[0]) - 1, 0)
+        target = min(t + config.streak_k - int(stops.streak[0]) + climb, config.m_max)
+    tau = int(stops.tau[0])
+    p0_used = float(stops.p0_used[0])
+    tally = VoteTally(counts=tuple(np.bincount(answers[:tau], minlength=m).tolist()))
     return AllocationResult(
-        pseudo_label=decision.chosen,
+        pseudo_label=int(stops.label[0]),
         tau=tau,
-        decision_kind=decision.kind,
+        decision_kind=stops.kind[0],
         votes=tuple(votes),
         retained=tuple(range(min(config.n_min, tau))),
         total_cost=total_cost,
-        final_tally=stopper.tally,
-        posterior_at_stop=posterior(stopper.tally, stopper.model),
-        p0_used=stopper.model.p0,
-        truncated=truncated,
+        final_tally=tally,
+        posterior_at_stop=posterior(tally, AnswerModel(p0_used, m)),
+        p0_used=p0_used,
+        truncated=bool(stops.truncated[0]),
     )
 
 
@@ -110,19 +124,3 @@ def retain_for_update(result: AllocationResult, n: int) -> list[tuple[int, int]]
         )
     return list(result.votes[:n])
 
-
-def batch_allocate(
-    sources: Sequence[VoteSource], config: StopperConfig
-) -> list[AllocationResult | Exception]:
-    """Allocate over many sources; failures land in their slot, not raised.
-
-    Results align positionally with the sources.
-    """
-
-    def run_one(source: VoteSource) -> AllocationResult | Exception:
-        try:
-            return allocate(source, config)
-        except Exception as exc:  # noqa: BLE001 - slot-isolated by contract
-            return exc
-
-    return [run_one(source) for source in sources]

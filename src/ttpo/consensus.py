@@ -67,15 +67,6 @@ class VoteTally:
 
 
 @dataclass(frozen=True)
-class TopTwo:
-    """Leading and runner-up answers of a tally plus their count gap."""
-
-    leader: AnswerId
-    runner_up: AnswerId
-    gap: int
-
-
-@dataclass(frozen=True)
 class AnswerModel:
     """Symmetric categorical noise model over ``m`` candidate answers.
 
@@ -109,33 +100,11 @@ class AnswerModel:
         return self.p0 * (self.m - 1) / (1.0 - self.p0)
 
 
-def tally_ingest(tally: VoteTally, vote: AnswerId) -> VoteTally:
-    """Return a new tally with one additional vote for ``vote``."""
-    if not 0 <= vote < tally.m:
-        raise ValueError(f"vote {vote} out of range for m={tally.m}")
-    counts = list(tally.counts)
-    counts[vote] += 1
-    return VoteTally(counts=tuple(counts))
-
-
-def top_two(tally: VoteTally) -> TopTwo:
-    """Leader and runner-up by count; ties break toward the lowest answer id."""
-    if tally.total < 1:
-        raise ValueError("empty tally has no leader")
-    if tally.m < 2:
-        raise ValueError("runner-up undefined for a single-answer space")
-    counts = tally.counts
-    ids = range(tally.m)
-    leader = max(ids, key=lambda j: (counts[j], -j))
-    runner_up = max((j for j in ids if j != leader), key=lambda j: (counts[j], -j))
-    return TopTwo(leader=leader, runner_up=runner_up, gap=counts[leader] - counts[runner_up])
-
-
 def plurality(votes: np.ndarray, lengths: np.ndarray, m: int) -> np.ndarray:
     """Leader of each row's first ``lengths[i]`` votes over ``m`` answers.
 
-    Array form of ``top_two(tally).leader`` for a ``[B, L]`` vote matrix:
-    ties break toward the lowest answer id.
+    The most-voted answer of each row of a ``[B, L]`` vote matrix; ties
+    break toward the lowest answer id.
     """
     live = np.arange(votes.shape[1]) < np.asarray(lengths)[:, None]
     counts = ((votes[:, :, None] == np.arange(m)) & live[:, :, None]).sum(axis=1)

@@ -9,7 +9,8 @@ fixed, including the random streams, so differences isolate the axis.
 
 All drivers are deterministic in (config, seed). They take each instance's
 votes as arrays and decide a block of instances per ``stop_batch`` call,
-which reproduces ``allocate`` row for row; rows come out in corpus order.
+the rule ``allocate`` applies to one live source; rows come out in corpus
+order.
 Synthetic votes are read from many instances' random streams at once
 (``synth._categorical_votes``, ``synth._policy_votes``), as the vote
 sources would draw them.

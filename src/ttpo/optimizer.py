@@ -10,8 +10,7 @@ differences.
 
 Each rule has one implementation, ``pg_step`` / ``sft_step``, which updates
 a ``[B, m]`` block of policy logits at once; the closed loop calls them once
-per block. ``pg_gradient``, ``pg_update`` and ``sft_update`` are their
-one-policy forms over :class:`SoftmaxAnswerPolicy`. Every sum in a step has
+per block, and one policy is a block with ``B = 1``. Every sum in a step has
 a fixed order, so a row's result is the same bits whatever block it sits in.
 """
 
@@ -55,9 +54,6 @@ class SoftmaxAnswerPolicy:
     def m(self) -> int:
         return self.logits.size
 
-    def with_logits(self, logits: np.ndarray) -> "SoftmaxAnswerPolicy":
-        return SoftmaxAnswerPolicy(logits=logits, temperature=self.temperature)
-
     def probabilities(self) -> np.ndarray:
         return _softmax(self.logits / self.temperature)
 
@@ -99,28 +95,8 @@ class UpdateConfig:
             )
 
 
-@dataclass(frozen=True)
-class RewardedSample:
-    """One retained rollout with its consensus reward and advantage."""
-
-    answer: int
-    reward: float
-    advantage: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.reward <= 1.0:
-            raise ValueError(f"reward must lie in [0, 1], got {self.reward}")
-
-
-def consensus_reward(answer: int, pseudo_label: int) -> float:
-    """Indicator reward: 1 when the rollout's answer matches the pseudo-label."""
-    if answer < 0 or pseudo_label < 0:
-        raise ValueError("answer ids are non-negative")
-    return 1.0 if answer == pseudo_label else 0.0
-
-
 def consensus_rewards(answers: np.ndarray, pseudo_labels: np.ndarray) -> np.ndarray:
-    """Array form of :func:`consensus_reward`: row b's answers against pseudo_labels[b]."""
+    """Indicator rewards: 1.0 where an answer in row b matches pseudo_labels[b]."""
     if (answers < 0).any() or (pseudo_labels < 0).any():
         raise ValueError("answer ids are non-negative")
     return (answers == pseudo_labels[:, None]).astype(float)
@@ -143,18 +119,6 @@ def advantages(
     if mode == "mean_baseline":
         return centered
     return centered / (r.std(axis=-1, keepdims=True) + std_epsilon)
-
-
-def build_rewarded_samples(
-    answers: Sequence[int], pseudo_label: int, config: UpdateConfig
-) -> list[RewardedSample]:
-    """Attach consensus rewards and advantages to a batch of rollout answers."""
-    rewards = [consensus_reward(a, pseudo_label) for a in answers]
-    adv = advantages(rewards, config.advantage_mode, config.std_epsilon)
-    return [
-        RewardedSample(answer=int(a), reward=rew, advantage=float(ad))
-        for a, rew, ad in zip(answers, rewards, adv)
-    ]
 
 
 def pg_gradients(
@@ -240,66 +204,3 @@ def sft_step(
     direction[np.arange(pseudo_labels.size), pseudo_labels] += 1.0
     return _ascend(logits, config.learning_rate * direction)
 
-
-def _one_policy_block(
-    policy: SoftmaxAnswerPolicy, samples: Sequence[RewardedSample], ref: SoftmaxAnswerPolicy
-) -> tuple[np.ndarray, ...]:
-    """:func:`pg_gradients`' block arguments for one policy and its samples."""
-    answers = np.array([[s.answer for s in samples]], dtype=np.int64)
-    adv = np.array([[s.advantage for s in samples]], dtype=float)
-    return (
-        policy.logits[None],
-        policy.probabilities()[None],
-        answers,
-        adv,
-        ref.log_probabilities()[None],
-    )
-
-
-def pg_gradient(
-    policy: SoftmaxAnswerPolicy,
-    samples: Sequence[RewardedSample],
-    ref: SoftmaxAnswerPolicy,
-    config: UpdateConfig,
-) -> np.ndarray:
-    """Exact ascent gradient of the regularized policy objective w.r.t. logits.
-
-    The one-policy form of :func:`pg_gradients`.
-    """
-    block = _one_policy_block(policy, samples, ref)
-    return pg_gradients(*block, config.beta_kl, policy.temperature)[0]
-
-
-def pg_update(
-    policy: SoftmaxAnswerPolicy,
-    samples: Sequence[RewardedSample],
-    ref: SoftmaxAnswerPolicy,
-    config: UpdateConfig,
-) -> SoftmaxAnswerPolicy:
-    """One ascent step along the exact policy gradient; input left untouched.
-
-    The one-policy form of :func:`pg_step`.
-    """
-    block = _one_policy_block(policy, samples, ref)
-    return policy.with_logits(pg_step(*block, config, policy.temperature)[0])
-
-
-def sft_update(
-    policy: SoftmaxAnswerPolicy, pseudo_label: int, config: UpdateConfig
-) -> SoftmaxAnswerPolicy:
-    """One cross-entropy step toward the pseudo-label; the one-policy form of
-    :func:`sft_step`."""
-    logits = sft_step(
-        policy.logits[None], policy.probabilities()[None], np.array([pseudo_label]), config
-    )
-    return policy.with_logits(logits[0])
-
-
-def kl_divergence(policy: SoftmaxAnswerPolicy, ref: SoftmaxAnswerPolicy) -> float:
-    """KL(policy || ref) over the answer distribution; non-negative."""
-    if ref.m != policy.m:
-        raise ValueError(f"reference covers {ref.m} answers, policy {policy.m}")
-    pi = policy.probabilities()
-    value = float(np.dot(pi, policy.log_probabilities() - ref.log_probabilities()))
-    # Gibbs inequality holds exactly; rounding can leave a ~1e-17 residue.
-    return max(value, 0.0)

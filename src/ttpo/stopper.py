@@ -17,11 +17,12 @@ estimated from the warm-up tally at ``t = n_min`` as the degraded majority
 fraction, then frozen: re-estimating mid-test would couple the test statistic
 to its own threshold and void the error guarantee.
 
-Two drivers apply the same rule. :class:`SprtStopper` steps one vote at a
-time and serves live sources. :func:`stop_batch` decides a whole block of
-recorded vote streams at once from cumulative counts; because the frozen
-threshold depends only on ``m`` and the warm-up maximum count, one
-:class:`ThresholdTable` per run covers every instance.
+:func:`stop_batch` is the one implementation of the rule. It decides a
+whole block of vote streams at once from cumulative counts; because the
+frozen threshold depends only on ``m`` and the warm-up maximum count, one
+:class:`ThresholdTable` per run covers every instance. The online driver,
+:func:`~ttpo.allocator.allocate`, calls it on the prefix a live source has
+produced so far.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from enum import Enum
 
 import numpy as np
 
-from .consensus import AnswerModel, VoteTally, tally_ingest, top_two
 from .errors import AllocationError, ConfigurationError
 
 
@@ -60,25 +60,6 @@ class StopKind(Enum):
     CONTINUE = "continue"
     STOP_LEADER = "stop_leader"
     BUDGET_EXHAUSTED = "budget_exhausted"
-
-
-_TERMINAL_KINDS = frozenset({StopKind.STOP_LEADER, StopKind.BUDGET_EXHAUSTED})
-
-
-@dataclass(frozen=True)
-class StopDecision:
-    kind: StopKind
-    chosen: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is StopKind.CONTINUE and self.chosen is not None:
-            raise ValueError("a continue decision carries no chosen answer")
-        if self.kind in _TERMINAL_KINDS and self.chosen is None:
-            raise ValueError(f"{self.kind.value} requires a chosen answer")
-
-    @property
-    def terminal(self) -> bool:
-        return self.kind in _TERMINAL_KINDS
 
 
 @dataclass(frozen=True)
@@ -172,135 +153,13 @@ def clamp_p0(p0: float, m: int, epsilon: float) -> float:
 
 
 def _majority_p0(config: StopperConfig, max_count: int, t: int, m: int) -> float:
-    """Degraded majority fraction of a t-vote tally, clamped above chance."""
-    return clamp_p0(config.degradation * max_count / t, m, config.p0_floor_epsilon)
-
-
-def estimate_p0(tally_at_n_min: VoteTally, config: StopperConfig, m: int) -> float:
-    """Degraded majority fraction of the warm-up tally, clamped above chance.
+    """Degraded majority fraction of a t-vote tally, clamped above chance.
 
     Deliberately pessimistic: the majority fraction overstates per-vote
     accuracy when the leader is wrong, and shrinking it widens the gap
     thresholds rather than narrowing them.
     """
-    if tally_at_n_min.m != m:
-        raise ValueError(
-            f"tally covers {tally_at_n_min.m} answers, expected {m}"
-        )
-    if tally_at_n_min.total != config.n_min:
-        raise ValueError(
-            f"p0 is estimated at exactly n_min={config.n_min} votes, "
-            f"got {tally_at_n_min.total}"
-        )
-    return _majority_p0(config, max(tally_at_n_min.counts), config.n_min, m)
-
-
-class SprtStopper:
-    """One sequential test over a single instance's vote stream.
-
-    Strictly sequential and single-owner: feed votes through :meth:`step`
-    until it returns a terminal decision, then read the pseudo-label off
-    :meth:`finalize`. Separate instances are independent.
-    """
-
-    def __init__(self, config: StopperConfig, m: int):
-        if m < 2:
-            raise ConfigurationError(f"need at least two candidate answers, got m={m}")
-        self.config = config
-        self.m = m
-        self._tally = VoteTally.empty(m)
-        self._t = 0
-        self._streak = 0
-        self._decision: StopDecision | None = None
-        self._model: AnswerModel | None = None
-        self._gap_upper: int | None = None
-        if config.p0_fixed is not None:
-            self._freeze(clamp_p0(config.p0_fixed, m, config.p0_floor_epsilon))
-
-    def _freeze(self, p0: float) -> None:
-        self._model = AnswerModel(p0=p0, m=self.m)
-        self._gap_upper = compute_thresholds(self.config, p0, self.m)
-
-    @property
-    def t(self) -> int:
-        """Number of votes ingested so far."""
-        return self._t
-
-    @property
-    def tally(self) -> VoteTally:
-        return self._tally
-
-    @property
-    def decision(self) -> StopDecision | None:
-        """Terminal decision, or None while the test is still running."""
-        return self._decision
-
-    @property
-    def model(self) -> AnswerModel | None:
-        """The frozen noise model; None until p0 is fixed or estimated."""
-        return self._model
-
-    @property
-    def gap_upper(self) -> int | None:
-        """The frozen integer gap threshold; None until p0 is fixed or estimated."""
-        return self._gap_upper
-
-    @property
-    def is_terminal(self) -> bool:
-        return self._decision is not None
-
-    def step(self, vote: int) -> StopDecision:
-        """Ingest one vote and return the stop/continue decision."""
-        if self._decision is not None:
-            raise RuntimeError("stopper already reached a terminal decision")
-        if not 0 <= vote < self.m:
-            raise ValueError(f"vote {vote} out of range for m={self.m}")
-        self._tally = tally_ingest(self._tally, vote)
-        self._t += 1
-        if self._t < self.config.n_min:
-            return StopDecision(StopKind.CONTINUE)
-        if self._model is None:
-            self._freeze(estimate_p0(self._tally, self.config, self.m))
-        assert self._gap_upper is not None
-        pair = top_two(self._tally)
-        if pair.gap >= self._gap_upper:
-            self._streak += 1
-        else:
-            self._streak = 0
-        if self._streak >= self.config.streak_k:
-            decision = StopDecision(StopKind.STOP_LEADER, chosen=pair.leader)
-        elif self._t >= self.config.m_max:
-            decision = StopDecision(StopKind.BUDGET_EXHAUSTED, chosen=pair.leader)
-        else:
-            decision = StopDecision(StopKind.CONTINUE)
-        if decision.terminal:
-            self._decision = decision
-        return decision
-
-    def force_stop(self) -> StopDecision:
-        """Terminate early on current evidence (vote source ran dry).
-
-        Returns the existing decision when already terminal. Otherwise picks
-        the current leader as a budget-exhausted decision; if p0 was never
-        frozen the estimate is taken from the partial tally at its actual
-        size instead of at n_min.
-        """
-        if self._decision is not None:
-            return self._decision
-        if self._t < 1:
-            raise RuntimeError("cannot finalize a test that saw no votes")
-        if self._model is None:
-            self._freeze(_majority_p0(self.config, max(self._tally.counts), self._t, self.m))
-        pair = top_two(self._tally)
-        self._decision = StopDecision(StopKind.BUDGET_EXHAUSTED, chosen=pair.leader)
-        return self._decision
-
-    def finalize(self) -> int:
-        """The chosen pseudo-label; only valid after a terminal decision."""
-        if self._decision is None:
-            raise RuntimeError("no terminal decision yet")
-        assert self._decision.chosen is not None
-        return self._decision.chosen
+    return clamp_p0(config.degradation * max_count / t, m, config.p0_floor_epsilon)
 
 
 class ThresholdTable:
@@ -333,13 +192,21 @@ class ThresholdTable:
 
 @dataclass(frozen=True, eq=False)
 class BatchStops:
-    """Per-row outcome of :func:`stop_batch`, aligned with its input rows."""
+    """Per-row outcome of :func:`stop_batch`, aligned with its input rows.
+
+    ``gap_upper`` is the frozen threshold, 0 for a row that ran dry before
+    an adaptive ``p0`` was frozen; ``gap`` and ``streak`` are the top-two
+    gap and the run of consecutive threshold crossings after ``tau`` votes.
+    """
 
     tau: np.ndarray
     label: np.ndarray
     kind: tuple[StopKind, ...]
     truncated: np.ndarray
     p0_used: np.ndarray
+    gap_upper: np.ndarray
+    gap: np.ndarray
+    streak: np.ndarray
 
 
 def stop_batch(
@@ -349,10 +216,10 @@ def stop_batch(
 
     Row ``i`` holds one instance's votes in draw order; only its first
     ``lengths[i]`` entries are read, and ``m[i]`` is its answer-space size.
-    A row shorter than ``table.config.m_max`` is a source that ran dry. Row
-    ``i`` of the result equals what :func:`~ttpo.allocator.allocate` returns
-    for a source emitting those votes: stopping time, pseudo-label, decision
-    kind, truncation, and the frozen ``p0``.
+    A row shorter than ``table.config.m_max`` is a source that ran dry.
+    Row ``i``'s decision reads only its first ``tau[i]`` votes, so a prefix
+    decides as the whole stream would: :func:`~ttpo.allocator.allocate`
+    relies on this to draw a live source no further than the test reads.
     """
     config = table.config
     votes = np.asarray(votes)
@@ -363,7 +230,9 @@ def stop_batch(
         raise ValueError("lengths and m need one entry per vote row")
     if rows == 0:
         empty = np.empty(0, dtype=np.int64)
-        return BatchStops(empty, empty, (), np.empty(0, dtype=bool), np.empty(0))
+        return BatchStops(
+            empty, empty, (), np.empty(0, dtype=bool), np.empty(0), empty, empty, empty
+        )
     if np.any(m < 2):
         raise ConfigurationError(f"need at least two candidate answers, got m={m.min()}")
     if np.any(lengths < 1):
@@ -406,7 +275,8 @@ def stop_batch(
     confirmed = steps - last_miss >= config.streak_k
     stopped = confirmed.any(axis=1)
     tau = np.where(stopped, confirmed.argmax(axis=1) + 1, seen)
-    label = counts[np.arange(rows), tau - 1].argmax(axis=1)
+    every, last = np.arange(rows), tau - 1
+    label = counts[every, last].argmax(axis=1)
     kind = tuple(
         StopKind.STOP_LEADER if s else StopKind.BUDGET_EXHAUSTED for s in stopped.tolist()
     )
@@ -416,4 +286,7 @@ def stop_batch(
         kind=kind,
         truncated=~stopped & (seen < config.m_max),
         p0_used=p0_used,
+        gap_upper=threshold,
+        gap=gap[every, last],
+        streak=last - last_miss[every, last],
     )

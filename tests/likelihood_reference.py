@@ -7,7 +7,8 @@ so tests can check the closed form against an independent derivation.
 
 import math
 
-from ttpo.consensus import AnswerModel, VoteTally, top_two
+from stopper_reference import top_two
+from ttpo.consensus import AnswerModel, VoteTally
 
 
 def log_likelihood(tally: VoteTally, hypothesis: int, model: AnswerModel) -> float:

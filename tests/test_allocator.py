@@ -1,20 +1,25 @@
-"""Tests for the sequential sample-test loop and its batch driver."""
+"""Tests for the online sample-test loop against the per-vote oracle."""
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttpo.allocator import (
-    AllocationResult,
-    allocate,
-    batch_allocate,
-    retain_for_update,
-)
+import stopper_reference as reference
+from test_kernel import CASES, random_block
+from ttpo.allocator import allocate, retain_for_update
 from ttpo.errors import AllocationError, ConfigurationError
 from ttpo.seeding import stream_seed
-from ttpo.stopper import StopKind, StopperConfig, ThresholdTable, stop_batch
-from ttpo.synth import CategoricalVoteSource, P0Spec, SyntheticInstance, gen_instances
+from ttpo.stopper import ErrorBudget, StopKind, StopperConfig, ThresholdTable, stop_batch
+from ttpo.synth import (
+    CategoricalVoteSource,
+    P0Spec,
+    SyntheticInstance,
+    TraceVoteSource,
+    gen_instances,
+)
 
 
 class ScriptedSource:
@@ -38,6 +43,44 @@ class ScriptedSource:
         return answer, self._cost
 
 
+class RecordedSource:
+    """Finite source over recorded answers and costs; None once it runs dry."""
+
+    def __init__(self, m, answers, costs):
+        self._m = m
+        self._votes = [(int(a), int(c)) for a, c in zip(answers, costs)]
+        self._pos = 0
+
+    @property
+    def m(self):
+        return self._m
+
+    def draw(self):
+        if self._pos >= len(self._votes):
+            return None
+        self._pos += 1
+        return self._votes[self._pos - 1]
+
+
+class RationedSource:
+    """Counts the draws made on a source and fails any draw past ``allowance``."""
+
+    def __init__(self, source, allowance=None):
+        self._source = source
+        self._allowance = allowance
+        self.draws = 0
+
+    @property
+    def m(self):
+        return self._source.m
+
+    def draw(self):
+        self.draws += 1
+        if self._allowance is not None and self.draws > self._allowance:
+            raise AssertionError(f"draw {self.draws} is past the oracle's {self._allowance}")
+        return self._source.draw()
+
+
 class CyclicSource:
     """Unbounded source cycling through a fixed answer pattern."""
 
@@ -55,37 +98,6 @@ class CyclicSource:
         answer = self._pattern[self._pos % len(self._pattern)]
         self._pos += 1
         return answer, self._cost
-
-
-class FailingSource:
-    def __init__(self, m, fail_after):
-        self._m = m
-        self._left = fail_after
-
-    @property
-    def m(self):
-        return self._m
-
-    def draw(self):
-        if self._left == 0:
-            raise RuntimeError("simulated source failure")
-        self._left -= 1
-        return 0, 1
-
-
-def results_equal(a: AllocationResult, b: AllocationResult) -> bool:
-    return (
-        a.pseudo_label == b.pseudo_label
-        and a.tau == b.tau
-        and a.decision_kind == b.decision_kind
-        and a.votes == b.votes
-        and a.retained == b.retained
-        and a.total_cost == b.total_cost
-        and a.final_tally == b.final_tally
-        and np.array_equal(a.posterior_at_stop, b.posterior_at_stop)
-        and a.p0_used == b.p0_used
-        and a.truncated == b.truncated
-    )
 
 
 FAST_STOP = StopperConfig(n_min=1, m_max=64, streak_k=1, p0_fixed=0.9)
@@ -146,6 +158,20 @@ class TestAllocate:
         with pytest.raises(AllocationError):
             allocate(ScriptedSource(2, [0], cost=-1), FAST_STOP)
 
+    @pytest.mark.parametrize(
+        "answer, cost, error, message",
+        [
+            (2, 1, ValueError, "vote 2 out of range for m=2"),
+            (-1, 1, ValueError, "vote -1 out of range for m=2"),
+            (0, -1, AllocationError, "negative cost -1"),
+        ],
+    )
+    def test_bad_vote_rejected_before_the_next_draw(self, answer, cost, error, message):
+        # The second of 36 votes in the first chunk is bad; a third draw fails.
+        source = RecordedSource(2, [0, answer] + [0] * 40, [1, cost] + [1] * 40)
+        with pytest.raises(error, match=message):
+            allocate(RationedSource(source, allowance=2), StopperConfig())
+
     def test_costs_accumulate_recorded_tokens(self):
         config = StopperConfig(n_min=1, m_max=8, streak_k=1, p0_fixed=0.9)
         result = allocate(ScriptedSource(2, [0, 0], cost=117), config)
@@ -204,50 +230,186 @@ class TestRetainForUpdate:
             retain_for_update(result, 3)
 
 
-class TestBatchAllocate:
-    def test_empty(self):
-        assert batch_allocate([], FAST_STOP) == []
+def result_fields(result):
+    return (
+        result.pseudo_label,
+        result.tau,
+        result.decision_kind,
+        result.votes,
+        result.retained,
+        result.total_cost,
+        result.final_tally,
+        result.posterior_at_stop.tobytes(),
+        result.p0_used,
+        result.truncated,
+    )
 
-    def test_identical_sources_identical_results(self):
-        results = batch_allocate(
-            [CyclicSource(2, [0]), CyclicSource(2, [0])], FAST_STOP
+
+def assert_matches_oracle(make_source, config):
+    """allocate equals the per-vote oracle on every field and in its draws."""
+    counted = RationedSource(make_source())
+    expected = reference.allocate(counted, config)
+    rationed = RationedSource(make_source(), allowance=counted.draws)
+    assert result_fields(allocate(rationed, config)) == result_fields(expected)
+    assert rationed.draws == counted.draws
+    return expected
+
+
+class TestMatchesOracle:
+    """Over 10,000 streams: the same result as stepping the rule vote by vote,
+    from exactly the draws the oracle makes."""
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_random_streams(self, name):
+        config = CASES[name]
+        rng = np.random.default_rng(sorted(CASES).index(name) + 7300)
+        rows, width = 1300, config.m_max + 20
+        votes, lengths, m = random_block(rng, rows, width, [2, 3, 4, 7])
+        costs = rng.integers(0, 50, (rows, width))
+        # Besides random_block's ragged lengths: sources that run dry before
+        # the warm-up ends, and sources exactly as long as the budget.
+        lengths[1::4] = rng.integers(1, config.n_min + 1, lengths[1::4].size)
+        lengths[2::4] = config.m_max
+        inside_streak = 0
+        outcomes = set()
+        for i in range(rows):
+            row = functools.partial(RecordedSource, int(m[i]), votes[i], costs[i])
+            if i % 4 == 3 and config.streak_k > 1:
+                # One vote short of where the full stream stops: the source
+                # runs dry inside the confirming streak.
+                full = reference.allocate(row(), config)
+                if full.decision_kind is StopKind.STOP_LEADER:
+                    lengths[i] = full.tau - 1
+                    inside_streak += 1
+            n = int(lengths[i])
+            row = functools.partial(RecordedSource, int(m[i]), votes[i, :n], costs[i, :n])
+            result = assert_matches_oracle(row, config)
+            outcomes.add(
+                (result.decision_kind, result.truncated, result.tau < config.n_min)
+            )
+        assert (StopKind.STOP_LEADER, False, False) in outcomes
+        assert (StopKind.BUDGET_EXHAUSTED, False, False) in outcomes
+        assert (StopKind.BUDGET_EXHAUSTED, True, config.n_min > 1) in outcomes
+        assert inside_streak > 0 or config.streak_k == 1
+
+    def test_wald_regime(self):
+        # Criterion 3's regime, where every vote after the first is a check:
+        # live sources under a budget no run reaches, then short recorded
+        # streams that run dry.
+        config = StopperConfig(
+            budget=ErrorBudget(alpha=0.05, beta=0.05),
+            n_min=1,
+            m_max=10_000,
+            streak_k=1,
+            p0_fixed=0.7,
         )
-        assert results_equal(results[0], results[1])
+        for inst in gen_instances(1000, 4, P0Spec.uniform(0.4, 0.95), seed=4022):
+            seed = stream_seed(4022, "adaptive", 0, inst.instance_id)
+            assert_matches_oracle(functools.partial(CategoricalVoteSource, inst, seed), config)
+        rng = np.random.default_rng(4023)
+        votes, lengths, m = random_block(rng, 500, 30, [2, 3, 4, 7])
+        truncated = 0
+        for i in range(len(votes)):
+            n = int(lengths[i])
+            row = functools.partial(RecordedSource, int(m[i]), votes[i, :n], np.ones(n))
+            truncated += assert_matches_oracle(row, config).truncated
+        assert truncated > 0
 
-    def test_error_isolated_to_slot(self):
-        sources = [CyclicSource(2, [0]), FailingSource(2, fail_after=1), CyclicSource(2, [0])]
-        results = batch_allocate(sources, FAST_STOP)
-        assert isinstance(results[0], AllocationResult)
-        assert isinstance(results[1], RuntimeError)
-        assert isinstance(results[2], AllocationResult)
 
-    def test_batched_parallel_and_serial_agree(self):
-        instances = gen_instances(
-            1000, m=4, p0_spec=P0Spec.uniform(0.4, 0.9), seed=77
+class TestSuffixInvariance:
+    """Votes after a decided tau (a confirmed stop, or tau == m_max) change
+    nothing: the decision at vote t reads votes 1..t only."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_list_source(self, data):
+        m = data.draw(st.integers(min_value=2, max_value=5))
+        n_min = data.draw(st.integers(min_value=1, max_value=10))
+        m_max = data.draw(st.integers(min_value=n_min, max_value=30))
+        config = StopperConfig(
+            n_min=n_min,
+            m_max=m_max,
+            streak_k=data.draw(st.integers(min_value=1, max_value=4)),
+            p0_fixed=data.draw(st.sampled_from([None, 0.8])),
         )
+        vote = st.integers(min_value=0, max_value=m - 1)
+        cost = st.integers(min_value=0, max_value=100)
+        # Leaning toward answer 0, so confirmed stops are common.
+        answers = data.draw(
+            st.lists(st.one_of(st.just(0), vote), min_size=m_max, max_size=m_max)
+        )
+        costs = data.draw(st.lists(cost, min_size=m_max, max_size=m_max))
+        first = allocate(RecordedSource(m, answers, costs), config)
+        assert not first.truncated
+        tau = first.tau
+        suffix = data.draw(st.lists(st.tuples(vote, cost), max_size=20))
+        again = allocate(
+            RecordedSource(
+                m,
+                answers[:tau] + [a for a, _ in suffix],
+                costs[:tau] + [c for _, c in suffix],
+            ),
+            config,
+        )
+        assert (again.tau, again.pseudo_label, again.decision_kind, again.total_cost) == (
+            tau,
+            first.pseudo_label,
+            first.decision_kind,
+            first.total_cost,
+        )
+        assert not again.truncated
+
+    def test_stop_batch_rows(self):
+        rng = np.random.default_rng(8800)
+        kinds = set()
+        for name, config in sorted(CASES.items()):
+            width = config.m_max + 20
+            votes, lengths, m = random_block(rng, 400, width, [2, 3, 4, 7])
+            stops = stop_batch(votes, lengths, m, ThresholdTable(config))
+            decided = np.flatnonzero(~stops.truncated)
+            tau = stops.tau[decided]
+            kinds.update(stops.kind[i] for i in decided)
+            # Fresh votes after tau, and any row length from tau to the width.
+            block = votes[decided]
+            fresh = (rng.random(block.shape) * m[decided, None]).astype(np.int64)
+            block = np.where(np.arange(width) >= tau[:, None], fresh, block)
+            again = stop_batch(
+                block, rng.integers(tau, width + 1), m[decided], ThresholdTable(config)
+            )
+            assert again.tau.tolist() == tau.tolist(), name
+            assert again.label.tolist() == stops.label[decided].tolist(), name
+            assert again.kind == tuple(stops.kind[i] for i in decided), name
+        assert kinds == {StopKind.STOP_LEADER, StopKind.BUDGET_EXHAUSTED}
+
+    # 20 of the 32 warm-up votes for "a", then "a"/"b" alternating up to 72
+    # rollouts: over m = 2 the warm-up p0 clamps to 0.501 and the budget
+    # runs out at 64.
+    TRACE = ["a"] * 20 + ["b"] * 12 + ["a", "b"] * 20
+
+    def test_trace_case_runs_to_the_budget(self):
+        result = allocate(TraceVoteSource("q", self.TRACE, [1] * 72), StopperConfig())
+        assert (result.tau, result.decision_kind, result.truncated) == (
+            64,
+            StopKind.BUDGET_EXHAUSTED,
+            False,
+        )
+        assert result.p0_used == 0.501
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4: a trace source's m counts the distinct answers of "
+        "its whole trace, so rollouts never read move p0 and the threshold",
+    )
+    def test_trace_source(self):
+        # Six new distinct answers after rollout 72 make m = 8, p0 0.375, and
+        # stop the test at 36.
         config = StopperConfig()
-
-        def build_sources():
-            return [
-                CategoricalVoteSource(
-                    inst, stream_seed(77, "arm", 0, inst.instance_id)
-                )
-                for inst in instances
-            ]
-
-        serial = [allocate(source, config) for source in build_sources()]
-        batched = batch_allocate(build_sources(), config)
-        for a, b in zip(serial, batched):
-            assert results_equal(a, b)
-        # The array kernel over the same streams decides every row alike.
-        votes = np.stack([source.take(config.m_max)[0] for source in build_sources()])
-        stops = stop_batch(
-            votes, np.full(len(votes), config.m_max), np.full(len(votes), 4),
-            ThresholdTable(config),
+        first = allocate(TraceVoteSource("q", self.TRACE, [1] * 72), config)
+        extended = self.TRACE + [f"new{j}" for j in range(6)]
+        again = allocate(TraceVoteSource("q", extended, [1] * 78), config)
+        assert (again.tau, again.pseudo_label, again.decision_kind, again.total_cost) == (
+            first.tau,
+            first.pseudo_label,
+            first.decision_kind,
+            first.total_cost,
         )
-        for i, a in enumerate(serial):
-            assert stops.tau[i] == a.tau
-            assert stops.label[i] == a.pseudo_label
-            assert stops.kind[i] is a.decision_kind
-            assert stops.truncated[i] == a.truncated
-            assert stops.p0_used[i] == a.p0_used

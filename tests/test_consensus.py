@@ -1,4 +1,8 @@
-"""Tests for vote accounting, the answer-noise model, and Bayes factors."""
+"""Tests for vote accounting, the answer-noise model, and Bayes factors.
+
+Tally stepping and leader extraction live in the per-vote oracle,
+``stopper_reference``, which the other tests lean on; they are tested here.
+"""
 
 import math
 from collections import Counter
@@ -9,14 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from likelihood_reference import log_bayes_factor_full, log_likelihood
-from ttpo.consensus import (
-    AnswerModel,
-    VoteTally,
-    log_bayes_factor_closed_form,
-    posterior,
-    tally_ingest,
-    top_two,
-)
+from stopper_reference import tally_ingest, top_two
+from ttpo.consensus import AnswerModel, VoteTally, log_bayes_factor_closed_form, posterior
 
 
 def tallies(max_m: int = 6, max_count: int = 50):

@@ -1,11 +1,11 @@
-"""The array stopping kernel against the per-vote reference, ``allocate``."""
+"""The array stopping kernel against the per-vote oracle's ``allocate``."""
 
 import numpy as np
 import pytest
 
 from scalar_reference import reference_compare, reference_ttpo
+from stopper_reference import allocate
 from ttpo import experiment
-from ttpo.allocator import allocate
 from ttpo.config import resolve_config
 from ttpo.errors import AllocationError, ConfigurationError
 from ttpo.experiment import run_compare, run_ttpo

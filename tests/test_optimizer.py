@@ -8,23 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optimizer_reference as oracle
+from optimizer_reference import RewardedSample, kl_divergence
 from ttpo.consensus import _log_softmax, _softmax
 from ttpo.errors import ConfigurationError
 from ttpo.optimizer import (
-    RewardedSample,
     SoftmaxAnswerPolicy,
     UpdateConfig,
     advantages,
-    build_rewarded_samples,
-    consensus_reward,
     consensus_rewards,
-    kl_divergence,
-    pg_gradient,
     pg_gradients,
     pg_step,
-    pg_update,
     sft_step,
-    sft_update,
 )
 
 
@@ -39,10 +33,11 @@ def reference_log_softmax(logits, temperature):
     return np.array([v - log_norm for v in z])
 
 
-def objective(logits, temperature, samples, ref, config):
-    """The scalar objective pg_gradient differentiates; used for FD checks."""
+def objective(logits, temperature, answers, adv, ref, config):
+    """The scalar objective pg_gradients differentiates; used for FD checks."""
     log_pi = reference_log_softmax(logits, temperature)
-    value = sum(s.advantage * log_pi[s.answer] for s in samples) / len(samples)
+    pairs = list(zip(answers[0].tolist(), adv[0].tolist()))
+    value = sum(a * log_pi[answer] for answer, a in pairs) / len(pairs)
     if config.beta_kl > 0.0:
         pi = np.exp(log_pi)
         log_ref = reference_log_softmax(ref.logits, ref.temperature)
@@ -50,7 +45,7 @@ def objective(logits, temperature, samples, ref, config):
     return value
 
 
-def fd_gradient(policy, samples, ref, config, step=1e-5):
+def fd_gradient(policy, answers, adv, ref, config, step=1e-5):
     """Central finite differences of the objective over each logit."""
     base = np.array(policy.logits, dtype=float)
     grad = np.zeros_like(base)
@@ -59,15 +54,57 @@ def fd_gradient(policy, samples, ref, config, step=1e-5):
         up[j] += step
         down[j] -= step
         grad[j] = (
-            objective(up, policy.temperature, samples, ref, config)
-            - objective(down, policy.temperature, samples, ref, config)
+            objective(up, policy.temperature, answers, adv, ref, config)
+            - objective(down, policy.temperature, answers, adv, ref, config)
         ) / (2 * step)
     return grad
 
 
-def indicator_batch(answers, pseudo_label, mode="mean_baseline"):
-    config = UpdateConfig(advantage_mode=mode)
-    return build_rewarded_samples(answers, pseudo_label, config)
+def one_row(answers, adv):
+    """One policy's samples as a B = 1 block: [1, n] answers and advantages."""
+    return np.array([answers], dtype=np.int64), np.array([adv], dtype=float)
+
+
+def indicator_batch(answers, pseudo_label, config):
+    """One row of answers with its consensus rewards' advantages."""
+    block = np.array([answers], dtype=np.int64)
+    rewards = consensus_rewards(block, np.array([pseudo_label]))
+    return block, advantages(rewards, config.advantage_mode, config.std_epsilon)
+
+
+def gradient(policy, answers, adv, ref, config):
+    """:func:`pg_gradients` for one policy, as a B = 1 block."""
+    return pg_gradients(
+        policy.logits[None],
+        policy.probabilities()[None],
+        answers,
+        adv,
+        ref.log_probabilities()[None],
+        config.beta_kl,
+        policy.temperature,
+    )[0]
+
+
+def pg_updated(policy, answers, adv, ref, config):
+    """The policy after one :func:`pg_step` on a B = 1 block."""
+    logits = pg_step(
+        policy.logits[None],
+        policy.probabilities()[None],
+        answers,
+        adv,
+        ref.log_probabilities()[None],
+        config,
+        policy.temperature,
+    )
+    return SoftmaxAnswerPolicy(logits[0], policy.temperature)
+
+
+def sft_updated(policy, pseudo_label, config):
+    """The policy after one :func:`sft_step` on a B = 1 block."""
+    logits = sft_step(
+        policy.logits[None], policy.probabilities()[None], np.array([pseudo_label]), config
+    )
+    return SoftmaxAnswerPolicy(logits[0], policy.temperature)
 
 
 class TestSoftmaxAnswerPolicy:
@@ -141,17 +178,17 @@ class TestUpdateConfig:
 
 class TestConsensusReward:
     def test_match(self):
-        assert consensus_reward(3, 3) == 1.0
+        assert consensus_rewards(np.array([[3]]), np.array([3])).tolist() == [[1.0]]
 
     def test_mismatch(self):
-        assert consensus_reward(2, 3) == 0.0
+        assert consensus_rewards(np.array([[2]]), np.array([3])).tolist() == [[0.0]]
 
     @given(
         st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40),
         st.integers(min_value=0, max_value=5),
     )
     def test_mean_reward_equals_vote_share(self, answers, pseudo_label):
-        rewards = [consensus_reward(a, pseudo_label) for a in answers]
+        rewards = consensus_rewards(np.array([answers]), np.array([pseudo_label]))
         share = answers.count(pseudo_label) / len(answers)
         assert np.mean(rewards) == pytest.approx(share, abs=1e-12)
 
@@ -192,37 +229,38 @@ class TestAdvantages:
 class TestPgGradient:
     def test_stationary_at_zero_advantage_and_matched_ref(self):
         policy = SoftmaxAnswerPolicy(logits=np.array([0.5, -0.2, 1.0]))
-        samples = [RewardedSample(answer=0, reward=1.0, advantage=0.0)]
-        got = pg_gradient(policy, samples, policy, UpdateConfig())
+        answers, adv = one_row([0], [0.0])
+        got = gradient(policy, answers, adv, policy, UpdateConfig())
         np.testing.assert_allclose(got, 0.0, atol=1e-15)
 
     def test_single_sample_uniform_policy(self):
         policy = SoftmaxAnswerPolicy.uniform(2)
-        samples = [RewardedSample(answer=0, reward=1.0, advantage=1.0)]
+        answers, adv = one_row([0], [1.0])
         config = UpdateConfig(beta_kl=0.0)
         np.testing.assert_allclose(
-            pg_gradient(policy, samples, policy, config), [0.5, -0.5], atol=1e-12
+            gradient(policy, answers, adv, policy, config), [0.5, -0.5], atol=1e-12
         )
 
     def test_temperature_scales_gradient(self):
         policy = SoftmaxAnswerPolicy(logits=np.zeros(2), temperature=2.0)
-        samples = [RewardedSample(answer=0, reward=1.0, advantage=1.0)]
+        answers, adv = one_row([0], [1.0])
         config = UpdateConfig(beta_kl=0.0)
         np.testing.assert_allclose(
-            pg_gradient(policy, samples, policy, config), [0.25, -0.25], atol=1e-12
+            gradient(policy, answers, adv, policy, config), [0.25, -0.25], atol=1e-12
         )
 
     def test_dimension_mismatch_rejected(self):
         policy = SoftmaxAnswerPolicy.uniform(3)
         ref = SoftmaxAnswerPolicy.uniform(4)
-        samples = [RewardedSample(answer=0, reward=1.0, advantage=1.0)]
+        answers, adv = one_row([0], [1.0])
         with pytest.raises(ValueError):
-            pg_gradient(policy, samples, ref, UpdateConfig())
+            gradient(policy, answers, adv, ref, UpdateConfig())
 
     def test_empty_batch_rejected(self):
         policy = SoftmaxAnswerPolicy.uniform(3)
+        answers, adv = one_row([], [])
         with pytest.raises(ValueError):
-            pg_gradient(policy, [], policy, UpdateConfig())
+            gradient(policy, answers, adv, policy, UpdateConfig())
 
     def test_matches_finite_differences_on_random_triples(self):
         # The load-bearing correctness check: 1000 random (policy, ref,
@@ -240,16 +278,13 @@ class TestPgGradient:
             beta_kl = float(rng.choice([0.0, 1e-3, 0.1]))
             config = UpdateConfig(beta_kl=beta_kl) if beta_kl > 0 else UpdateConfig(beta_kl=0.0)
             n = int(rng.integers(1, 9))
-            samples = [
-                RewardedSample(
-                    answer=int(rng.integers(m)),
-                    reward=float(rng.integers(2)),
-                    advantage=float(rng.uniform(-2, 2)),
-                )
+            draws = [
+                (int(rng.integers(m)), float(rng.integers(2)), float(rng.uniform(-2, 2)))
                 for _ in range(n)
             ]
-            analytic = pg_gradient(policy, samples, ref, config)
-            numeric = fd_gradient(policy, samples, ref, config)
+            answers, adv = one_row([a for a, _, _ in draws], [d for _, _, d in draws])
+            analytic = gradient(policy, answers, adv, ref, config)
+            numeric = fd_gradient(policy, answers, adv, ref, config)
             scale = max(1.0, float(np.linalg.norm(numeric)))
             assert np.linalg.norm(analytic - numeric) <= 1e-5 * scale
 
@@ -257,15 +292,16 @@ class TestPgGradient:
 class TestPgUpdate:
     def test_zero_gradient_leaves_policy_unchanged(self):
         policy = SoftmaxAnswerPolicy(logits=np.array([1.0, 2.0]))
-        samples = [RewardedSample(answer=0, reward=1.0, advantage=0.0)]
-        updated = pg_update(policy, samples, policy, UpdateConfig())
+        answers, adv = one_row([0], [0.0])
+        updated = pg_updated(policy, answers, adv, policy, UpdateConfig())
         np.testing.assert_array_equal(updated.logits, policy.logits)
 
     def test_input_policy_unmodified(self):
         policy = SoftmaxAnswerPolicy.uniform(3)
         before = policy.logits.copy()
-        samples = indicator_batch([0, 0, 1], pseudo_label=0)
-        pg_update(policy, samples, policy, UpdateConfig(beta_kl=0.0))
+        config = UpdateConfig(beta_kl=0.0)
+        answers, adv = indicator_batch([0, 0, 1], 0, config)
+        pg_updated(policy, answers, adv, policy, config)
         np.testing.assert_array_equal(policy.logits, before)
 
     @given(st.data())
@@ -286,8 +322,8 @@ class TestPgUpdate:
         mode = data.draw(st.sampled_from(["mean_baseline", "group_normalized"]))
         policy = SoftmaxAnswerPolicy(logits=np.array(logits))
         config = UpdateConfig(beta_kl=0.0, advantage_mode=mode)
-        samples = build_rewarded_samples(answers, pseudo_label, config)
-        updated = pg_update(policy, samples, policy, config)
+        answers, adv = indicator_batch(answers, pseudo_label, config)
+        updated = pg_updated(policy, answers, adv, policy, config)
         assert updated.prob(pseudo_label) > policy.prob(pseudo_label)
 
     @given(st.data())
@@ -306,8 +342,8 @@ class TestPgUpdate:
         mode = data.draw(st.sampled_from(["mean_baseline", "group_normalized"]))
         policy = SoftmaxAnswerPolicy(logits=np.array(logits))
         config = UpdateConfig(beta_kl=0.0, advantage_mode=mode)
-        samples = build_rewarded_samples(answers, pseudo_label, config)
-        direction = pg_gradient(policy, samples, policy, config)
+        answers, adv = indicator_batch(answers, pseudo_label, config)
+        direction = gradient(policy, answers, adv, policy, config)
         pi = policy.probabilities()
         grad_label_prob = pi[pseudo_label] * (
             (np.arange(m) == pseudo_label).astype(float) - pi
@@ -323,12 +359,12 @@ class TestPgUpdate:
             label = int(rng.integers(m))
             plain = UpdateConfig(beta_kl=0.0)
             heavy = UpdateConfig(beta_kl=1e3)
-            samples = build_rewarded_samples(answers, label, plain)
+            answers, adv = indicator_batch(answers, label, plain)
             step_plain = np.linalg.norm(
-                pg_update(policy, samples, policy, plain).logits - policy.logits
+                pg_updated(policy, answers, adv, policy, plain).logits - policy.logits
             )
             step_heavy = np.linalg.norm(
-                pg_update(policy, samples, policy, heavy).logits - policy.logits
+                pg_updated(policy, answers, adv, policy, heavy).logits - policy.logits
             )
             # At policy == ref the KL gradient vanishes, so heavy
             # regularization can only match, never exceed, the plain step.
@@ -339,27 +375,27 @@ class TestPgUpdate:
         ref = SoftmaxAnswerPolicy(logits=np.array([0.0, 1.0, 0.5]))
         config = UpdateConfig(learning_rate=1e-2, beta_kl=1.0)
         # All-equal rewards zero out the advantages, leaving only the KL pull.
-        samples = build_rewarded_samples([0, 0, 0], 0, config)
-        updated = pg_update(policy, samples, ref, config)
+        answers, adv = indicator_batch([0, 0, 0], 0, config)
+        updated = pg_updated(policy, answers, adv, ref, config)
         assert kl_divergence(updated, ref) < kl_divergence(policy, ref)
 
 
 class TestSftUpdate:
     def test_near_converged_step_is_tiny(self):
         policy = SoftmaxAnswerPolicy(logits=np.array([30.0, 0.0]))
-        updated = sft_update(policy, 0, UpdateConfig())
+        updated = sft_updated(policy, 0, UpdateConfig())
         assert np.linalg.norm(updated.logits - policy.logits) <= 1e-11
 
     def test_uniform_policy_unit_rate(self):
         policy = SoftmaxAnswerPolicy.uniform(4)
-        updated = sft_update(policy, 2, UpdateConfig(learning_rate=1.0))
+        updated = sft_updated(policy, 2, UpdateConfig(learning_rate=1.0))
         np.testing.assert_allclose(
             updated.logits - policy.logits, [-0.25, -0.25, 0.75, -0.25], atol=1e-12
         )
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValueError):
-            sft_update(SoftmaxAnswerPolicy.uniform(3), 3, UpdateConfig())
+            sft_updated(SoftmaxAnswerPolicy.uniform(3), 3, UpdateConfig())
 
     def test_hundred_steps_monotone(self):
         policy = SoftmaxAnswerPolicy.uniform(5)
@@ -367,7 +403,7 @@ class TestSftUpdate:
         losses = []
         for _ in range(100):
             losses.append(-math.log(policy.prob(3)))
-            policy = sft_update(policy, 3, config)
+            policy = sft_updated(policy, 3, config)
         losses.append(-math.log(policy.prob(3)))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -381,7 +417,7 @@ class TestSftUpdate:
         label = data.draw(st.integers(min_value=0, max_value=m - 1))
         lr = data.draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))
         policy = SoftmaxAnswerPolicy(logits=np.array(logits))
-        updated = sft_update(policy, label, UpdateConfig(learning_rate=lr))
+        updated = sft_updated(policy, label, UpdateConfig(learning_rate=lr))
         assert updated.prob(label) > policy.prob(label)
 
 
@@ -412,11 +448,10 @@ class TestKlDivergence:
 
 class TestBuildRewardedSamples:
     def test_rewards_and_advantages_attached(self):
-        config = UpdateConfig(beta_kl=0.0)
-        samples = build_rewarded_samples([1, 0, 1, 1], 1, config)
-        assert [s.reward for s in samples] == [1.0, 0.0, 1.0, 1.0]
+        rewards = consensus_rewards(np.array([[1, 0, 1, 1]]), np.array([1]))
+        assert rewards.tolist() == [[1.0, 0.0, 1.0, 1.0]]
         np.testing.assert_allclose(
-            [s.advantage for s in samples], [0.25, -0.75, 0.25, 0.25], atol=1e-12
+            advantages(rewards, "mean_baseline"), [[0.25, -0.75, 0.25, 0.25]], atol=1e-12
         )
 
     def test_reward_range_enforced(self):
@@ -495,7 +530,7 @@ class TestBatchedStep:
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_public_wrappers_match_oracle(self, data):
+    def test_one_row_block_matches_oracle(self, data):
         m = data.draw(st.integers(min_value=2, max_value=64))
         finite = st.floats(min_value=-30, max_value=30)
         logits = np.array(data.draw(st.lists(finite, min_size=m, max_size=m)))
@@ -519,14 +554,15 @@ class TestBatchedStep:
         )
         policy = SoftmaxAnswerPolicy(logits, temperature)
         ref = SoftmaxAnswerPolicy(ref_logits, temperature)
-        assert pg_gradient(policy, samples, ref, config).tobytes() == oracle.pg_gradient(
+        answers, adv = one_row([s.answer for s in samples], [s.advantage for s in samples])
+        assert gradient(policy, answers, adv, ref, config).tobytes() == oracle.pg_gradient(
             policy, samples, ref, config
         ).tobytes()
-        assert pg_update(policy, samples, ref, config).logits.tobytes() == oracle.pg_update(
-            policy, samples, ref, config
-        ).logits.tobytes()
+        assert pg_updated(
+            policy, answers, adv, ref, config
+        ).logits.tobytes() == oracle.pg_update(policy, samples, ref, config).logits.tobytes()
         label = data.draw(st.integers(0, m - 1))
-        assert sft_update(policy, label, config).logits.tobytes() == oracle.sft_update(
+        assert sft_updated(policy, label, config).logits.tobytes() == oracle.sft_update(
             policy, label, config
         ).logits.tobytes()
 

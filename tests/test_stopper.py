@@ -1,4 +1,9 @@
-"""Tests for the integer gap threshold, p0 calibration, and the stepping rule."""
+"""Tests for the integer gap threshold, p0 calibration, and the stepping rule.
+
+The per-vote stepping rule (``SprtStopper``) is the oracle in
+``stopper_reference`` that ``stop_batch`` and ``allocate`` are held to; its
+tests stay here.
+"""
 
 import mpmath
 import numpy as np
@@ -6,17 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stopper_reference import SprtStopper, StopDecision, estimate_p0, top_two
 from ttpo.consensus import AnswerModel, VoteTally
 from ttpo.errors import ConfigurationError
 from ttpo.stopper import (
     ErrorBudget,
-    SprtStopper,
-    StopDecision,
     StopKind,
     StopperConfig,
     clamp_p0,
     compute_thresholds,
-    estimate_p0,
 )
 
 
@@ -317,8 +320,6 @@ class TestSprtStopper:
             decision = stopper.step(vote)
             decisions.append(decision)
             if t >= n_min:
-                from ttpo.consensus import top_two
-
                 gaps.append(top_two(stopper.tally).gap)
             if decision.terminal:
                 break
