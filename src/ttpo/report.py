@@ -13,7 +13,10 @@ from __future__ import annotations
 import io
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
+from math import inf, isfinite
 from operator import attrgetter
 from pathlib import Path
 
@@ -173,6 +176,12 @@ _AGGREGATE_COLUMNS = tuple(f.name for f in fields(Aggregate))
 # renders the same as dataclasses.asdict without its per-value deep copy.
 _row_values = attrgetter(*_ROW_COLUMNS)
 _aggregate_values = attrgetter(*_AGGREGATE_COLUMNS)
+# Row columns in the key order json.dumps(sort_keys=True) writes them.
+_JSON_KEYS = tuple(sorted(_ROW_COLUMNS))
+_JSON_ORDER = tuple(map(_ROW_COLUMNS.index, _JSON_KEYS))
+_CONSTANT_TYPES = {type(None), bool}
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_CSV_CONSTANTS = {None: "", True: "true", False: "false"}
 
 
 def _cell(value) -> str:
@@ -185,27 +194,125 @@ def _cell(value) -> str:
     return str(value)
 
 
-def report_document(report: ExperimentReport) -> dict:
-    """The report as a plain JSON-ready dict."""
-    return {
-        "aggregate": dict(zip(_AGGREGATE_COLUMNS, _aggregate_values(report.aggregate))),
-        "config": report.config,
-        "rows": [dict(zip(_ROW_COLUMNS, _row_values(row))) for row in report.rows],
-        "seed": report.seed,
-        "version": report.version,
-    }
+def _json_scalar(value) -> str:
+    """One value as json.dumps writes it, tested in json.dumps's own order."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == inf:
+            return "Infinity"
+        if value == -inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _format_columns(columns, strings, constants: dict, per_value) -> list[Iterator[str]]:
+    """Each column's formatted values, by one C-level callable where its types allow.
+
+    A column of exactly one type (or of None and bools only) maps through
+    ``strings``, ``int.__repr__``, ``float.__repr__`` or a ``constants``
+    lookup; any other column, such as an ``int | str`` label, goes value by
+    value through ``per_value``.
+    """
+    formatted = []
+    for column in columns:
+        types = set(map(type, column))
+        if types == {str}:
+            format_value = strings
+        elif types == {int}:
+            format_value = int.__repr__
+        elif types == {float} and all(map(isfinite, column)):
+            format_value = float.__repr__
+        elif types <= _CONSTANT_TYPES:
+            format_value = constants.__getitem__
+        else:
+            format_value = per_value
+        formatted.append(map(format_value, column))
+    return formatted
+
+
+def _json_part(value, indent: str) -> str:
+    """A row-free value as json.dumps writes it, nested with its key at ``indent``.
+
+    json.dumps escapes every newline inside a string, so each raw newline
+    starts a line of the layout and takes the extra indent.
+    """
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+def _json_rows(rows: tuple[InstanceRow, ...], indent: str) -> list[str]:
+    """The rows list as json.dumps(indent=2) writes it, with its key at ``indent``.
+
+    Returned as pieces, so that the whole document is joined once. Each
+    intermediate report-sized string would cost a copy, and freeing it can
+    trim the heap.
+    """
+    if not rows:
+        return ["[]"]
+    pad = indent + "  "
+    template = (
+        ",\n" + pad + "{\n"
+        + ",\n".join(f'{pad}  "{name}": %s' for name in _JSON_KEYS)
+        + "\n" + pad + "}"
+    )
+    columns = tuple(zip(*map(_row_values, rows)))
+    formatted = _format_columns(
+        [columns[i] for i in _JSON_ORDER], encode_basestring_ascii, _JSON_CONSTANTS, _json_scalar
+    )
+    pieces = list(map(template.__mod__, zip(*formatted)))
+    # The first row's leading comma becomes the list's opening bracket.
+    pieces[0] = "[" + pieces[0][1:]
+    pieces.append("\n" + indent + "]")
+    return pieces
+
+
+def _report_json(report: ExperimentReport, indent: str) -> list[str]:
+    """The report document as json.dumps(sort_keys=True, indent=2) writes it.
+
+    The document's braces sit at ``indent``. Its keys are already in sorted
+    order.
+    """
+    inner = indent + "  "
+    aggregate = dict(zip(_AGGREGATE_COLUMNS, _aggregate_values(report.aggregate)))
+    return [
+        f'{{\n{inner}"aggregate": {_json_part(aggregate, inner)},\n'
+        f'{inner}"config": {_json_part(report.config, inner)},\n'
+        f'{inner}"rows": ',
+        *_json_rows(report.rows, inner),
+        f',\n{inner}"seed": {_json_part(report.seed, inner)},\n'
+        f'{inner}"version": {_json_part(report.version, inner)}\n'
+        f"{indent}}}",
+    ]
 
 
 def render_report(report: ExperimentReport, fmt: str) -> str:
-    """Deterministic serialization; equal reports render to equal bytes."""
+    """Deterministic serialization; equal reports render to equal bytes.
+
+    The JSON form is exactly ``json.dumps(document, sort_keys=True,
+    indent=2)`` plus a newline, built a column at a time.
+    """
     if fmt == "json":
-        return json.dumps(report_document(report), sort_keys=True, indent=2) + "\n"
+        return "".join(_report_json(report, "") + ["\n"])
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
     out = io.StringIO()
     out.write(",".join(_ROW_COLUMNS) + "\n")
-    for row in report.rows:
-        out.write(",".join(map(_cell, _row_values(row))) + "\n")
+    if report.rows:
+        columns = zip(*map(_row_values, report.rows))
+        formatted = _format_columns(columns, str, _CSV_CONSTANTS, _cell)
+        out.write("\n".join(map(",".join, zip(*formatted))))
+        out.write("\n")
     for name, value in zip(_AGGREGATE_COLUMNS, _aggregate_values(report.aggregate)):
         out.write(f"# {name} = {_cell(value)}\n")
     for key in sorted(report.config):
@@ -224,13 +331,19 @@ def render_ablation(
 ) -> str:
     """One document covering a whole sweep: per-value reports or aggregates."""
     if fmt == "json":
-        doc = {
-            "axis": axis,
-            "config": parent_config,
-            "reports": [report_document(r) for r in reports],
-            "values": list(values),
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        documents = "[]"
+        if reports:
+            documents = (
+                "[\n"
+                + ",\n".join("    " + "".join(_report_json(report, "    ")) for report in reports)
+                + "\n  ]"
+            )
+        return (
+            f'{{\n  "axis": {_json_part(axis, "  ")},\n'
+            f'  "config": {_json_part(parent_config, "  ")},\n'
+            f'  "reports": {documents},\n'
+            f'  "values": {_json_part(list(values), "  ")}\n}}\n'
+        )
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
     out = io.StringIO()

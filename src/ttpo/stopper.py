@@ -57,7 +57,6 @@ class ErrorBudget:
 
 
 class StopKind(Enum):
-    CONTINUE = "continue"
     STOP_LEADER = "stop_leader"
     BUDGET_EXHAUSTED = "budget_exhausted"
 

@@ -11,6 +11,7 @@ number of draws.
 """
 
 from dataclasses import dataclass
+from enum import Enum
 
 from ttpo.allocator import AllocationResult, VoteSource
 from ttpo.consensus import AnswerId, AnswerModel, VoteTally, posterior
@@ -49,16 +50,23 @@ def top_two(tally: VoteTally) -> TopTwo:
     return TopTwo(leader=leader, runner_up=runner_up, gap=counts[leader] - counts[runner_up])
 
 
+class Continue(Enum):
+    """The non-terminal step result; the library only returns terminal kinds."""
+
+    CONTINUE = "continue"
+
+
+CONTINUE = Continue.CONTINUE
 _TERMINAL_KINDS = frozenset({StopKind.STOP_LEADER, StopKind.BUDGET_EXHAUSTED})
 
 
 @dataclass(frozen=True)
 class StopDecision:
-    kind: StopKind
+    kind: StopKind | Continue
     chosen: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is StopKind.CONTINUE and self.chosen is not None:
+        if self.kind is CONTINUE and self.chosen is not None:
             raise ValueError("a continue decision carries no chosen answer")
         if self.kind in _TERMINAL_KINDS and self.chosen is None:
             raise ValueError(f"{self.kind.value} requires a chosen answer")
@@ -155,7 +163,7 @@ class SprtStopper:
         self._tally = tally_ingest(self._tally, vote)
         self._t += 1
         if self._t < self.config.n_min:
-            return StopDecision(StopKind.CONTINUE)
+            return StopDecision(CONTINUE)
         if self._model is None:
             self._freeze(estimate_p0(self._tally, self.config, self.m))
         assert self._gap_upper is not None
@@ -169,7 +177,7 @@ class SprtStopper:
         elif self._t >= self.config.m_max:
             decision = StopDecision(StopKind.BUDGET_EXHAUSTED, chosen=pair.leader)
         else:
-            decision = StopDecision(StopKind.CONTINUE)
+            decision = StopDecision(CONTINUE)
         if decision.terminal:
             self._decision = decision
         return decision

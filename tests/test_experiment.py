@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ttpo.config import resolve_config
+from ttpo.config import config_echo, resolve_config
 from ttpo.errors import ConfigurationError, CorpusError
 from ttpo.experiment import (
     initial_policy,
@@ -15,7 +15,7 @@ from ttpo.experiment import (
     run_ttpo,
 )
 from scalar_reference import reference_compare, reference_ttpo
-from ttpo.report import render_report
+from ttpo.report import render_ablation, render_report
 from ttpo.synth import (
     MAX_COST,
     SyntheticInstance,
@@ -379,6 +379,11 @@ GOLDEN_DIGESTS = {
         "59e05e1990be022e8c6ab4d7100c329240a0bc068b043e53979c2befd29ab9693df398fd47fcae4cfc4b0f620af17281da831bf338e43575626eec6ad34a037d",
         "0aef396625362e548c3365ba68e474adf5e7c4f6f2f8c0910be2301810bca02675b26a1e3207604413e51f5a93e6b8fbee16403871d156b1e3ee28482add13dd",
     ),
+    # render_ablation over the two ablate-* reports: the sweep document.
+    "ablate-sweep": (
+        "ba0055918b18db9451e5598735a376e6c03a696b1dfacfba96ebd9f0d68e4b1adde9f9488cf2a9b4b62731489fb92f64766864391f46690e3daa9f525895d8b8",
+        "de81ea259c43d8881565ac90e86af2526c795366ef0ddb11f1f660e1faec162676974ddb7d882926e3ae228d77b4d8812aaab4019349b62cf3db4c9b9ea318a1",
+    ),
 }
 
 
@@ -412,12 +417,8 @@ def write_golden_trace(directory):
     return shapes
 
 
-def _golden_reports():
-    compare = resolve_config(
-        {"mode": "compare", "count": "400", "p0": "mixture:0.5,0.95,0.5", "seed": "77"}
-    )
-    ttpo = resolve_config({"mode": "ttpo_rl", "count": "200", "seed": "78"})
-    ablate = resolve_config(
+def _golden_ablate_config():
+    return resolve_config(
         {
             "mode": "ablate",
             "axis": "alpha_beta",
@@ -426,6 +427,14 @@ def _golden_reports():
             "seed": "79",
         }
     )
+
+
+def _golden_reports():
+    compare = resolve_config(
+        {"mode": "compare", "count": "400", "p0": "mixture:0.5,0.95,0.5", "seed": "77"}
+    )
+    ttpo = resolve_config({"mode": "ttpo_rl", "count": "200", "seed": "78"})
+    ablate = _golden_ablate_config()
     sft = resolve_config(
         {"mode": "ttpo_sft", "count": "200", "m": "5", "rounds": "2", "seed": "80"}
     )
@@ -475,3 +484,18 @@ def test_reports_match_golden_digests(tmp_path, monkeypatch):
             for fmt in ("json", "csv")
         )
         assert digests == GOLDEN_DIGESTS[name], name
+
+
+def test_sweep_document_matches_golden_digests():
+    # The document `ttpo ablate --out sweep.json` writes, in both formats.
+    config = _golden_ablate_config()
+    reports = run_ablation(config)
+    digests = tuple(
+        hashlib.blake2b(
+            render_ablation(
+                config.axis, config.values, reports, config_echo(config), fmt
+            ).encode("utf-8")
+        ).hexdigest()
+        for fmt in ("json", "csv")
+    )
+    assert digests == GOLDEN_DIGESTS["ablate-sweep"]

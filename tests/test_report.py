@@ -11,9 +11,11 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import report_reference
 import ttpo.report
 from ttpo.config import resolve_config
 from ttpo.experiment import run_ttpo
@@ -232,6 +234,120 @@ def test_ablation_rendering():
     assert "# axis = alpha_beta" in lines
 
 
+# Differential tests: the column-wise render against the per-value oracle.
+
+_SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16]
+_floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+_finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e16])
+)
+_ints = st.integers(-(2**70), 2**70)
+# Lone surrogates (category Cs) included; json.dumps escapes them as \uXXXX.
+_texts = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=8),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t", "\u2028", "é-€-😀", "\ud800", "a\udfffb", "%s"]),
+)
+_bools = st.booleans()
+_none = st.none()
+
+# Each row field's value kinds. A column is drawn either from one kind
+# (a single-type column, all None included) or from all of them mixed.
+_FIELD_KINDS = {
+    "instance_id": [_texts],
+    "tau": [_ints],
+    "pseudo_label": [_ints, _texts],
+    "pseudo_correct": [_bools, _none],
+    "cost": [_ints],
+    "savings_fraction": [_floats, _finite_floats, _none],
+    "decision_kind": [_texts],
+    "truncated": [_bools],
+    "fixed_cost": [_ints, _none],
+    "fixed_label": [_ints, _texts, _none],
+    "fixed_correct": [_bools, _none],
+    "pre_update_greedy_correct": [_bools, _none],
+    "post_update_greedy_correct": [_bools, _none],
+    "pre_true_prob": [_floats, _finite_floats, _none],
+    "post_true_prob": [_floats, _finite_floats, _none],
+    "pre_pseudo_prob": [_floats, _finite_floats, _none],
+    "post_pseudo_prob": [_floats, _finite_floats, _none],
+}
+_configs = st.dictionaries(_texts, _texts, max_size=4)
+
+
+@st.composite
+def any_report(draw, max_rows=25):
+    count = draw(st.sampled_from([0, 1, draw(st.integers(2, max_rows))]))
+    columns = {}
+    for name, kinds in _FIELD_KINDS.items():
+        values = draw(st.sampled_from(kinds + [st.one_of(kinds)]))
+        columns[name] = draw(st.lists(values, min_size=count, max_size=count))
+    rows = tuple(
+        InstanceRow(**{name: column[i] for name, column in columns.items()})
+        for i in range(count)
+    )
+    aggregate = Aggregate(
+        count=count,
+        **{
+            f.name: draw(st.one_of(_none, _floats))
+            for f in dataclasses.fields(Aggregate)
+            if f.name != "count"
+        },
+    )
+    return ExperimentReport(
+        rows=rows,
+        aggregate=aggregate,
+        config=draw(_configs),
+        seed=draw(_ints),
+        version=draw(_texts),
+    )
+
+
+@given(report=any_report())
+def test_render_report_matches_the_oracle(report):
+    for fmt in ("json", "csv"):
+        assert render_report(report, fmt) == report_reference.render_report(report, fmt)
+
+
+@given(
+    reports=st.lists(any_report(max_rows=4), max_size=3),
+    values=st.lists(_floats, max_size=3),
+    axis=_texts,
+    parent=_configs,
+)
+def test_render_ablation_matches_the_oracle(reports, values, axis, parent):
+    for fmt in ("json", "csv"):
+        assert render_ablation(axis, values, reports, parent, fmt) == (
+            report_reference.render_ablation(axis, values, reports, parent, fmt)
+        )
+
+
+def test_empty_config_and_rows_match_the_oracle():
+    report = build_report([], {}, 0, "0.1.0")
+    assert render_report(report, "json") == report_reference.render_report(report, "json")
+    assert '"config": {},' in render_report(report, "json")
+    assert '"rows": [],' in render_report(report, "json")
+    for fmt in ("json", "csv"):
+        assert render_ablation("m_max", (), [], {}, fmt) == (
+            report_reference.render_ablation("m_max", (), [], {}, fmt)
+        )
+
+
+def test_numpy_scalars_render_as_the_oracle_does():
+    # np.float64 subclasses float, so json.dumps writes it; np.int64 does not.
+    floats = build_report([row(savings_fraction=np.float64(0.25))], {}, 0, "0.1.0")
+    for fmt in ("json", "csv"):
+        assert render_report(floats, fmt) == report_reference.render_report(floats, fmt)
+    ints = build_report([row(), row(tau=np.int64(36))], {}, 0, "0.1.0")
+    message = "Object of type int64 is not JSON serializable"
+    with pytest.raises(TypeError, match=message):
+        report_reference.render_report(ints, "json")
+    with pytest.raises(TypeError, match=message):
+        render_report(ints, "json")
+    with pytest.raises(TypeError, match=message):
+        render_ablation("m_max", (64.0,), [ints], {}, "json")
+    assert render_report(ints, "csv") == report_reference.render_report(ints, "csv")
+
+
 def _pyenv_python(version):
     """A pyenv-installed interpreter of ``version`` (e.g. "3.12"), or None."""
     root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
@@ -241,17 +357,45 @@ def _pyenv_python(version):
 
 # Runs in the other interpreter: report.py needs only the standard library
 # and errors.py, so the two are loaded as a stub package, without numpy.
-_AGGREGATE_SCRIPT = """
+_VERSION_SCRIPT = """
 import dataclasses, json, sys
 sys.path.insert(0, sys.argv[1])
-from ttpo.report import InstanceRow, compute_aggregate
-for fields in json.load(sys.stdin):
+from ttpo.report import (
+    Aggregate, ExperimentReport, InstanceRow, compute_aggregate, render_report,
+)
+payload = json.load(sys.stdin)
+for fields in payload["corpora"]:
     rows = [InstanceRow(**row) for row in fields]
     print(json.dumps(dataclasses.asdict(compute_aggregate(rows))))
+doc = payload["report"]
+report = ExperimentReport(
+    rows=tuple(InstanceRow(**row) for row in doc["rows"]),
+    aggregate=Aggregate(**doc["aggregate"]),
+    config=doc["config"],
+    seed=doc["seed"],
+    version=doc["version"],
+)
+print(json.dumps([render_report(report, fmt) for fmt in ("json", "csv")]))
 """
 
 
-@pytest.mark.parametrize("version", ["3.12", "3.13"])
+def escapes_report():
+    """Non-finite floats, a mixed label column and strings json.dumps escapes."""
+    rows = [
+        row('quote"back\\slash', pseudo_label="é", pre_true_prob=float("nan")),
+        row(
+            "ctrl\x01\nline\u2028",
+            pseudo_label=3,
+            savings_fraction=float("inf"),
+            post_true_prob=float("-inf"),
+            fixed_label="\ud800",
+        ),
+        row("😀-€", savings_fraction=-0.0, pre_pseudo_prob=5e-324, post_pseudo_prob=1e16),
+    ]
+    return build_report(rows, {"naïve": "ü\t", "mode": "compare"}, 7, "0.1.0")
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
 def test_float_means_do_not_depend_on_the_python_version(version, tmp_path):
     python = _pyenv_python(version)
     if python is None:
@@ -268,13 +412,20 @@ def test_float_means_do_not_depend_on_the_python_version(version, tmp_path):
     )
     closed_loop = run_ttpo(resolve_config({"mode": "ttpo_rl", "count": "200", "seed": "78"}))
     corpora = [tenths, list(closed_loop.rows)]
+    report = escapes_report()
+    payload = {
+        "corpora": [[dataclasses.asdict(r) for r in rows] for rows in corpora],
+        "report": dataclasses.asdict(report),
+    }
     result = subprocess.run(
-        [str(python), "-I", "-c", _AGGREGATE_SCRIPT, str(tmp_path)],
-        input=json.dumps([[dataclasses.asdict(r) for r in rows] for rows in corpora]),
+        [str(python), "-I", "-c", _VERSION_SCRIPT, str(tmp_path)],
+        input=json.dumps(payload),
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
+    *aggregates, rendered = result.stdout.splitlines()
     expected = [json.dumps(dataclasses.asdict(compute_aggregate(rows))) for rows in corpora]
-    assert result.stdout.splitlines() == expected
+    assert aggregates == expected
+    assert json.loads(rendered) == [render_report(report, fmt) for fmt in ("json", "csv")]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stopper_reference import SprtStopper, StopDecision, estimate_p0, top_two
+from stopper_reference import CONTINUE, SprtStopper, StopDecision, estimate_p0, top_two
 from ttpo.consensus import AnswerModel, VoteTally
 from ttpo.errors import ConfigurationError
 from ttpo.stopper import (
@@ -195,7 +195,7 @@ class TestStopperConfig:
 class TestStopDecision:
     def test_continue_carries_no_answer(self):
         with pytest.raises(ValueError):
-            StopDecision(StopKind.CONTINUE, chosen=0)
+            StopDecision(CONTINUE, chosen=0)
 
     def test_terminal_requires_answer(self):
         with pytest.raises(ValueError):
@@ -212,7 +212,7 @@ class TestSprtStopper:
         stopper = SprtStopper(config, m=2)
         assert stopper.gap_upper == 2
         first, second = drive(stopper, [0, 0])
-        assert first.kind is StopKind.CONTINUE
+        assert first.kind is CONTINUE
         assert second.kind is StopKind.STOP_LEADER
         assert second.chosen == 0
         assert stopper.t == 2
@@ -222,7 +222,7 @@ class TestSprtStopper:
         config = StopperConfig(n_min=1, m_max=8, streak_k=1, p0_fixed=0.9)
         stopper = SprtStopper(config, m=2)
         decisions = drive(stopper, [0, 1, 0, 1, 0, 1, 0, 1])
-        assert [d.kind for d in decisions[:-1]] == [StopKind.CONTINUE] * 7
+        assert [d.kind for d in decisions[:-1]] == [CONTINUE] * 7
         assert decisions[-1].kind is StopKind.BUDGET_EXHAUSTED
         assert decisions[-1].chosen == 0  # 4-4 tie, lowest id
         assert stopper.t == 8
@@ -235,7 +235,7 @@ class TestSprtStopper:
         assert stopper.gap_upper == 2
         votes = [0, 0, 0, 1, 2, 1, 0, 2, 3]
         decisions = drive(stopper, votes)
-        assert [d.kind for d in decisions[:-1]] == [StopKind.CONTINUE] * 8
+        assert [d.kind for d in decisions[:-1]] == [CONTINUE] * 8
         assert decisions[-1].kind is StopKind.STOP_LEADER
         assert decisions[-1].chosen == 0
         assert stopper.t == 9
@@ -326,7 +326,7 @@ class TestSprtStopper:
         # Warm-up: never terminal before n_min votes.
         for t, decision in enumerate(decisions, start=1):
             if t < n_min:
-                assert decision.kind is StopKind.CONTINUE
+                assert decision.kind is CONTINUE
         # Budget: the test never runs past m_max, and t counts every vote.
         assert stopper.t <= m_max
         assert stopper.t == len(decisions)
