@@ -104,11 +104,16 @@ def plurality(votes: np.ndarray, lengths: np.ndarray, m: int) -> np.ndarray:
     """Leader of each row's first ``lengths[i]`` votes over ``m`` answers.
 
     The most-voted answer of each row of a ``[B, L]`` vote matrix; ties
-    break toward the lowest answer id.
+    break toward the lowest answer id. Every vote a row reads must lie in
+    ``[0, m)``. One ``bincount`` counts them all: row ``i``'s answers take
+    cells ``i * (m + 1)`` on, and its unread votes the row's last cell.
     """
-    live = np.arange(votes.shape[1]) < np.asarray(lengths)[:, None]
-    counts = ((votes[:, :, None] == np.arange(m)) & live[:, :, None]).sum(axis=1)
-    return counts.argmax(axis=1)
+    rows, width = votes.shape
+    live = np.arange(width) < np.asarray(lengths)[:, None]
+    cells = np.where(live, votes, m)
+    cells += np.arange(0, rows * (m + 1), m + 1)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=rows * (m + 1))
+    return counts.reshape(rows, m + 1)[:, :m].argmax(axis=1)
 
 
 def log_bayes_factor_closed_form(gap: int, model: AnswerModel) -> float:

@@ -8,14 +8,14 @@ the comparison across one stopping-rule axis with everything else held
 fixed, including the random streams, so differences isolate the axis.
 
 All drivers are deterministic in (config, seed). They take each instance's
-votes as arrays and decide a block of instances per ``stop_batch`` call,
-the rule ``allocate`` applies to one live source; rows come out in corpus
-order.
+votes as arrays and decide a chunk of up to ``seeding._LANES`` instances per
+``stop_batch`` call, the rule ``allocate`` applies to one live source; rows
+come out in corpus order.
 Synthetic votes are read from many instances' random streams at once
 (``synth._categorical_votes``, ``synth._policy_votes``), as the vote
 sources would draw them.
 ``run_ttpo`` holds every policy as one row of a logits matrix and updates a
-block's rows with one batched step, which reproduces the one-policy updates
+chunk's rows with one batched step, which reproduces the one-policy updates
 row for row.
 """
 
@@ -50,21 +50,12 @@ from .synth import (
 )
 from .version import __version__
 
-# Cells in one block's [instances, votes, answers] count tensor; bounds the
-# kernel's working memory whatever the corpus size.
-_BLOCK_CELLS = 1 << 16
-
 Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _slices(start: int, stop: int, size: int) -> list[slice]:
     """Consecutive slices of at most ``size`` covering ``[start, stop)``."""
     return [slice(first, min(first + size, stop)) for first in range(start, stop, size)]
-
-
-def _blocks(start: int, stop: int, m: int, width: int) -> list[slice]:
-    """Consecutive instance slices whose count tensors fit _BLOCK_CELLS."""
-    return _slices(start, stop, max(1, _BLOCK_CELLS // (width * m)))
 
 
 def _take_all(sources: list, n: int) -> Draws:
@@ -92,7 +83,7 @@ def _race(
     adaptive: Draws,
     fixed: Draws,
 ) -> list[tuple[int, int, str, bool, int, int, int]]:
-    """Both arms over one block of instances.
+    """Both arms over one chunk of instances.
 
     Per row: tau, pseudo-label id, decision kind, truncated, adaptive cost,
     and the fixed arm's plurality label id and cost over its first
@@ -139,39 +130,32 @@ def _compare_synthetic(config: ExperimentConfig) -> list[InstanceRow]:
     instances = gen_instances(spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote)
     table = ThresholdTable(config.stopper)
     rows = []
-    width = max(config.stopper.m_max, config.fixed_budget)
-    # Each arm's streams are read a lane chunk at a time, then raced per block.
+    # Each arm's streams are read, and both arms raced, a lane chunk at a time.
     for chunk in _slices(0, len(instances), _LANES):
         batch = instances[chunk]
-        adaptive = _categorical_draws(config, batch, "adaptive", config.stopper.m_max)
-        fixed = _categorical_draws(config, batch, "fixed", config.fixed_budget)
-        for part in _blocks(0, len(batch), spec.m, width):
-            block = batch[part]
-            outcomes = _race(
-                config,
-                table,
-                np.full(len(block), spec.m),
-                tuple(array[part] for array in adaptive),
-                tuple(array[part] for array in fixed),
-            )
-            for inst, (tau, label, kind, truncated, cost, f_label, f_cost) in zip(
-                block, outcomes
-            ):
-                rows.append(
-                    InstanceRow(
-                        instance_id=inst.instance_id,
-                        tau=tau,
-                        pseudo_label=label,
-                        pseudo_correct=label == inst.true_answer,
-                        cost=cost,
-                        savings_fraction=1.0 - cost / f_cost,
-                        decision_kind=kind,
-                        truncated=truncated,
-                        fixed_cost=f_cost,
-                        fixed_label=f_label,
-                        fixed_correct=f_label == inst.true_answer,
-                    )
+        outcomes = _race(
+            config,
+            table,
+            np.full(len(batch), spec.m),
+            _categorical_draws(config, batch, "adaptive", config.stopper.m_max),
+            _categorical_draws(config, batch, "fixed", config.fixed_budget),
+        )
+        for inst, (tau, label, kind, truncated, cost, f_label, f_cost) in zip(batch, outcomes):
+            rows.append(
+                InstanceRow(
+                    instance_id=inst.instance_id,
+                    tau=tau,
+                    pseudo_label=label,
+                    pseudo_correct=label == inst.true_answer,
+                    cost=cost,
+                    savings_fraction=1.0 - cost / f_cost,
+                    decision_kind=kind,
+                    truncated=truncated,
+                    fixed_cost=f_cost,
+                    fixed_label=f_label,
+                    fixed_correct=f_label == inst.true_answer,
                 )
+            )
     return rows
 
 
@@ -183,13 +167,13 @@ def _compare_trace(config: ExperimentConfig) -> list[InstanceRow]:
     table = ThresholdTable(config.stopper)
     rows = []
     width = max(config.stopper.m_max, config.fixed_budget)
-    for part in _blocks(0, len(sources), max(source.m for source in sources), width):
-        block: list[TraceVoteSource] = sources[part]
+    for chunk in _slices(0, len(sources), _LANES):
+        batch: list[TraceVoteSource] = sources[chunk]
         # Both arms replay the same trace, so one prefix serves both.
-        draws = _take_all(block, width)
-        outcomes = _race(config, table, np.array([s.m for s in block]), draws, draws)
+        draws = _take_all(batch, width)
+        outcomes = _race(config, table, np.array([s.m for s in batch]), draws, draws)
         for source, (tau, label, kind, truncated, cost, f_label, f_cost) in zip(
-            block, outcomes
+            batch, outcomes
         ):
             gold = labels.get(source.instance_id)
             pseudo = source.answer_string(label)
@@ -245,11 +229,11 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     """Closed loop per instance: allocate, pseudo-label, update, repeat.
 
     Every policy is one row of an ``[instances, m]`` logits matrix, and the
-    initial matrix is the reference. Each round goes block by block: one
-    softmax gives the block's vote distributions, ``stop_batch`` decides the
-    votes drawn from them, and one batched step updates the block's rows
-    from their own outcomes. Rows are independent, so a chunk of instances
-    runs all its rounds before the next chunk starts.
+    initial matrix is the reference. In each round one softmax gives a
+    chunk's vote distributions, one ``stop_batch`` call decides the votes
+    drawn from them, and one batched step updates the chunk's rows from
+    their own outcomes. Rows are independent, so a chunk of instances runs
+    all its rounds before the next chunk starts.
     """
     if config.mode not in ("ttpo_rl", "ttpo_sft"):
         raise ConfigurationError(
@@ -287,36 +271,34 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
         if uniforms is not None:
             uniforms = uniforms.reshape(rounds, -1, m_max)
         for round_index in range(rounds):
-            for part in _blocks(chunk.start, chunk.stop, spec.m, m_max):
-                local = slice(part.start - chunk.start, part.stop - chunk.start)
-                probs = _softmax(logits[part])
-                votes = _policy_votes(
-                    probs,
-                    seeds[round_index][local],
-                    None if uniforms is None else uniforms[round_index, local],
-                    m_max,
-                    cost,
+            probs = _softmax(logits[chunk])
+            votes = _policy_votes(
+                probs,
+                seeds[round_index],
+                None if uniforms is None else uniforms[round_index],
+                m_max,
+                cost,
+            )
+            votes, costs, lengths = _synthetic_draws(votes, cost)
+            stops = stop_batch(votes, lengths, np.full(len(votes), spec.m), table)
+            total_tau[chunk] += stops.tau
+            total_cost[chunk] += _spent(costs, stops.tau)
+            labels[chunk] = stops.label
+            truncated[chunk] = stops.truncated
+            kinds[chunk] = [kind.value for kind in stops.kind]
+            if config.mode == "ttpo_rl":
+                # Policy sources never run dry and m_max >= n_min, so every
+                # row stopped at or after its n_min warm-up votes. They
+                # predate the stopping decision, so they carry no selection
+                # bias into the rewards.
+                retained = votes[:, : config.stopper.n_min]
+                rewards = consensus_rewards(retained, stops.label)
+                adv = advantages(rewards, update.advantage_mode, update.std_epsilon)
+                logits[chunk] = pg_step(
+                    logits[chunk], probs, retained, adv, ref_log_probs[chunk], update
                 )
-                votes, costs, lengths = _synthetic_draws(votes, cost)
-                stops = stop_batch(votes, lengths, np.full(len(votes), spec.m), table)
-                total_tau[part] += stops.tau
-                total_cost[part] += _spent(costs, stops.tau)
-                labels[part] = stops.label
-                truncated[part] = stops.truncated
-                kinds[part] = [kind.value for kind in stops.kind]
-                if config.mode == "ttpo_rl":
-                    # Policy sources never run dry and m_max >= n_min, so every
-                    # row stopped at or after its n_min warm-up votes. They
-                    # predate the stopping decision, so they carry no selection
-                    # bias into the rewards.
-                    retained = votes[:, : config.stopper.n_min]
-                    rewards = consensus_rewards(retained, stops.label)
-                    adv = advantages(rewards, update.advantage_mode, update.std_epsilon)
-                    logits[part] = pg_step(
-                        logits[part], probs, retained, adv, ref_log_probs[part], update
-                    )
-                else:
-                    logits[part] = sft_step(logits[part], probs, stops.label, update)
+            else:
+                logits[chunk] = sft_step(logits[chunk], probs, stops.label, update)
 
     # The fixed-budget baseline is deterministic here: every draw costs
     # cost_per_vote, so a fixed arm would cost exactly budget * rounds.

@@ -45,7 +45,8 @@ _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 # Lanes per pass of the generator. Its cost per lane falls with width while
 # per-op overhead dominates (about 37 us per lane for 96 outputs at 128
 # lanes, 5.5 at 2,000, 3.7 at 4,096 on a 2-vCPU host), so callers hand it a
-# whole corpus, or chunks this wide, never one kernel block at a time.
+# whole corpus, or chunks this wide; the drivers decide each chunk in one
+# stop_batch call as well.
 _LANES = 4096
 
 

@@ -17,12 +17,14 @@ estimated from the warm-up tally at ``t = n_min`` as the degraded majority
 fraction, then frozen: re-estimating mid-test would couple the test statistic
 to its own threshold and void the error guarantee.
 
-:func:`stop_batch` is the one implementation of the rule. It decides a
-whole block of vote streams at once from cumulative counts; because the
-frozen threshold depends only on ``m`` and the warm-up maximum count, one
-:class:`ThresholdTable` per run covers every instance. The online driver,
-:func:`~ttpo.allocator.allocate`, calls it on the prefix a live source has
-produced so far.
+:func:`stop_batch` is the one implementation of the rule. It decides any
+number of vote streams at once from the running largest and second-largest
+answer counts, which it builds one answer id at a time, so its working
+memory is a few ``[rows, votes]`` arrays whatever the answer-space size.
+Because the frozen threshold depends only on ``m`` and the warm-up maximum
+count, one :class:`ThresholdTable` per run covers every instance. The
+online driver, :func:`~ttpo.allocator.allocate`, calls it on the prefix a
+live source has produced so far.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from enum import Enum
 
 import numpy as np
 
+from .consensus import plurality
 from .errors import AllocationError, ConfigurationError
 
 
@@ -221,7 +224,7 @@ def stop_batch(
     relies on this to draw a live source no further than the test reads.
     """
     config = table.config
-    votes = np.asarray(votes)
+    votes = np.asarray(votes, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     m = np.asarray(m, dtype=np.int64)
     rows = votes.shape[0]
@@ -232,40 +235,54 @@ def stop_batch(
         return BatchStops(
             empty, empty, (), np.empty(0, dtype=bool), np.empty(0), empty, empty, empty
         )
-    if np.any(m < 2):
+    if m.min() < 2:
         raise ConfigurationError(f"need at least two candidate answers, got m={m.min()}")
-    if np.any(lengths < 1):
+    if lengths.min() < 1:
         raise AllocationError("vote source exhausted before any vote")
-    if np.any(lengths > votes.shape[1]):
+    if lengths.max() > votes.shape[1]:
         raise ValueError("a row length exceeds the vote matrix width")
 
-    # Votes past the budget are never read.
+    # Votes past the budget are never read; unread entries become -1.
     width = min(votes.shape[1], config.m_max)
     seen = np.minimum(lengths, width)
     steps = np.arange(width)
     live = steps < seen[:, None]
     live_votes = np.where(live, votes[:, :width], -1)
-    if np.any(live & (live_votes < 0)) or np.any(live_votes >= m[:, None]):
+    # Read as unsigned, a negative vote is too large, so one comparison
+    # checks both ends of the range.
+    if (live & (live_votes.view(np.uint64) >= m.view(np.uint64)[:, None])).any():
         raise ValueError("vote out of range for its row's answer space")
 
-    # counts[i, s, j]: votes for answer j among row i's first s + 1.
-    counts = np.cumsum(
-        live_votes[:, :, None] == np.arange(int(m.max())), axis=1, dtype=np.int32
-    )
-    top = np.partition(counts, -2, axis=2)
-    gap = top[:, :, -1] - top[:, :, -2]
+    # top1[i, s] and top2[i, s]: the largest and second-largest answer count
+    # among row i's first s + 1 votes, kept as a running top two over the
+    # answers one at a time. Answers above the largest vote have count 0.
+    top1 = np.add.accumulate(live_votes == 0, axis=1, dtype=np.int32)
+    top2 = np.zeros_like(top1)
+    count = np.empty_like(top1)
+    below = np.empty_like(top1)
+    top_vote = int(live_votes.max())
+    for answer in range(1, top_vote + 1):
+        np.add.accumulate(live_votes == answer, axis=1, dtype=np.int32, out=count)
+        np.maximum(top2, np.minimum(top1, count, out=below), out=top2)
+        np.maximum(top1, count, out=top1)
+    gap = np.subtract(top1, top2, out=top2)
+    del count, below
 
     n_min = config.n_min
     warmed = seen >= n_min
-    warm_max = top[:, n_min - 1, -1] if width >= n_min else np.zeros(rows, np.int32)
+    warm_max = top1[:, n_min - 1] if width >= n_min else np.zeros(rows, np.int32)
     p0_used = np.empty(rows)
     threshold = np.zeros(rows, dtype=np.int64)
-    for i in np.flatnonzero(warmed | (config.p0_fixed is not None)):
-        p0_used[i], threshold[i] = table.lookup(int(m[i]), int(warm_max[i]))
+    frozen = np.flatnonzero(warmed) if config.p0_fixed is None else np.arange(rows)
+    if frozen.size:
+        # One table lookup per distinct (m, warm-up maximum) pair.
+        pairs = list(zip(m[frozen].tolist(), warm_max[frozen].tolist()))
+        entries = {pair: table.lookup(*pair) for pair in set(pairs)}
+        p0_used[frozen], threshold[frozen] = zip(*map(entries.__getitem__, pairs))
     if config.p0_fixed is None:
-        for i in np.flatnonzero(~warmed):
+        for i in np.flatnonzero(~warmed).tolist():
             t = int(seen[i])
-            p0_used[i] = _majority_p0(config, int(top[i, t - 1, -1]), t, int(m[i]))
+            p0_used[i] = _majority_p0(config, int(top1[i, t - 1]), t, int(m[i]))
 
     # Streaks of gap >= threshold from t = n_min on; a run's length at step s
     # is s minus the last step at or before s that missed.
@@ -275,13 +292,12 @@ def stop_batch(
     stopped = confirmed.any(axis=1)
     tau = np.where(stopped, confirmed.argmax(axis=1) + 1, seen)
     every, last = np.arange(rows), tau - 1
-    label = counts[every, last].argmax(axis=1)
     kind = tuple(
         StopKind.STOP_LEADER if s else StopKind.BUDGET_EXHAUSTED for s in stopped.tolist()
     )
     return BatchStops(
         tau=tau,
-        label=label,
+        label=plurality(live_votes, tau, top_vote + 1),
         kind=kind,
         truncated=~stopped & (seen < config.m_max),
         p0_used=p0_used,

@@ -22,7 +22,7 @@ certain to be numpy's: past 256 votes, where a Lemire draw would reject
 (about ``m / 2**32`` per draw), or where the bound needs 64 bits. Report
 bytes thus rest on numpy's ``Generator`` methods only in those rows.
 Lanes are wide or not worth it: callers pass the corpus, or chunks of
-``seeding._LANES`` seeds, never one kernel block.
+``seeding._LANES`` seeds.
 
 A rollout trace is UTF-8 text with one JSON object per line, carrying
 ``instance_id`` (string), ``rollout_index`` (integer >= 0), ``answer``
@@ -381,7 +381,12 @@ def _policy_votes(
     if exact.any():
         cdf = probs[exact].cumsum(axis=1)
         cdf = cdf / cdf[:, -1:]
-        votes[exact] = (uniforms[exact][:, :, None] >= cdf[:, None, :]).sum(axis=2)
+        drawn = uniforms[exact]
+        counted = np.zeros(drawn.shape, dtype=np.int64)
+        # The last entry is exactly 1, above every uniform, so it never counts.
+        for j in range(cdf.shape[1] - 1):
+            counted += drawn >= cdf[:, j : j + 1]
+        votes[exact] = counted
     fallback = np.flatnonzero(~exact).tolist()
     sources = [PolicyVoteSource(probs[row], seeds[row], cost=cost) for row in fallback]
     for row, source in zip(fallback, sources):

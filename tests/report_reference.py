@@ -26,6 +26,8 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
     return str(value)
 
 

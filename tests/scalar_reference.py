@@ -1,6 +1,6 @@
 """Per-vote reference drivers: reports built row by row from the oracles.
 
-The experiment drivers decide blocks of instances with ``stop_batch``; these
+The experiment drivers decide chunks of instances with ``stop_batch``; these
 build the same reports the slow way, one call of the per-vote oracle
 ``stopper_reference.allocate`` per instance and round, with the fixed arm
 drawn one vote at a time. The closed loop updates each policy on its own

@@ -223,7 +223,7 @@ def test_criterion_7_closed_loop_update_keeps_or_raises_greedy_accuracy():
 
 
 def test_criterion_8_reports_are_byte_identical_and_parallel_invariant(tmp_path):
-    # Reruns render to the same bytes, and the batched drivers (blocks of
+    # Reruns render to the same bytes, and the batched drivers (chunks of
     # instances decided at once) render to the same bytes as reports built
     # one allocate() call per instance: how the work is grouped never
     # changes a report.

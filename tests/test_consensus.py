@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from likelihood_reference import log_bayes_factor_full, log_likelihood
 from stopper_reference import tally_ingest, top_two
-from ttpo.consensus import AnswerModel, VoteTally, log_bayes_factor_closed_form, posterior
+from ttpo.consensus import (
+    AnswerModel,
+    VoteTally,
+    log_bayes_factor_closed_form,
+    plurality,
+    posterior,
+)
 
 
 def tallies(max_m: int = 6, max_count: int = 50):
@@ -267,3 +273,31 @@ class TestPosterior:
         before = posterior(tally, model)[j]
         after = posterior(tally_ingest(tally, j), model)[j]
         assert after >= before - 1e-12
+
+
+class TestPlurality:
+    @pytest.mark.parametrize("m", [2, 5, 64])
+    def test_matches_counter_with_forced_ties(self, m):
+        rng = np.random.default_rng(m + 11)
+        width = 40
+        votes = rng.integers(-3, m + 3, size=(500, width))  # unread padding
+        lengths = np.empty(500, dtype=np.int64)
+        for i in range(500):
+            if i % 2:
+                row = rng.integers(m, size=int(rng.integers(1, width + 1)))
+            else:
+                # Two or more answers tied at the top, the rest below them.
+                top = int(rng.integers(1, 4))
+                tied = rng.choice(m, size=min(m, int(rng.integers(2, 5))), replace=False)
+                rest = [a for a in range(m) if a not in tied][: max(0, width // top - len(tied))]
+                below = [a for a in rest for _ in range(int(rng.integers(0, top)))]
+                row = rng.permutation(np.repeat(tied, top).tolist() + below)[:width]
+                assert Counter(row.tolist()).most_common(2)[1][1] == top
+            votes[i, : row.size] = row
+            lengths[i] = row.size
+        expected = []
+        for row, length in zip(votes, lengths):
+            counts = Counter(row[:length].tolist())
+            best = max(counts.values())
+            expected.append(min(a for a, c in counts.items() if c == best))
+        assert plurality(votes, lengths, m).tolist() == expected

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from scalar_reference import reference_compare, reference_ttpo
-from stopper_reference import allocate
+from stopper_reference import SprtStopper, allocate, top_two
 from ttpo import experiment
 from ttpo.config import resolve_config
 from ttpo.errors import AllocationError, ConfigurationError
 from ttpo.experiment import run_compare, run_ttpo
 from ttpo.report import render_report
+from ttpo.seeding import _LANES
 from ttpo.stopper import (
     ErrorBudget,
     StopKind,
@@ -110,6 +111,64 @@ def test_kernel_matches_allocate_on_random_streams(name):
     assert np.any(~truncated & (taus == config.m_max))
 
 
+def sparse_block(rng, rows, width):
+    """Rows over answer spaces of up to 64 whose votes use few of the ids.
+
+    A third of the rows vote only for ids 0 and m - 1, a third stay below
+    a largest id under m - 1, and a third vote for 0 or any id, so that
+    the ids a block holds rarely reach its widest answer space.
+    """
+    m = rng.choice([2, 3, 5, 17, 33, 64], size=rows)
+    pattern = rng.integers(3, size=rows)
+    accuracy = rng.uniform(0.3, 0.95, size=rows)
+    hit = rng.random((rows, width)) < accuracy[:, None]
+    noise = (rng.random((rows, width)) * m[:, None]).astype(np.int64)
+    ends = np.where(rng.random((rows, width)) < 0.5, 0, m[:, None] - 1)
+    below = np.maximum(m - 1, 1)[:, None]
+    under = (rng.random((rows, width)) * rng.integers(1, below + 1)).astype(np.int64)
+    votes = np.select(
+        [pattern[:, None] == 0, pattern[:, None] == 1], [ends, under], np.where(hit, 0, noise)
+    )
+    lengths = rng.integers(1, width + 1, size=rows)
+    return votes, lengths, m
+
+
+def stepped(votes, m, config):
+    """``gap_upper``, ``gap`` and ``streak`` of one row, by the per-vote stopper."""
+    stopper = SprtStopper(config, m)
+    for vote in votes:
+        if stopper.step(int(vote)).terminal:
+            break
+    stopper.force_stop()
+    # A row that ran dry before an adaptive p0 froze has no threshold.
+    unfrozen = config.p0_fixed is None and stopper.t < config.n_min
+    return (0 if unfrozen else stopper.gap_upper, top_two(stopper.tally).gap, stopper._streak)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [StopperConfig(n_min=6, m_max=20, streak_k=2), StopperConfig(n_min=4, m_max=16, p0_fixed=0.6)],
+    ids=["adaptive", "p0_fixed"],
+)
+def test_kernel_matches_stepped_oracle_on_a_lane_wide_block(config):
+    # More rows than a lane chunk, answer spaces up to 64 that the votes
+    # use sparsely, and rows that run dry before n_min.
+    rng = np.random.default_rng(config.n_min + 4400)
+    votes, lengths, m = sparse_block(rng, _LANES + 300, config.m_max + 6)
+    stops = assert_matches_allocate(votes, lengths, m, config)
+    read_max = np.where(np.arange(votes.shape[1]) < lengths[:, None], votes, -1).max(axis=1)
+    assert set(stops.kind) == {StopKind.STOP_LEADER, StopKind.BUDGET_EXHAUSTED}
+    assert np.any(lengths < config.n_min)
+    assert np.any((m == 64) & (read_max < 32)) and np.any((m == 64) & (read_max == 63))
+    assert (
+        stops.tau.dtype, stops.label.dtype, stops.truncated.dtype, stops.p0_used.dtype,
+        stops.gap_upper.dtype, stops.gap.dtype, stops.streak.dtype,
+    ) == (np.int64, np.int64, np.bool_, np.float64, np.int64, np.int32, np.int64)
+    for i in range(len(m)):
+        got = (int(stops.gap_upper[i]), int(stops.gap[i]), int(stops.streak[i]))
+        assert got == stepped(votes[i, : lengths[i]], int(m[i]), config), i
+
+
 def test_kernel_reads_no_vote_past_the_budget():
     config = StopperConfig(n_min=4, m_max=10, streak_k=2)
     votes = np.array([[0, 1] * 5 + [2] * 6])
@@ -155,7 +214,7 @@ def test_kernel_rejects_bad_blocks():
 def test_trace_compare_matches_scalar_reference(tmp_path):
     # Ragged traces: shorter than the warm-up, between warm-up and budget,
     # and longer than both arms; answer spaces of different sizes in one
-    # block, and a fixed budget above the adaptive one.
+    # call, and a fixed budget above the adaptive one.
     rng = np.random.default_rng(5150)
     lines = []
     labels = ["instance_id,answer"]
@@ -193,9 +252,10 @@ def test_trace_compare_matches_scalar_reference(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["ttpo_rl", "ttpo_sft"])
-def test_multi_block_closed_loop_matches_scalar_reference(mode):
-    # Several instance blocks per round and several rounds, so every
-    # policy update feeds the next round's block.
+def test_multi_block_closed_loop_matches_scalar_reference(mode, monkeypatch):
+    # Three chunks of at most 128 instances and two rounds, so every
+    # policy update feeds the next round's call on its chunk.
+    monkeypatch.setattr(experiment, "_LANES", 256)
     config = resolve_config(
         {"mode": mode, "count": "300", "m": "8", "rounds": "2", "p0": "uniform:0.2,0.8"}
     )
@@ -213,9 +273,10 @@ def test_multi_block_closed_loop_matches_scalar_reference(mode):
     ],
     ids=["group-no-kl", "group-kl", "mean-heavy-kl"],
 )
-def test_multi_block_pg_variants_match_scalar_reference(update):
-    # Three blocks of 128 policies and three rounds; the reference updates
-    # each policy on its own with the per-sample oracle.
+def test_multi_block_pg_variants_match_scalar_reference(update, monkeypatch):
+    # Four chunks of at most 85 policies and three rounds; the reference
+    # updates each policy on its own with the per-sample oracle.
+    monkeypatch.setattr(experiment, "_LANES", 256)
     config = resolve_config(
         {"mode": "ttpo_rl", "count": "300", "m": "8", "rounds": "3", "p0": "uniform:0.2,0.8"}
         | update
@@ -227,8 +288,8 @@ def test_multi_block_pg_variants_match_scalar_reference(update):
 
 @pytest.mark.parametrize("lanes", [1, 7, 64])
 def test_lane_chunks_match_scalar_reference(lanes, monkeypatch):
-    # Chunks of one instance, chunks that cut across blocks, and with four
-    # rounds a chunk narrower than its lane count.
+    # Chunks of one instance, of a few instances, and with four rounds a
+    # chunk narrower than its lane count.
     monkeypatch.setattr(experiment, "_LANES", lanes)
     compare = resolve_config(
         {"mode": "compare", "count": "90", "m": "3", "p0": "uniform:0.2,0.9", "seed": "4"}

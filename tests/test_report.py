@@ -186,6 +186,22 @@ def test_csv_cells():
     assert second["post_true_prob"] == repr(0.7123)
 
 
+def test_csv_quotes_string_cells_that_need_it():
+    # A comma, a quote or a line break inside a cell is quoted as csv.writer
+    # quotes it, so csv.reader reads back every row whole.
+    # The pseudo_label column mixes in an int, so it goes value by value.
+    ids = ["a,b", 'say "hi"', "x\ny", "c\rd", "plain"]
+    rows = [row(instance_id=i, pseudo_label=i, fixed_label=i) for i in ids]
+    report = build_report(rows + [row(instance_id="n", pseudo_label=3)], {}, 0, "0.1.0")
+    text = render_report(report, "csv")
+    assert text == report_reference.render_report(report, "csv")
+    parsed = list(csv.reader(io.StringIO(text)))
+    assert [len(cells) for cells in parsed[: len(rows) + 2]] == [17] * (len(rows) + 2)
+    for cells, expected in zip(parsed[1:], ids):
+        assert (cells[0], cells[2], cells[9]) == (expected, expected, expected)
+    assert '"say ""hi"""' in text and "\nplain," in text
+
+
 def test_csv_aggregates_recomputable_from_rows():
     # The trailing comment block must match an external recomputation from
     # the emitted rows alone.

@@ -314,6 +314,23 @@ class TestLanes:
             for p, seed, votes in zip(probs, LANE_SEEDS, got):
                 assert votes.tolist() == PolicyVoteSource(p, seed).take(n)[0].tolist()
 
+    @pytest.mark.parametrize("m", [2, 3, 33, 64])
+    def test_policy_votes_skip_zero_probability_answers(self, m):
+        # Zero columns first, last and inside: repeated cdf entries.
+        rng = np.random.default_rng(m + 70)
+        probs = rng.dirichlet(np.full(m, 0.5), size=len(LANE_SEEDS))
+        zero = rng.random(probs.shape) < 0.4
+        zero[::3, 0] = zero[1::3, -1] = True
+        zero[np.arange(len(probs)), rng.integers(m, size=len(probs))] = False
+        probs = np.where(zero, 0.0, probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[:2] = np.eye(m)[[0, -1]]
+        uniforms = _policy_uniforms(LANE_SEEDS, 64)
+        got = _policy_votes(probs, LANE_SEEDS, uniforms, 64, cost=1)
+        assert (probs[np.arange(len(probs))[:, None], got] > 0).all()
+        for p, seed, votes in zip(probs, LANE_SEEDS, got):
+            assert votes.tolist() == PolicyVoteSource(p, seed).take(64)[0].tolist()
+
     @pytest.mark.parametrize("spread", [2.0, 1e-7])
     def test_choice_acceptance_matches_numpy(self, spread):
         # Sums spread over the tolerance edge; at the narrow spread they sit
