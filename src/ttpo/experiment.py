@@ -8,9 +8,9 @@ the comparison across one stopping-rule axis with everything else held
 fixed, including the random streams, so differences isolate the axis.
 
 All drivers are deterministic in (config, seed). They take each instance's
-votes as arrays and decide a chunk of up to ``seeding._LANES`` instances per
-``stop_batch`` call, the rule ``allocate`` applies to one live source; rows
-come out in corpus order.
+votes as arrays and decide a chunk of up to ``seeding._LANES`` instances
+(``_LANES // rounds`` in ``run_ttpo``) per ``stop_batch`` call, the rule
+``allocate`` applies to one live source; rows come out in corpus order.
 Synthetic votes are read from many instances' random streams at once
 (``synth._categorical_votes``, ``synth._policy_votes``), as the vote
 sources would draw them.

@@ -14,7 +14,7 @@ import io
 import json
 import re
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
@@ -194,15 +194,6 @@ def _csv_text(value: str) -> str:
     return '"' + value.replace('"', '""') + '"'
 
 
-def _csv_strings(column) -> Callable[[str], str]:
-    """The formatter of a CSV string column: ``str`` when no cell needs quoting."""
-    return str if _CSV_SPECIAL("".join(column)) is None else _csv_text
-
-
-def _json_strings(column) -> Callable[[str], str]:
-    return encode_basestring_ascii
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -242,15 +233,15 @@ def _format_columns(columns, strings, constants: dict, per_value) -> list[Iterat
     """Each column's formatted values, by one C-level callable where its types allow.
 
     A column of exactly one type (or of None and bools only) maps through
-    ``strings(column)``, ``int.__repr__``, ``float.__repr__`` or a
-    ``constants`` lookup; any other column, such as an ``int | str`` label,
-    goes value by value through ``per_value``.
+    ``strings``, ``int.__repr__``, ``float.__repr__`` or a ``constants``
+    lookup; any other column, such as an ``int | str`` label, goes value by
+    value through ``per_value``.
     """
     formatted = []
     for column in columns:
         types = set(map(type, column))
         if types == {str}:
-            format_value = strings(column)
+            format_value = strings
         elif types == {int}:
             format_value = int.__repr__
         elif types == {float} and all(map(isfinite, column)):
@@ -289,7 +280,7 @@ def _json_rows(rows: tuple[InstanceRow, ...], indent: str) -> list[str]:
     )
     columns = tuple(zip(*map(_row_values, rows)))
     formatted = _format_columns(
-        [columns[i] for i in _JSON_ORDER], _json_strings, _JSON_CONSTANTS, _json_scalar
+        [columns[i] for i in _JSON_ORDER], encode_basestring_ascii, _JSON_CONSTANTS, _json_scalar
     )
     pieces = list(map(template.__mod__, zip(*formatted)))
     # The first row's leading comma becomes the list's opening bracket.
@@ -331,7 +322,7 @@ def render_report(report: ExperimentReport, fmt: str) -> str:
     out.write(",".join(_ROW_COLUMNS) + "\n")
     if report.rows:
         columns = zip(*map(_row_values, report.rows))
-        formatted = _format_columns(columns, _csv_strings, _CSV_CONSTANTS, _cell)
+        formatted = _format_columns(columns, _csv_text, _CSV_CONSTANTS, _cell)
         out.write("\n".join(map(",".join, zip(*formatted))))
         out.write("\n")
     for name, value in zip(_AGGREGATE_COLUMNS, _aggregate_values(report.aggregate)):
