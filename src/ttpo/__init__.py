@@ -9,7 +9,7 @@ or plain cross-entropy), and the experiment layer measures the accuracy
 kept and the rollouts saved against fixed-budget majority voting.
 """
 
-from .allocator import AllocationResult, VoteSource, allocate, retain_for_update
+from .allocator import AllocationResult, VoteSource, allocate
 from .config import (
     ExperimentConfig,
     SyntheticCorpusSpec,
@@ -20,7 +20,7 @@ from .config import (
 )
 from .consensus import AnswerModel, VoteTally, log_bayes_factor_closed_form, posterior
 from .errors import AllocationError, ConfigurationError, CorpusError
-from .experiment import initial_policy, run_ablation, run_compare, run_ttpo
+from .experiment import run_ablation, run_compare, run_ttpo
 from .optimizer import SoftmaxAnswerPolicy, UpdateConfig, advantages
 from .report import (
     Aggregate,
@@ -93,7 +93,6 @@ __all__ = [
     "config_echo",
     "emit_report",
     "gen_instances",
-    "initial_policy",
     "load_labels",
     "load_report",
     "load_trace",
@@ -102,7 +101,6 @@ __all__ = [
     "posterior",
     "render_report",
     "resolve_config",
-    "retain_for_update",
     "run_ablation",
     "run_compare",
     "run_ttpo",

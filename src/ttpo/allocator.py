@@ -1,10 +1,10 @@
 """The online sample-test loop over abstract vote sources.
 
-``allocate`` draws votes from a live source only as far as the test reads
+``allocate`` reads votes from a live source only as far as the test reads
 and returns the pseudo-label plus full cost accounting. It applies the one
-stopping rule, ``stopper.stop_batch``, to the prefix drawn so far, and
-draws in chunks no longer than the votes the rule needs before it could
-stop, so it never draws past the decision.
+stopping rule, ``stopper.stop_batch``, to the prefix read so far, and
+takes chunks no longer than the votes the rule needs before it could
+stop, so it never reads past the decision.
 """
 
 from __future__ import annotations
@@ -21,16 +21,17 @@ from .stopper import StopKind, StopperConfig, ThresholdTable, stop_batch
 
 @runtime_checkable
 class VoteSource(Protocol):
-    """Anything that emits (answer_id, cost) pairs over a fixed answer space.
+    """Anything that hands out votes over a fixed answer space.
 
-    ``draw`` returns None when a finite source (trace replay) is exhausted;
-    unbounded sources never return None.
+    ``take(n)`` returns the next ``n`` votes as two int64 arrays, answer ids
+    and costs. A result shorter than ``n`` means a finite source (trace
+    replay) ran dry; unbounded sources always return ``n``.
     """
 
     @property
     def m(self) -> int: ...
 
-    def draw(self) -> tuple[int, int] | None: ...
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +56,8 @@ class AllocationResult:
 def allocate(source: VoteSource, config: StopperConfig) -> AllocationResult:
     """Run the sequential test over one source until it reaches a decision.
 
-    Draws exactly the votes the decision reads: ``tau`` of them, plus the
-    draw that found the source dry when it runs out first.
+    Reads exactly the votes the decision reads: ``tau`` of them, or all a
+    finite source holds when it runs dry first.
     """
     m = source.m
     if m < 2:
@@ -65,28 +66,29 @@ def allocate(source: VoteSource, config: StopperConfig) -> AllocationResult:
         )
     table = ThresholdTable(config)
     if config.p0_fixed is not None:
-        table.lookup(m, 0)  # an unusable fixed model fails before any draw
+        table.lookup(m, 0)  # an unusable fixed model fails before any vote
     answers = np.empty(config.m_max, dtype=np.int64)
-    votes: list[tuple[int, int]] = []
-    total_cost = 0
+    costs = np.empty(config.m_max, dtype=np.int64)
+    t = 0
     # The earliest stop: a full streak that starts at the warm-up's last vote.
     target = min(config.n_min + config.streak_k - 1, config.m_max)
     while True:
-        while len(votes) < target:
-            drawn = source.draw()
-            if drawn is None:
-                break
-            answer, cost = drawn
-            if cost < 0:
-                raise AllocationError(f"vote source produced a negative cost {cost}")
-            if not 0 <= answer < m:
-                raise ValueError(f"vote {answer} out of range for m={m}")
-            answers[len(votes)] = answer
-            votes.append((answer, cost))
-            total_cost += cost
-        t = len(votes)
+        chunk, chunk_costs = source.take(target - t)
+        end = t + len(chunk)
+        answers[t:end] = chunk
+        costs[t:end] = chunk_costs
+        new_answers, new_costs = answers[t:end], costs[t:end]
+        # The first bad vote in draw order raises; its cost is checked first.
+        bad_cost = new_costs < 0
+        bad = bad_cost | (new_answers < 0) | (new_answers >= m)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_cost[i]:
+                raise AllocationError(f"vote source produced a negative cost {new_costs[i]}")
+            raise ValueError(f"vote {new_answers[i]} out of range for m={m}")
+        t = end
         stops = stop_batch(answers[None, :t], np.array([t]), np.array([m]), table)
-        # Stop drawing once the source ran dry or the prefix is decided.
+        # Stop reading once the source ran dry or the prefix is decided.
         if t < target or not stops.truncated[0]:
             break
         # The gap moves by at most one per vote: it needs gap_upper - gap
@@ -96,31 +98,17 @@ def allocate(source: VoteSource, config: StopperConfig) -> AllocationResult:
     tau = int(stops.tau[0])
     p0_used = float(stops.p0_used[0])
     tally = VoteTally(counts=tuple(np.bincount(answers[:tau], minlength=m).tolist()))
+    cost_list = costs[:t].tolist()
     return AllocationResult(
         pseudo_label=int(stops.label[0]),
         tau=tau,
         decision_kind=stops.kind[0],
-        votes=tuple(votes),
+        votes=tuple(zip(answers[:t].tolist(), cost_list)),
         retained=tuple(range(min(config.n_min, tau))),
-        total_cost=total_cost,
+        # Python ints: an exact sum, whatever the costs add up to.
+        total_cost=sum(cost_list),
         final_tally=tally,
         posterior_at_stop=posterior(tally, AnswerModel(p0_used, m)),
         p0_used=p0_used,
         truncated=bool(stops.truncated[0]),
     )
-
-
-def retain_for_update(result: AllocationResult, n: int) -> list[tuple[int, int]]:
-    """The first n votes in draw order (all of them for short truncated runs).
-
-    The prefix predates the stopping decision, so it is not selected by the
-    decision itself; later votes are and would bias reward estimates.
-    """
-    if n <= 0:
-        raise ValueError(f"retained count must be positive, got {n}")
-    if n > result.tau and not result.truncated:
-        raise ValueError(
-            f"cannot retain {n} votes from a non-truncated run of {result.tau}"
-        )
-    return list(result.votes[:n])
-

@@ -34,7 +34,7 @@ from .config import (
 )
 from .consensus import _log_softmax, _softmax, plurality
 from .errors import ConfigurationError
-from .optimizer import SoftmaxAnswerPolicy, advantages, consensus_rewards, pg_step, sft_step
+from .optimizer import advantages, consensus_rewards, pg_step, sft_step
 from .report import ExperimentReport, InstanceRow, build_report
 from .seeding import _LANES, stream_seed
 from .stopper import ErrorBudget, ThresholdTable, stop_batch
@@ -211,20 +211,6 @@ def run_compare(config: ExperimentConfig) -> ExperimentReport:
     return build_report(rows, config_echo(config), config.seed, __version__)
 
 
-def initial_policy(instance: SyntheticInstance) -> SoftmaxAnswerPolicy:
-    """Logits whose softmax puts exactly p0_true on the true answer.
-
-    With the true-answer logit at ln(p0 (m-1) / (1-p0)) and the rest at 0,
-    the policy's vote stream follows the same symmetric noise model the
-    stopper assumes, so allocation and update effects compose coherently.
-    """
-    logits = np.zeros(instance.m)
-    logits[instance.true_answer] = math.log(
-        instance.p0_true * (instance.m - 1) / (1.0 - instance.p0_true)
-    )
-    return SoftmaxAnswerPolicy(logits=logits)
-
-
 def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     """Closed loop per instance: allocate, pseudo-label, update, repeat.
 
@@ -248,10 +234,17 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     table = ThresholdTable(config.stopper)
     m_max = config.stopper.m_max
     update = config.update
-    initial = np.stack([initial_policy(instance).logits for instance in instances])
+    # Each initial policy puts exactly p0_true on the true answer: its logit
+    # is ln(p0 (m-1) / (1-p0)) and the rest are 0. So the policy's vote
+    # stream follows the symmetric noise model the stopper assumes, and
+    # allocation and update effects compose coherently.
+    count = len(instances)
+    initial = np.zeros((count, spec.m))
+    initial[np.arange(count), [inst.true_answer for inst in instances]] = [
+        math.log(inst.p0_true * (inst.m - 1) / (1.0 - inst.p0_true)) for inst in instances
+    ]
     ref_log_probs = _log_softmax(initial)
     logits = initial.copy()
-    count = len(instances)
     total_tau = np.zeros(count, dtype=np.int64)
     # No overflow: the config caps cost_per_vote * rounds * m_max at int64.
     total_cost = np.zeros(count, dtype=np.int64)

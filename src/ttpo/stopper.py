@@ -221,7 +221,7 @@ def stop_batch(
     A row shorter than ``table.config.m_max`` is a source that ran dry.
     Row ``i``'s decision reads only its first ``tau[i]`` votes, so a prefix
     decides as the whole stream would: :func:`~ttpo.allocator.allocate`
-    relies on this to draw a live source no further than the test reads.
+    relies on this to read a live source no further than the test reads.
     """
     config = table.config
     votes = np.asarray(votes, dtype=np.int64)

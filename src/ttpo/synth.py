@@ -3,10 +3,10 @@
 Three source kinds feed the allocator: exact categorical simulators (a vote
 hits the true answer with probability ``p0_true``, otherwise lands uniformly
 on a wrong answer), snapshots of a policy's answer probability vector, and
-replay of recorded rollout traces from real model runs. Sources draw one
-vote at a time but batch their underlying RNG work for speed; ``take(n)``
-hands out the next ``n`` draws as arrays, with exactly the RNG calls those
-draws make.
+replay of recorded rollout traces from real model runs. Every source is
+read one way: ``take(n)`` hands out the next ``n`` votes and their costs as
+arrays, and a synthetic source's stream is the same however it is split
+into takes.
 
 The source classes define the synthetic streams; the batch drivers read
 them for many instances at once. A source refills 256 votes at a time
@@ -36,7 +36,6 @@ sum too high is one naming the instance.
 
 from __future__ import annotations
 
-import copy
 import json
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -226,10 +225,10 @@ class _BufferedSource:
         raise NotImplementedError
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Answers and costs of the next ``n`` draws.
+        """Answers and costs of the next ``n`` votes.
 
-        Consumes the buffer exactly as ``n`` calls to ``draw`` would, so the
-        stream continues identically afterwards.
+        Reads the buffer on from where the last take stopped and refills it
+        whenever it runs out, so takes of any sizes read the same stream.
         """
         if n < 0:
             raise ValueError(f"cannot take a negative number of votes, got {n}")
@@ -269,13 +268,6 @@ class CategoricalVoteSource(_BufferedSource):
         self._buffer = np.where(hit, inst.true_answer, wrong)
         self._pos = 0
 
-    def draw(self) -> tuple[int, int] | None:
-        if self._pos >= self._buffer.size:
-            self._refill()
-        answer = int(self._buffer[self._pos])
-        self._pos += 1
-        return answer, self._cost
-
 
 class PolicyVoteSource(_BufferedSource):
     """Draws answers from a snapshot of a policy's answer distribution.
@@ -309,13 +301,6 @@ class PolicyVoteSource(_BufferedSource):
     def _refill(self) -> None:
         self._buffer = self._rng.choice(self._m, size=_BUFFER_SIZE, p=self._probs)
         self._pos = 0
-
-    def draw(self) -> tuple[int, int] | None:
-        if self._pos >= self._buffer.size:
-            self._refill()
-        answer = int(self._buffer[self._pos])
-        self._pos += 1
-        return answer, self._cost
 
 
 def _categorical_votes(
@@ -440,18 +425,17 @@ def canonical_trace_line(record: TraceRecord) -> str:
 class TraceVoteSource:
     """Replays one instance's recorded rollouts in index order.
 
-    Exhaustion is reported by returning None from draw, never by raising.
-    Answers get ids in first-seen order over the full trace, and m is the
-    distinct-answer count floored at 2 so the noise model stays well formed
-    even for unanimous traces. The id and token columns are built once and
-    are read-only; clones share them.
+    A take past the end returns what is left, possibly nothing; it never
+    raises. Answers get ids in first-seen order over the full trace, and m
+    is the distinct-answer count floored at 2 so the noise model stays well
+    formed even for unanimous traces. The id and token columns are built
+    once and are read-only.
     """
 
     def __init__(self, instance_id: str, answers: Sequence[str], tokens: Sequence[int]):
         self.instance_id = instance_id
         self._answer_by_id = list(dict.fromkeys(answers))
         id_by_answer = {answer: i for i, answer in enumerate(self._answer_by_id)}
-        self._id_by_answer = id_by_answer
         self._ids = np.fromiter(map(id_by_answer.__getitem__, answers), np.int64, len(answers))
         self._tokens = np.array(tokens, dtype=np.int64)
         self._ids.flags.writeable = self._tokens.flags.writeable = False
@@ -462,39 +446,13 @@ class TraceVoteSource:
     def m(self) -> int:
         return self._m
 
-    @property
-    def records(self) -> list[TraceRecord]:
-        return self._records(self._ids.size)
-
-    def _records(self, count: int) -> list[TraceRecord]:
-        names = self._answer_by_id
-        return [
-            TraceRecord(self.instance_id, index, names[answer_id], tokens)
-            for index, (answer_id, tokens) in enumerate(
-                zip(self._ids[:count].tolist(), self._tokens[:count].tolist())
-            )
-        ]
-
-    def answer_id(self, answer: str) -> int | None:
-        return self._id_by_answer.get(answer)
-
     def answer_string(self, answer_id: int) -> str | None:
         if 0 <= answer_id < len(self._answer_by_id):
             return self._answer_by_id[answer_id]
         return None
 
-    def consumed(self) -> list[TraceRecord]:
-        """Records replayed so far, in replay order."""
-        return self._records(self._pos)
-
-    def clone(self) -> "TraceVoteSource":
-        """A fresh source over the same records, rewound to the start."""
-        twin = copy.copy(self)
-        twin._pos = 0
-        return twin
-
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Answer ids and token costs of the next ``n`` draws (fewer at the end).
+        """Answer ids and token costs of the next ``n`` votes (fewer at the end).
 
         The arrays are read-only views of the source's columns.
         """
@@ -503,13 +461,6 @@ class TraceVoteSource:
         start = self._pos
         self._pos = min(start + n, self._ids.size)
         return self._ids[start : self._pos], self._tokens[start : self._pos]
-
-    def draw(self) -> tuple[int, int] | None:
-        pos = self._pos
-        if pos >= self._ids.size:
-            return None
-        self._pos = pos + 1
-        return int(self._ids[pos]), int(self._tokens[pos])
 
 
 # Costs are stored and added up as int64: a token count, an instance's token

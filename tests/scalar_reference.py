@@ -3,11 +3,12 @@
 The experiment drivers decide chunks of instances with ``stop_batch``; these
 build the same reports the slow way, one call of the per-vote oracle
 ``stopper_reference.allocate`` per instance and round, with the fixed arm
-drawn one vote at a time. The closed loop updates each policy on its own
-with the per-sample rules in ``optimizer_reference``. Tests require the two
-to render to identical bytes.
+drawn one vote at a time. The closed loop starts each policy from
+``initial_policy`` and updates it on its own with the per-sample rules in
+``optimizer_reference``. Tests require the two to render to identical bytes.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from ttpo.config import SyntheticCorpusSpec, config_echo
 from ttpo.consensus import VoteTally
 from ttpo.errors import AllocationError
-from ttpo.experiment import initial_policy
+from ttpo.optimizer import SoftmaxAnswerPolicy
 from ttpo.report import InstanceRow, build_report
 from ttpo.seeding import stream_seed
 from ttpo.stopper import ErrorBudget
@@ -29,7 +30,21 @@ from ttpo.synth import (
 from ttpo.version import __version__
 
 import optimizer_reference as oracle
-from stopper_reference import allocate, top_two
+from stopper_reference import allocate, draw, top_two
+
+
+def initial_policy(instance):
+    """Logits whose softmax puts exactly p0_true on the true answer.
+
+    With the true-answer logit at ln(p0 (m-1) / (1-p0)) and the rest at 0,
+    the policy's vote stream follows the same symmetric noise model the
+    stopper assumes, so allocation and update effects compose coherently.
+    """
+    logits = np.zeros(instance.m)
+    logits[instance.true_answer] = math.log(
+        instance.p0_true * (instance.m - 1) / (1.0 - instance.p0_true)
+    )
+    return SoftmaxAnswerPolicy(logits=logits)
 
 
 def fixed_arm(source, budget, m):
@@ -38,7 +53,7 @@ def fixed_arm(source, budget, m):
     cost = 0
     drawn = 0
     for _ in range(budget):
-        vote = source.draw()
+        vote = draw(source)
         if vote is None:
             break
         answer, vote_cost = vote
@@ -74,9 +89,9 @@ def _synthetic_compare_row(config, instance):
     )
 
 
-def _trace_compare_row(config, source, label):
-    result = allocate(source.clone(), config.stopper)
-    fixed_id, fixed_cost = fixed_arm(source.clone(), config.fixed_budget, source.m)
+def _trace_compare_row(config, source, fixed, label):
+    result = allocate(source, config.stopper)
+    fixed_id, fixed_cost = fixed_arm(fixed, config.fixed_budget, source.m)
     pseudo = source.answer_string(result.pseudo_label)
     fixed_answer = source.answer_string(fixed_id)
     return InstanceRow(
@@ -104,13 +119,17 @@ def reference_compare(config):
         )
         rows = [_synthetic_compare_row(config, inst) for inst in instances]
     else:
+        # One replay per arm, each read from the first rollout.
         sources = load_trace(config.corpus.trace_path)
+        fixed = load_trace(config.corpus.trace_path)
         labels = (
             load_labels(config.corpus.labels_path) if config.corpus.labels_path else {}
         )
         rows = [
-            _trace_compare_row(config, source, labels.get(source.instance_id))
-            for source in sources.values()
+            _trace_compare_row(
+                config, source, fixed[instance_id], labels.get(instance_id)
+            )
+            for instance_id, source in sources.items()
         ]
     return build_report(rows, config_echo(config), config.seed, __version__)
 

@@ -5,9 +5,9 @@ which decides whole vote streams from cumulative count arrays, and
 ``allocate`` drives it over a live source in chunks. This is the rule
 written out one vote at a time: a frozen tally rebuilt per vote, its
 leader and runner-up by scan, the streak counted step by step, and an
-``allocate`` loop that steps it once per drawn vote. Tests require the
-library to give the same decision, the same result fields and the same
-number of draws.
+``allocate`` loop that steps it once per drawn vote. Sources are read one
+vote at a time through ``draw``, a ``take(1)``. Tests require the library
+to give the same decision and result fields and to read the same votes.
 """
 
 from dataclasses import dataclass
@@ -208,6 +208,14 @@ class SprtStopper:
         return self._decision.chosen
 
 
+def draw(source: VoteSource) -> tuple[int, int] | None:
+    """One vote as (answer, cost) from ``source.take(1)``; None once it runs dry."""
+    answers, costs = source.take(1)
+    if len(answers) == 0:
+        return None
+    return int(answers[0]), int(costs[0])
+
+
 def allocate(source: VoteSource, config: StopperConfig) -> AllocationResult:
     """Run the sequential test over one source until it reaches a decision."""
     if source.m < 2:
@@ -219,7 +227,7 @@ def allocate(source: VoteSource, config: StopperConfig) -> AllocationResult:
     total_cost = 0
     truncated = False
     while True:
-        drawn = source.draw()
+        drawn = draw(source)
         if drawn is None:
             if not votes:
                 raise AllocationError("vote source exhausted before any vote")

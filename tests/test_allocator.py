@@ -8,96 +8,82 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stopper_reference as reference
-from test_kernel import CASES, random_block
-from ttpo.allocator import allocate, retain_for_update
+from test_kernel import CASES, RecordedSource, random_block
+from ttpo.allocator import VoteSource, allocate
 from ttpo.errors import AllocationError, ConfigurationError
 from ttpo.seeding import stream_seed
 from ttpo.stopper import ErrorBudget, StopKind, StopperConfig, ThresholdTable, stop_batch
 from ttpo.synth import (
     CategoricalVoteSource,
     P0Spec,
+    PolicyVoteSource,
     SyntheticInstance,
     TraceVoteSource,
     gen_instances,
 )
 
 
-class ScriptedSource:
-    """Finite source replaying a fixed answer list; None when exhausted."""
-
-    def __init__(self, m, answers, cost=1):
-        self._m = m
-        self._answers = list(answers)
-        self._cost = cost
-        self._pos = 0
-
-    @property
-    def m(self):
-        return self._m
-
-    def draw(self):
-        if self._pos >= len(self._answers):
-            return None
-        answer = self._answers[self._pos]
-        self._pos += 1
-        return answer, self._cost
-
-
-class RecordedSource:
-    """Finite source over recorded answers and costs; None once it runs dry."""
-
-    def __init__(self, m, answers, costs):
-        self._m = m
-        self._votes = [(int(a), int(c)) for a, c in zip(answers, costs)]
-        self._pos = 0
-
-    @property
-    def m(self):
-        return self._m
-
-    def draw(self):
-        if self._pos >= len(self._votes):
-            return None
-        self._pos += 1
-        return self._votes[self._pos - 1]
+def scripted(m, answers, cost=1):
+    """A finite source replaying ``answers``, every vote at the same cost."""
+    return RecordedSource(m, answers, [cost] * len(answers))
 
 
 class RationedSource:
-    """Counts the draws made on a source and fails any draw past ``allowance``."""
+    """Counts the votes taken from a source and fails any take that reaches
+    past ``allowance`` votes."""
 
     def __init__(self, source, allowance=None):
         self._source = source
         self._allowance = allowance
-        self.draws = 0
+        self.taken = 0
 
     @property
     def m(self):
         return self._source.m
 
-    def draw(self):
-        self.draws += 1
-        if self._allowance is not None and self.draws > self._allowance:
-            raise AssertionError(f"draw {self.draws} is past the oracle's {self._allowance}")
-        return self._source.draw()
+    def take(self, n):
+        answers, costs = self._source.take(n)
+        self.taken += len(answers)
+        if self._allowance is not None and self.taken > self._allowance:
+            raise AssertionError(f"vote {self.taken} is past the oracle's {self._allowance}")
+        return answers, costs
 
 
 class CyclicSource:
     """Unbounded source cycling through a fixed answer pattern."""
 
     def __init__(self, m, pattern, cost=1):
-        self._m = m
-        self._pattern = list(pattern)
+        self.m = m
+        self._pattern = np.asarray(pattern, dtype=np.int64)
         self._cost = cost
         self._pos = 0
 
-    @property
-    def m(self):
-        return self._m
+    def take(self, n):
+        index = np.arange(self._pos, self._pos + n) % self._pattern.size
+        self._pos += n
+        return self._pattern[index], np.full(n, self._cost, dtype=np.int64)
 
-    def draw(self):
-        answer = self._pattern[self._pos % len(self._pattern)]
-        self._pos += 1
-        return answer, self._cost
+
+def test_sources_satisfy_the_protocol():
+    instance = SyntheticInstance("x", true_answer=0, m=3, p0_true=0.7)
+    sources = [
+        CategoricalVoteSource(instance, 1),
+        PolicyVoteSource(np.array([0.25, 0.75]), 1),
+        TraceVoteSource("q", ["a", "b"], [1, 2]),
+        scripted(2, [0]),
+        RationedSource(scripted(2, [0])),
+        CyclicSource(2, [0]),
+    ]
+    for source in sources:
+        assert isinstance(source, VoteSource), source
+
+    class PerVoteOnly:
+        m = 2
+
+        def draw(self):
+            return 0, 1
+
+    assert not isinstance(PerVoteOnly(), VoteSource)
 
 
 FAST_STOP = StopperConfig(n_min=1, m_max=64, streak_k=1, p0_fixed=0.9)
@@ -123,11 +109,11 @@ class TestAllocate:
     def test_retained_is_n_min_prefix(self):
         config = StopperConfig(n_min=32, m_max=64, streak_k=5, p0_fixed=0.9)
         votes = [0, 1] * 17 + [0] * 6  # gap reaches 2 at t=36, streak 5 at t=40
-        result = allocate(ScriptedSource(2, votes), config)
+        result = allocate(scripted(2, votes), config)
         assert result.tau == 40
         assert result.decision_kind is StopKind.STOP_LEADER
         assert result.retained == tuple(range(32))
-        assert retain_for_update(result, 32) == [(v, 1) for v in votes[:32]]
+        assert result.retained_answers() == votes[:32]
 
     def test_stop_exactly_at_warm_up_end(self):
         config = StopperConfig(n_min=32, m_max=64, streak_k=1, p0_fixed=0.9)
@@ -138,25 +124,25 @@ class TestAllocate:
 
     def test_truncated_trace_keeps_partial_votes(self):
         config = StopperConfig(n_min=32, m_max=64, streak_k=5)
-        result = allocate(ScriptedSource(3, [2, 2, 0, 2, 2, 2, 1, 2, 2, 2]), config)
+        result = allocate(scripted(3, [2, 2, 0, 2, 2, 2, 1, 2, 2, 2]), config)
         assert result.truncated
         assert result.tau == 10
         assert result.decision_kind is StopKind.BUDGET_EXHAUSTED
         assert result.pseudo_label == 2
         assert result.retained == tuple(range(10))
-        assert retain_for_update(result, 32) == list(result.votes)
+        assert result.retained_answers() == [2, 2, 0, 2, 2, 2, 1, 2, 2, 2]
 
     def test_empty_source_rejected(self):
         with pytest.raises(AllocationError):
-            allocate(ScriptedSource(2, []), FAST_STOP)
+            allocate(scripted(2, []), FAST_STOP)
 
     def test_single_answer_space_rejected(self):
         with pytest.raises(ConfigurationError):
-            allocate(ScriptedSource(1, [0]), FAST_STOP)
+            allocate(scripted(1, [0]), FAST_STOP)
 
     def test_negative_cost_rejected(self):
         with pytest.raises(AllocationError):
-            allocate(ScriptedSource(2, [0], cost=-1), FAST_STOP)
+            allocate(scripted(2, [0], cost=-1), FAST_STOP)
 
     @pytest.mark.parametrize(
         "answer, cost, error, message",
@@ -167,16 +153,40 @@ class TestAllocate:
         ],
     )
     def test_bad_vote_rejected_before_the_next_draw(self, answer, cost, error, message):
-        # The second of 36 votes in the first chunk is bad; a third draw fails.
+        # The second of the 36 votes in the first take is bad; a second take
+        # fails.
+        config = StopperConfig()
         source = RecordedSource(2, [0, answer] + [0] * 40, [1, cost] + [1] * 40)
         with pytest.raises(error, match=message):
-            allocate(RationedSource(source, allowance=2), StopperConfig())
+            allocate(RationedSource(source, config.n_min + config.streak_k - 1), config)
+
+    @pytest.mark.parametrize(
+        "answers, costs, error, message",
+        [
+            ([0, 5, 0, 0], [1, 1, 1, -2], ValueError, "vote 5 out of range for m=2"),
+            ([0, 0, 0, 5], [1, -2, 1, 1], AllocationError, "negative cost -2"),
+            ([0, 5, 0, 0], [1, -2, 1, 1], AllocationError, "negative cost -2"),
+        ],
+    )
+    def test_first_bad_vote_in_a_take_wins(self, answers, costs, error, message):
+        # All four votes arrive in the first take. The earliest bad vote
+        # raises, and a vote bad on both counts raises for its cost, as the
+        # per-vote oracle does.
+        config = StopperConfig(n_min=4, m_max=8, streak_k=1)
+        for run in (allocate, reference.allocate):
+            with pytest.raises(error, match=message):
+                run(RecordedSource(2, answers + [0] * 4, costs + [1] * 4), config)
 
     def test_costs_accumulate_recorded_tokens(self):
         config = StopperConfig(n_min=1, m_max=8, streak_k=1, p0_fixed=0.9)
-        result = allocate(ScriptedSource(2, [0, 0], cost=117), config)
+        result = allocate(scripted(2, [0, 0], cost=117), config)
         assert result.total_cost == 234
         assert result.votes == ((0, 117), (0, 117))
+
+    def test_total_cost_is_exact_past_int64(self):
+        # Each cost fits int64; their sum does not, and is added exactly.
+        result = allocate(scripted(2, [0, 0], cost=2**62), FAST_STOP)
+        assert result.total_cost == 2**63
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -214,22 +224,6 @@ class TestAllocate:
         assert correct / len(instances) > 0.85
 
 
-class TestRetainForUpdate:
-    def test_prefix(self):
-        result = allocate(CyclicSource(2, [0]), FAST_STOP)
-        assert retain_for_update(result, 1) == [(0, 1)]
-
-    def test_nonpositive_rejected(self):
-        result = allocate(CyclicSource(2, [0]), FAST_STOP)
-        with pytest.raises(ValueError):
-            retain_for_update(result, 0)
-
-    def test_over_tau_rejected_when_not_truncated(self):
-        result = allocate(CyclicSource(2, [0]), FAST_STOP)
-        with pytest.raises(ValueError):
-            retain_for_update(result, 3)
-
-
 def result_fields(result):
     return (
         result.pseudo_label,
@@ -246,18 +240,19 @@ def result_fields(result):
 
 
 def assert_matches_oracle(make_source, config):
-    """allocate equals the per-vote oracle on every field and in its draws."""
+    """allocate equals the per-vote oracle on every field and reads the same
+    votes."""
     counted = RationedSource(make_source())
     expected = reference.allocate(counted, config)
-    rationed = RationedSource(make_source(), allowance=counted.draws)
+    rationed = RationedSource(make_source(), allowance=counted.taken)
     assert result_fields(allocate(rationed, config)) == result_fields(expected)
-    assert rationed.draws == counted.draws
+    assert rationed.taken == counted.taken
     return expected
 
 
 class TestMatchesOracle:
     """Over 10,000 streams: the same result as stepping the rule vote by vote,
-    from exactly the draws the oracle makes."""
+    from exactly the votes the oracle reads."""
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_random_streams(self, name):

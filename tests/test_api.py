@@ -42,7 +42,6 @@ PUBLIC = [
     "config_echo",
     "emit_report",
     "gen_instances",
-    "initial_policy",
     "load_labels",
     "load_report",
     "load_trace",
@@ -51,7 +50,6 @@ PUBLIC = [
     "posterior",
     "render_report",
     "resolve_config",
-    "retain_for_update",
     "run_ablation",
     "run_compare",
     "run_ttpo",
@@ -61,7 +59,7 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC) == 51
+    assert len(PUBLIC) == 49
     assert sorted(ttpo.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(ttpo, name) is not None, name

@@ -9,12 +9,11 @@ import pytest
 from ttpo.config import config_echo, resolve_config
 from ttpo.errors import ConfigurationError, CorpusError
 from ttpo.experiment import (
-    initial_policy,
     run_ablation,
     run_compare,
     run_ttpo,
 )
-from scalar_reference import reference_compare, reference_ttpo
+from scalar_reference import initial_policy, reference_compare, reference_ttpo
 from ttpo.report import render_ablation, render_report
 from ttpo.synth import (
     MAX_COST,

@@ -22,23 +22,20 @@ from ttpo.stopper import (
 from ttpo.synth import TraceRecord, canonical_trace_line
 
 
-class ListSource:
-    """Finite source over a fixed vote list; None once it runs dry."""
+class RecordedSource:
+    """Finite source over recorded answers and costs; takes fall short once
+    it runs dry."""
 
-    def __init__(self, m, votes):
-        self._m = m
-        self._votes = [int(v) for v in votes]
+    def __init__(self, m, answers, costs):
+        self.m = m
+        self._answers = np.asarray(answers, dtype=np.int64)
+        self._costs = np.asarray(costs, dtype=np.int64)
         self._pos = 0
 
-    @property
-    def m(self):
-        return self._m
-
-    def draw(self):
-        if self._pos >= len(self._votes):
-            return None
-        self._pos += 1
-        return self._votes[self._pos - 1], 1
+    def take(self, n):
+        start = self._pos
+        self._pos = min(start + n, self._answers.size)
+        return self._answers[start : self._pos], self._costs[start : self._pos]
 
 
 def random_block(rng, rows, width, m_choices):
@@ -55,7 +52,8 @@ def random_block(rng, rows, width, m_choices):
 def assert_matches_allocate(votes, lengths, m, config):
     stops = stop_batch(votes, lengths, m, ThresholdTable(config))
     for i in range(len(votes)):
-        result = allocate(ListSource(int(m[i]), votes[i, : lengths[i]]), config)
+        row = votes[i, : lengths[i]]
+        result = allocate(RecordedSource(int(m[i]), row, np.ones(row.size)), config)
         assert (
             int(stops.tau[i]),
             int(stops.label[i]),
@@ -68,7 +66,7 @@ def assert_matches_allocate(votes, lengths, m, config):
             result.decision_kind,
             result.truncated,
             result.p0_used,
-        ), (i, votes[i, : lengths[i]].tolist(), config)
+        ), (i, row.tolist(), config)
     return stops
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from stopper_reference import draw
 from ttpo import seeding
 from ttpo.errors import ConfigurationError, CorpusError
 from ttpo.optimizer import SoftmaxAnswerPolicy
@@ -123,12 +124,12 @@ class TestCategoricalVoteSource:
     def test_near_degenerate_accuracy(self):
         inst = SyntheticInstance("x", true_answer=2, m=4, p0_true=1 - 1e-9)
         source = CategoricalVoteSource(inst, stream_seed(1, "test", 0, "x"))
-        assert all(source.draw()[0] == 2 for _ in range(1_000_000))
+        assert (source.take(1_000_000)[0] == 2).all()
 
     def test_frequencies_match_generating_parameters(self):
         inst = SyntheticInstance("x", true_answer=1, m=4, p0_true=0.8)
         source = CategoricalVoteSource(inst, stream_seed(2, "test", 0, "x"))
-        draws = np.array([source.draw()[0] for _ in range(1_000_000)])
+        draws = source.take(1_000_000)[0]
         freq = np.bincount(draws, minlength=4) / draws.size
         assert freq[1] == pytest.approx(0.8, abs=0.002)
         for wrong in (0, 2, 3):
@@ -137,15 +138,14 @@ class TestCategoricalVoteSource:
     def test_deterministic_per_seed(self):
         inst = SyntheticInstance("x", true_answer=0, m=3, p0_true=0.7)
         seed = stream_seed(3, "test", 0, "x")
-        first = [CategoricalVoteSource(inst, seed).draw() for _ in range(1)]
         a = CategoricalVoteSource(inst, seed)
         b = CategoricalVoteSource(inst, seed)
-        assert [a.draw() for _ in range(500)] == [b.draw() for _ in range(500)]
+        assert a.take(500)[0].tolist() == b.take(500)[0].tolist()
 
     def test_cost_is_cost_per_vote(self):
         inst = SyntheticInstance("x", true_answer=0, m=2, p0_true=0.8, cost_per_vote=7)
         source = CategoricalVoteSource(inst, 0)
-        assert source.draw()[1] == 7
+        assert source.take(3)[1].tolist() == [7, 7, 7]
 
     def test_seed_isolation_across_instances(self):
         # Instance x's stream is untouched by what else gets constructed or
@@ -154,13 +154,13 @@ class TestCategoricalVoteSource:
         inst_y = SyntheticInstance("y", true_answer=2, m=3, p0_true=0.5)
         seed_x = stream_seed(42, "arm", 0, "x")
         alone = CategoricalVoteSource(inst_x, seed_x)
-        expected = [alone.draw() for _ in range(300)]
+        expected = alone.take(300)[0].tolist()
         crowded = CategoricalVoteSource(inst_x, seed_x)
         noise = CategoricalVoteSource(inst_y, stream_seed(42, "arm", 0, "y"))
         got = []
         for _ in range(300):
-            got.append(crowded.draw())
-            noise.draw()
+            got += crowded.take(1)[0].tolist()
+            noise.take(1)
         assert got == expected
 
 
@@ -169,23 +169,23 @@ class TestPolicyVoteSource:
         source = PolicyVoteSource(
             SoftmaxAnswerPolicy.uniform(2).probabilities(), stream_seed(4, "p", 0, "x")
         )
-        draws = np.array([source.draw()[0] for _ in range(100_000)])
+        draws = source.take(100_000)[0]
         assert draws.mean() == pytest.approx(0.5, abs=0.005)
 
     def test_saturated_policy(self):
         policy = SoftmaxAnswerPolicy(logits=np.array([20.0, 0.0, 0.0]))
         source = PolicyVoteSource(policy.probabilities(), stream_seed(5, "p", 0, "x"))
-        assert all(source.draw()[0] == 0 for _ in range(10_000))
+        assert (source.take(10_000)[0] == 0).all()
 
     def test_deterministic_per_seed(self):
         policy = SoftmaxAnswerPolicy(logits=np.array([0.5, -0.5, 0.1]))
         a = PolicyVoteSource(policy.probabilities(), 1234)
         b = PolicyVoteSource(policy.probabilities(), 1234)
-        assert [a.draw() for _ in range(500)] == [b.draw() for _ in range(500)]
+        assert a.take(500)[0].tolist() == b.take(500)[0].tolist()
 
     def test_cost_passthrough(self):
         source = PolicyVoteSource(SoftmaxAnswerPolicy.uniform(2).probabilities(), 0, cost=13)
-        assert source.draw()[1] == 13
+        assert source.take(3)[1].tolist() == [13, 13, 13]
 
     @pytest.mark.parametrize(
         "probabilities,message",
@@ -404,10 +404,8 @@ class TestLoadTrace:
         sources = load_trace(path)
         source = sources["q1"]
         assert source.m == 2
-        assert source.draw() == (0, 120)
-        assert source.draw() == (0, 80)
-        assert source.draw() == (1, 95)
-        assert source.draw() is None
+        answers, tokens = source.take(4)
+        assert (answers.tolist(), tokens.tolist()) == ([0, 0, 1], [120, 80, 95])
         assert source.answer_string(0) == "7"
         assert source.answer_string(1) == "9"
 
@@ -456,7 +454,8 @@ class TestLoadTrace:
     def test_unknown_fields_ignored(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         write_trace(path, [trace_row("q1", 0, "a", model="foo", step=3)])
-        assert load_trace(path)["q1"].draw() == (0, 100)
+        answers, tokens = load_trace(path)["q1"].take(2)
+        assert (answers.tolist(), tokens.tolist()) == ([0], [100])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError):
@@ -475,8 +474,8 @@ class TestLoadTrace:
         )
         sources = load_trace(path)
         assert set(sources) == {"q1", "q2"}
-        assert [sources["q1"].draw()[0] for _ in range(2)] == [0, 1]
-        assert [sources["q2"].draw()[0] for _ in range(2)] == [0, 0]
+        assert sources["q1"].take(2)[0].tolist() == [0, 1]
+        assert sources["q2"].take(2)[0].tolist() == [0, 0]
 
     def test_replay_reserializes_to_canonical_input(self, tmp_path):
         rows = [
@@ -487,24 +486,15 @@ class TestLoadTrace:
         path = tmp_path / "trace.jsonl"
         write_trace(path, rows)
         source = load_trace(path)["q1"]
-        while source.draw() is not None:
-            pass
-        replayed = [canonical_trace_line(r) for r in source.consumed()]
+        answers, tokens = source.take(len(rows) + 1)
+        replayed = [
+            canonical_trace_line(TraceRecord("q1", index, source.answer_string(answer), cost))
+            for index, (answer, cost) in enumerate(zip(answers.tolist(), tokens.tolist()))
+        ]
         expected = [
             json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows
         ]
         assert replayed == expected
-
-    def test_clone_rewinds(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_trace(path, [trace_row("q1", 0, "a"), trace_row("q1", 1, "b")])
-        source = load_trace(path)["q1"]
-        assert source.draw() == (0, 100)
-        clone = source.clone()
-        assert clone.draw() == (0, 100)
-        assert source.draw() == (1, 100)
-        assert clone.draw() == (1, 100)
-        assert source.draw() is None
 
 
 class TestLoadLabels:
@@ -542,33 +532,34 @@ def _fresh_sources():
 
 
 class TestTake:
-    """take(n) is n draws at once: same votes, same costs, same stream after."""
+    """take(n) is n one-vote takes at once: same votes, same costs, same
+    stream after."""
 
     @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
     @pytest.mark.parametrize("kind", [0, 1])
     def test_take_equals_repeated_draws(self, kind, n):
         make = _fresh_sources()[kind]
-        drawn = make()
+        single = make()
         taken = make()
-        expected = [drawn.draw() for _ in range(n)]
+        expected = [draw(single) for _ in range(n)]
         answers, costs = taken.take(n)
         assert list(zip(answers.tolist(), costs.tolist())) == expected
         # The streams stay in step afterwards.
-        assert [taken.draw() for _ in range(300)] == [drawn.draw() for _ in range(300)]
+        assert taken.take(300)[0].tolist() == single.take(300)[0].tolist()
 
     @pytest.mark.parametrize("kind", [0, 1])
     def test_interleaved_draw_and_take(self, kind):
         make = _fresh_sources()[kind]
-        drawn = make()
         mixed = make()
         got = []
         for step, n in enumerate([3, 250, 1, 256, 40, 600, 7]):
             if step % 2:
-                got += [mixed.draw() for _ in range(n)]
+                got += [draw(mixed) for _ in range(n)]
             else:
                 answers, costs = mixed.take(n)
                 got += list(zip(answers.tolist(), costs.tolist()))
-        assert got == [drawn.draw() for _ in range(len(got))]
+        answers, costs = make().take(len(got))
+        assert got == list(zip(answers.tolist(), costs.tolist()))
 
     def test_negative_rejected(self):
         for make in _fresh_sources():
@@ -580,11 +571,12 @@ class TestTake:
         records = [TraceRecord("q", i, "ab"[i % 2], 10 + i) for i in range(5)]
         path.write_text("\n".join(canonical_trace_line(r) for r in records) + "\n")
         source = load_trace(path)["q"]
-        drawn = source.clone()
-        expected = [drawn.draw() for _ in range(7)]
         answers, costs = source.take(2)
         rest_answers, rest_costs = source.take(5)
-        got = list(zip(answers.tolist() + rest_answers.tolist(), costs.tolist() + rest_costs.tolist()))
-        assert got == [e for e in expected if e is not None]
-        assert source.draw() is None
-        assert source.take(3)[0].size == 0
+        assert answers.tolist() + rest_answers.tolist() == [0, 1, 0, 1, 0]
+        assert costs.tolist() + rest_costs.tolist() == [10, 11, 12, 13, 14]
+        # A dry source hands out empty int64 arrays, whatever is asked.
+        for n in (3, 0, 1):
+            dry_answers, dry_costs = source.take(n)
+            assert dry_answers.size == dry_costs.size == 0
+            assert dry_answers.dtype == dry_costs.dtype == np.int64

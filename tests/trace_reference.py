@@ -18,10 +18,10 @@ from ttpo.synth import TraceRecord, _open_corpus_file
 class TraceVoteSource:
     """Replays one instance's recorded rollouts in index order.
 
-    Exhaustion is reported by returning None from draw, never by raising.
-    The answer-id dictionary is built in first-seen order over the full
-    trace, and m is the distinct-answer count floored at 2 so the noise
-    model stays well formed even for unanimous traces.
+    A take past the end returns what is left, possibly nothing. The
+    answer-id dictionary is built in first-seen order over the full trace,
+    and m is the distinct-answer count floored at 2 so the noise model stays
+    well formed even for unanimous traces.
     """
 
     def __init__(self, instance_id: str, records: list[TraceRecord]):
@@ -32,7 +32,6 @@ class TraceVoteSource:
             if record.answer not in id_by_answer:
                 id_by_answer[record.answer] = len(id_by_answer)
         self._id_by_answer = id_by_answer
-        self._answers = [record.answer for record in records]
         self._m = max(2, len(id_by_answer))
         self._pos = 0
 
@@ -40,29 +39,14 @@ class TraceVoteSource:
     def m(self) -> int:
         return self._m
 
-    @property
-    def records(self) -> list[TraceRecord]:
-        return list(self._records)
-
-    def answer_id(self, answer: str) -> int | None:
-        return self._id_by_answer.get(answer)
-
     def answer_string(self, answer_id: int) -> str | None:
         for answer, mapped in self._id_by_answer.items():
             if mapped == answer_id:
                 return answer
         return None
 
-    def consumed(self) -> list[TraceRecord]:
-        """Records replayed so far, in replay order."""
-        return list(self._records[: self._pos])
-
-    def clone(self) -> "TraceVoteSource":
-        """A fresh source over the same records, rewound to the start."""
-        return TraceVoteSource(self.instance_id, self._records)
-
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Answer ids and token costs of the next ``n`` draws (fewer at the end)."""
+        """Answer ids and token costs of the next ``n`` votes (fewer at the end)."""
         if n < 0:
             raise ValueError(f"cannot take a negative number of votes, got {n}")
         records = self._records[self._pos : self._pos + n]
@@ -70,13 +54,6 @@ class TraceVoteSource:
         answers = [self._id_by_answer[record.answer] for record in records]
         tokens = [record.tokens for record in records]
         return np.array(answers, dtype=np.int64), np.array(tokens, dtype=np.int64)
-
-    def draw(self) -> tuple[int, int] | None:
-        if self._pos >= len(self._records):
-            return None
-        record = self._records[self._pos]
-        self._pos += 1
-        return self._id_by_answer[record.answer], record.tokens
 
 
 def _parse_trace_line(line_no: int, line: str) -> TraceRecord:
