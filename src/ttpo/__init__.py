@@ -21,7 +21,7 @@ from .config import (
 from .consensus import AnswerModel, VoteTally, log_bayes_factor_closed_form, posterior
 from .errors import AllocationError, ConfigurationError, CorpusError
 from .experiment import run_ablation, run_compare, run_ttpo
-from .optimizer import SoftmaxAnswerPolicy, UpdateConfig, advantages
+from .optimizer import UpdateConfig, advantages
 from .report import (
     Aggregate,
     ExperimentReport,
@@ -70,7 +70,6 @@ __all__ = [
     "InstanceRow",
     "P0Spec",
     "PolicyVoteSource",
-    "SoftmaxAnswerPolicy",
     "StopKind",
     "StopperConfig",
     "SyntheticCorpusSpec",

@@ -8,7 +8,7 @@ report is itself a valid mapping that resolves back to the same experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -112,6 +112,10 @@ class ExperimentConfig:
                 )
             if not self.values:
                 raise ConfigurationError("ablation needs a non-empty values list")
+            # Every sweep point's stopper is built, so a bad value fails
+            # here rather than after the points before it have run.
+            for value in self.values:
+                _ablated_stopper(self, value)
         if self.mode in ("ttpo_rl", "ttpo_sft") and isinstance(
             self.corpus, TraceCorpusSpec
         ):
@@ -119,6 +123,15 @@ class ExperimentConfig:
                 "closed-loop modes need a synthetic corpus; trace replay "
                 "cannot reflect policy updates"
             )
+
+
+def _ablated_stopper(config: ExperimentConfig, value: float) -> StopperConfig:
+    """The stopper of one sweep point: ``config.stopper`` with its axis at ``value``."""
+    if config.axis == "alpha_beta":
+        return replace(config.stopper, budget=ErrorBudget(alpha=value, beta=value))
+    if not float(value).is_integer():
+        raise ConfigurationError(f"n_min values must be integers, got {value}")
+    return replace(config.stopper, n_min=int(value))
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:

@@ -22,14 +22,15 @@ row for row.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import replace
 
 import numpy as np
 
 from .config import (
-    ABLATION_AXES,
     ExperimentConfig,
     SyntheticCorpusSpec,
+    _ablated_stopper,
     config_echo,
 )
 from .consensus import _log_softmax, _softmax, plurality
@@ -37,7 +38,7 @@ from .errors import ConfigurationError
 from .optimizer import advantages, consensus_rewards, pg_step, sft_step
 from .report import ExperimentReport, InstanceRow, build_report
 from .seeding import _LANES, stream_seed
-from .stopper import ErrorBudget, ThresholdTable, stop_batch
+from .stopper import ThresholdTable, stop_batch
 from .synth import (
     SyntheticInstance,
     TraceVoteSource,
@@ -125,6 +126,31 @@ def _categorical_draws(
     return _synthetic_draws(_categorical_votes(chunk, seeds, n), config.corpus.cost_per_vote)
 
 
+def _compare_row(
+    instance_id: str, outcome: tuple, name: Callable[[int], int | str | None], gold
+) -> InstanceRow:
+    """One comparison row from a ``_race`` outcome.
+
+    ``name`` maps an answer id to its reported label, or to None to report
+    the id itself; ``gold`` is the true label, or None when there is none.
+    """
+    tau, label, kind, truncated, cost, f_label, f_cost = outcome
+    pseudo, fixed = name(label), name(f_label)
+    return InstanceRow(
+        instance_id=instance_id,
+        tau=tau,
+        pseudo_label=label if pseudo is None else pseudo,
+        pseudo_correct=None if gold is None or pseudo is None else pseudo == gold,
+        cost=cost,
+        savings_fraction=1.0 - cost / f_cost,
+        decision_kind=kind,
+        truncated=truncated,
+        fixed_cost=f_cost,
+        fixed_label=f_label if fixed is None else fixed,
+        fixed_correct=None if gold is None or fixed is None else fixed == gold,
+    )
+
+
 def _compare_synthetic(config: ExperimentConfig) -> list[InstanceRow]:
     spec = config.corpus
     instances = gen_instances(spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote)
@@ -140,30 +166,16 @@ def _compare_synthetic(config: ExperimentConfig) -> list[InstanceRow]:
             _categorical_draws(config, batch, "adaptive", config.stopper.m_max),
             _categorical_draws(config, batch, "fixed", config.fixed_budget),
         )
-        for inst, (tau, label, kind, truncated, cost, f_label, f_cost) in zip(batch, outcomes):
-            rows.append(
-                InstanceRow(
-                    instance_id=inst.instance_id,
-                    tau=tau,
-                    pseudo_label=label,
-                    pseudo_correct=label == inst.true_answer,
-                    cost=cost,
-                    savings_fraction=1.0 - cost / f_cost,
-                    decision_kind=kind,
-                    truncated=truncated,
-                    fixed_cost=f_cost,
-                    fixed_label=f_label,
-                    fixed_correct=f_label == inst.true_answer,
-                )
-            )
+        rows.extend(
+            _compare_row(inst.instance_id, outcome, int, inst.true_answer)
+            for inst, outcome in zip(batch, outcomes)
+        )
     return rows
 
 
 def _compare_trace(config: ExperimentConfig) -> list[InstanceRow]:
     sources = list(load_trace(config.corpus.trace_path).values())
     labels = load_labels(config.corpus.labels_path) if config.corpus.labels_path else {}
-    if not sources:
-        return []
     table = ThresholdTable(config.stopper)
     rows = []
     width = max(config.stopper.m_max, config.fixed_budget)
@@ -172,29 +184,12 @@ def _compare_trace(config: ExperimentConfig) -> list[InstanceRow]:
         # Both arms replay the same trace, so one prefix serves both.
         draws = _take_all(batch, width)
         outcomes = _race(config, table, np.array([s.m for s in batch]), draws, draws)
-        for source, (tau, label, kind, truncated, cost, f_label, f_cost) in zip(
-            batch, outcomes
-        ):
-            gold = labels.get(source.instance_id)
-            pseudo = source.answer_string(label)
-            fixed_answer = source.answer_string(f_label)
-            rows.append(
-                InstanceRow(
-                    instance_id=source.instance_id,
-                    tau=tau,
-                    pseudo_label=label if pseudo is None else pseudo,
-                    pseudo_correct=None if gold is None or pseudo is None else pseudo == gold,
-                    cost=cost,
-                    savings_fraction=1.0 - cost / f_cost,
-                    decision_kind=kind,
-                    truncated=truncated,
-                    fixed_cost=f_cost,
-                    fixed_label=f_label if fixed_answer is None else fixed_answer,
-                    fixed_correct=(
-                        None if gold is None or fixed_answer is None else fixed_answer == gold
-                    ),
-                )
+        rows.extend(
+            _compare_row(
+                source.instance_id, outcome, source.answer_string, labels.get(source.instance_id)
             )
+            for source, outcome in zip(batch, outcomes)
+        )
     return rows
 
 
@@ -225,8 +220,6 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigurationError(
             f"run_ttpo needs mode 'ttpo_rl' or 'ttpo_sft', got {config.mode!r}"
         )
-    if not isinstance(config.corpus, SyntheticCorpusSpec):
-        raise ConfigurationError("closed-loop modes need a synthetic corpus")
     spec = config.corpus
     instances = gen_instances(
         spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote
@@ -333,38 +326,19 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     return build_report(rows, config_echo(config), config.seed, __version__)
 
 
-def _ablated_stopper(config: ExperimentConfig, axis: str, value: float):
-    if axis == "alpha_beta":
-        return replace(config.stopper, budget=ErrorBudget(alpha=value, beta=value))
-    if int(value) != value:
-        raise ConfigurationError(f"n_min values must be integers, got {value}")
-    return replace(config.stopper, n_min=int(value))
-
-
-def run_ablation(
-    config: ExperimentConfig,
-    axis: str | None = None,
-    values: tuple[float, ...] | None = None,
-) -> list[ExperimentReport]:
+def run_ablation(config: ExperimentConfig) -> list[ExperimentReport]:
     """One comparison report per axis value, sharing corpus and streams."""
     if config.mode != "ablate":
         raise ConfigurationError(f"run_ablation needs mode 'ablate', got {config.mode!r}")
-    axis = config.axis if axis is None else axis
-    values = config.values if values is None else tuple(values)
-    if axis not in ABLATION_AXES:
-        raise ConfigurationError(
-            f"ablation axis must be one of {ABLATION_AXES}, got {axis!r}"
+    return [
+        run_compare(
+            replace(
+                config,
+                mode="compare",
+                stopper=_ablated_stopper(config, value),
+                axis=None,
+                values=(),
+            )
         )
-    if not values:
-        raise ConfigurationError("ablation needs a non-empty values list")
-    reports = []
-    for value in values:
-        sub = replace(
-            config,
-            mode="compare",
-            stopper=_ablated_stopper(config, axis, value),
-            axis=None,
-            values=(),
-        )
-        reports.append(run_compare(sub))
-    return reports
+        for value in config.values
+    ]

@@ -21,51 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .consensus import _log_softmax, _softmax
+from .consensus import _log_softmax
 from .errors import ConfigurationError
 
 ADVANTAGE_MODES = ("mean_baseline", "group_normalized")
-
-
-@dataclass(frozen=True, eq=False)
-class SoftmaxAnswerPolicy:
-    """Categorical answer distribution parameterized by logits / temperature."""
-
-    logits: np.ndarray
-    temperature: float = 1.0
-
-    def __post_init__(self) -> None:
-        logits = np.asarray(self.logits, dtype=float)
-        if logits.ndim != 1 or logits.size < 2:
-            raise ValueError("logits must be a vector over at least two answers")
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("logits must be finite")
-        if not (np.isfinite(self.temperature) and self.temperature > 0.0):
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        logits = logits.copy()
-        logits.flags.writeable = False
-        object.__setattr__(self, "logits", logits)
-
-    @classmethod
-    def uniform(cls, m: int, temperature: float = 1.0) -> "SoftmaxAnswerPolicy":
-        return cls(logits=np.zeros(m), temperature=temperature)
-
-    @property
-    def m(self) -> int:
-        return self.logits.size
-
-    def probabilities(self) -> np.ndarray:
-        return _softmax(self.logits / self.temperature)
-
-    def log_probabilities(self) -> np.ndarray:
-        return _log_softmax(self.logits / self.temperature)
-
-    def prob(self, answer: int) -> float:
-        return float(self.probabilities()[answer])
-
-    def greedy_answer(self) -> int:
-        """Highest-logit answer; ties break toward the lowest id."""
-        return int(np.argmax(self.logits))
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,26 @@ def _csv_text(value: str) -> str:
     return '"' + value.replace('"', '""') + '"'
 
 
+_TRAILER_LITERAL = re.compile('^"|[\r\n]').search
+
+
+def _trailer(before, config: dict[str, str], after=()) -> str:
+    """The ``# name = value`` lines that end a CSV document.
+
+    The ``(name, value)`` pairs of ``before``, then each config entry as
+    ``config.<key>`` in key order, then ``after``. A value holding a CR or
+    LF, or starting with a double quote, is written as a JSON string
+    literal, so that each entry stays on one line and decodes back exactly:
+    a value starting with a quote is read with ``json.loads``, any other as
+    it stands.
+    """
+    entries = [*before, *((f"config.{key}", config[key]) for key in sorted(config)), *after]
+    return "".join(
+        f"# {name} = {encode_basestring_ascii(value) if _TRAILER_LITERAL(value) else value}\n"
+        for name, value in entries
+    )
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -325,12 +345,9 @@ def render_report(report: ExperimentReport, fmt: str) -> str:
         formatted = _format_columns(columns, _csv_text, _CSV_CONSTANTS, _cell)
         out.write("\n".join(map(",".join, zip(*formatted))))
         out.write("\n")
-    for name, value in zip(_AGGREGATE_COLUMNS, _aggregate_values(report.aggregate)):
-        out.write(f"# {name} = {_cell(value)}\n")
-    for key in sorted(report.config):
-        out.write(f"# config.{key} = {report.config[key]}\n")
-    out.write(f"# seed = {report.seed}\n")
-    out.write(f"# version = {report.version}\n")
+    aggregates = zip(_AGGREGATE_COLUMNS, map(_cell, _aggregate_values(report.aggregate)))
+    identity = [("seed", str(report.seed)), ("version", report.version)]
+    out.write(_trailer(aggregates, report.config, identity))
     return out.getvalue()
 
 
@@ -363,9 +380,7 @@ def render_ablation(
     for value, report in zip(values, reports):
         cells = map(_cell, _aggregate_values(report.aggregate))
         out.write(_cell(value) + "," + ",".join(cells) + "\n")
-    out.write(f"# axis = {axis}\n")
-    for key in sorted(parent_config):
-        out.write(f"# config.{key} = {parent_config[key]}\n")
+    out.write(_trailer([("axis", axis)], parent_config))
     return out.getvalue()
 
 

@@ -273,7 +273,7 @@ class PolicyVoteSource(_BufferedSource):
     """Draws answers from a snapshot of a policy's answer distribution.
 
     ``probabilities`` is the policy's vector over its ``m`` answers, e.g. a
-    row of the closed loop's softmax or ``SoftmaxAnswerPolicy.probabilities()``.
+    row of the closed loop's softmax.
     The snapshot is a copy taken at construction: after a policy update the
     caller builds a fresh source, keeping mutation visible in the simulation
     loop rather than hidden inside the source.
@@ -335,6 +335,9 @@ def _categorical_votes(
         np.copyto(wrong, true, where=hit)
         votes[rows] = wrong
         exact[rows] = ~rejected.any(axis=1)
+    # A lane cannot serve these rows, not even one lane at a time: a rejected
+    # Lemire draw shifts the rest of the row's reads by an amount of its own,
+    # and with m - 1 >= 2**32 numpy draws 64-bit values.
     for row in np.flatnonzero(~exact).tolist():
         votes[row] = CategoricalVoteSource(instances[row], seeds[row]).take(n)[0]
     return votes

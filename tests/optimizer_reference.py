@@ -3,7 +3,8 @@
 The library updates a block of policies with one batched step. These are
 the update rules written out for a single policy, sample by sample, with
 their own 1-D softmax, so tests can require the batched step to give the
-same bits row by row. ``kl_divergence`` measures how far a step moved a
+same bits row by row. A policy is a ``SoftmaxAnswerPolicy``: one logits
+vector and a temperature. ``kl_divergence`` measures how far a step moved a
 policy from its reference. The mean advantage is an explicit left-to-right
 ``acc += a`` loop rather than ``sum()``, whose float summation is
 compensated from Python 3.12 on; on 3.11 the two are identical.
@@ -13,7 +14,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ttpo.optimizer import SoftmaxAnswerPolicy
+from ttpo.consensus import _log_softmax, _softmax
+
+
+@dataclass(frozen=True, eq=False)
+class SoftmaxAnswerPolicy:
+    """Categorical answer distribution parameterized by logits / temperature."""
+
+    logits: np.ndarray
+    temperature: float = 1.0
+
+    def __post_init__(self) -> None:
+        logits = np.asarray(self.logits, dtype=float)
+        if logits.ndim != 1 or logits.size < 2:
+            raise ValueError("logits must be a vector over at least two answers")
+        if not np.all(np.isfinite(logits)):
+            raise ValueError("logits must be finite")
+        if not (np.isfinite(self.temperature) and self.temperature > 0.0):
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        logits = logits.copy()
+        logits.flags.writeable = False
+        object.__setattr__(self, "logits", logits)
+
+    @classmethod
+    def uniform(cls, m: int, temperature: float = 1.0) -> "SoftmaxAnswerPolicy":
+        return cls(logits=np.zeros(m), temperature=temperature)
+
+    @property
+    def m(self) -> int:
+        return self.logits.size
+
+    def probabilities(self) -> np.ndarray:
+        return _softmax(self.logits / self.temperature)
+
+    def log_probabilities(self) -> np.ndarray:
+        return _log_softmax(self.logits / self.temperature)
+
+    def prob(self, answer: int) -> float:
+        return float(self.probabilities()[answer])
+
+    def greedy_answer(self) -> int:
+        """Highest-logit answer; ties break toward the lowest id."""
+        return int(np.argmax(self.logits))
 
 
 @dataclass(frozen=True)

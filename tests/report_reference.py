@@ -3,7 +3,8 @@
 The library renders report rows a column at a time and fills one template
 per row. This is the straightforward render it must equal byte for byte:
 the whole document handed to ``json.dumps(..., sort_keys=True, indent=2)``,
-and every CSV field through ``_cell``.
+every CSV field through ``_cell``, and every trailer line through
+``_comment``.
 """
 
 import io
@@ -31,6 +32,15 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _comment(name, value) -> str:
+    """One ``# name = value`` trailer line; a value holding CR or LF, or
+    starting with a double quote, is written as a JSON string literal."""
+    text = str(value)
+    if text.startswith('"') or "\r" in text or "\n" in text:
+        text = json.dumps(text)
+    return f"# {name} = {text}\n"
+
+
 def report_document(report: ExperimentReport) -> dict:
     """The report as a plain JSON-ready dict."""
     return {
@@ -52,11 +62,11 @@ def render_report(report: ExperimentReport, fmt: str) -> str:
     for row in report.rows:
         out.write(",".join(map(_cell, _row_values(row))) + "\n")
     for name, value in zip(_AGGREGATE_COLUMNS, _aggregate_values(report.aggregate)):
-        out.write(f"# {name} = {_cell(value)}\n")
+        out.write(_comment(name, _cell(value)))
     for key in sorted(report.config):
-        out.write(f"# config.{key} = {report.config[key]}\n")
-    out.write(f"# seed = {report.seed}\n")
-    out.write(f"# version = {report.version}\n")
+        out.write(_comment(f"config.{key}", report.config[key]))
+    out.write(_comment("seed", report.seed))
+    out.write(_comment("version", report.version))
     return out.getvalue()
 
 
@@ -82,7 +92,7 @@ def render_ablation(
     for value, report in zip(values, reports):
         cells = map(_cell, _aggregate_values(report.aggregate))
         out.write(_cell(value) + "," + ",".join(cells) + "\n")
-    out.write(f"# axis = {axis}\n")
+    out.write(_comment("axis", axis))
     for key in sorted(parent_config):
-        out.write(f"# config.{key} = {parent_config[key]}\n")
+        out.write(_comment(f"config.{key}", parent_config[key]))
     return out.getvalue()

@@ -16,7 +16,6 @@ import numpy as np
 from ttpo.config import SyntheticCorpusSpec, config_echo
 from ttpo.consensus import VoteTally
 from ttpo.errors import AllocationError
-from ttpo.optimizer import SoftmaxAnswerPolicy
 from ttpo.report import InstanceRow, build_report
 from ttpo.seeding import stream_seed
 from ttpo.stopper import ErrorBudget
@@ -44,7 +43,7 @@ def initial_policy(instance):
     logits[instance.true_answer] = math.log(
         instance.p0_true * (instance.m - 1) / (1.0 - instance.p0_true)
     )
-    return SoftmaxAnswerPolicy(logits=logits)
+    return oracle.SoftmaxAnswerPolicy(logits=logits)
 
 
 def fixed_arm(source, budget, m):

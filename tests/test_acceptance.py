@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from likelihood_reference import log_bayes_factor_full
+from optimizer_reference import SoftmaxAnswerPolicy
 from scalar_reference import reference_ablation, reference_compare, reference_ttpo
 from stopper_reference import top_two
 from test_optimizer import fd_gradient, gradient, indicator_batch, sft_updated
@@ -23,7 +24,7 @@ from ttpo.allocator import allocate
 from ttpo.config import resolve_config
 from ttpo.consensus import AnswerModel, VoteTally, log_bayes_factor_closed_form
 from ttpo.experiment import run_ablation, run_compare, run_ttpo
-from ttpo.optimizer import SoftmaxAnswerPolicy, UpdateConfig
+from ttpo.optimizer import UpdateConfig
 from ttpo.report import render_report
 from ttpo.seeding import stream_seed
 from ttpo.stopper import ErrorBudget, StopperConfig, ThresholdTable, compute_thresholds

@@ -19,7 +19,6 @@ PUBLIC = [
     "InstanceRow",
     "P0Spec",
     "PolicyVoteSource",
-    "SoftmaxAnswerPolicy",
     "StopKind",
     "StopperConfig",
     "SyntheticCorpusSpec",
@@ -59,7 +58,7 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC) == 49
+    assert len(PUBLIC) == 48
     assert sorted(ttpo.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(ttpo, name) is not None, name

@@ -1,7 +1,10 @@
 """Command-line surface: subcommands, overrides, exit codes, outputs."""
 
+import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ttpo.cli as cli
+from ttpo.report import Aggregate
 from ttpo.synth import TraceRecord, canonical_trace_line
 
 
@@ -135,6 +139,18 @@ def write_trace(path):
         for i in range(20)
     ]
     path.write_text("\n".join(lines) + "\n")
+
+
+def test_replay_trace_path_with_a_line_break_stays_on_one_line(tmp_path, capsys):
+    trace = tmp_path / "a\nb.jsonl"
+    write_trace(trace)
+    assert run_cli("replay", str(trace), "--format", "csv") == 0
+    lines = capsys.readouterr().out.split("\n")
+    # The header, one row, then the `#` block and the final newline.
+    assert lines[1].startswith("q1,") and lines[-1] == ""
+    assert all(line.startswith("# ") for line in lines[2:-1])
+    echo = [line for line in lines if line.startswith("# config.trace = ")]
+    assert echo == ["# config.trace = " + json.dumps(str(trace))]
 
 
 def test_replay_positional_trace(tmp_path, capsys):
@@ -362,3 +378,26 @@ def test_non_finite_update_is_internal_error(tmp_path, capsys):
     with pytest.warns(RuntimeWarning, match="overflow"):
         assert run_cli("ttpo", "--update", "rl", "--config", str(cfg), "--seed", "0") == 3
     assert "internal error: logits must be finite" in capsys.readouterr().err
+
+
+# A README recipe: a config file's name and text, then the command that reads it.
+_RECIPE = re.compile(r"^`(\w+\.cfg)`:\n\n```ini\n(.*?)^```\n\n```sh\n(ttpo .*?)\n```", re.M | re.S)
+
+
+def test_readme_recipes_run(tmp_path, capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    recipes = _RECIPE.findall(readme.read_text(encoding="utf-8"))
+    assert [name for name, _, _ in recipes] == ["savings.cfg", "sweep.cfg", "loop.cfg"]
+    aggregates = [field.name for field in dataclasses.fields(Aggregate)]
+    for name, text, command in recipes:
+        (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / arg) if arg == name else arg for arg in shlex.split(command)[1:]]
+        assert run_cli(*argv) == 0, command
+        lines = capsys.readouterr().out.splitlines()
+        if argv[0] == "ablate":
+            # One aggregate row per swept value.
+            assert lines[0] == "value," + ",".join(aggregates)
+            assert len([line for line in lines if not line.startswith("#")]) == 6
+        else:
+            for field in aggregates:
+                assert any(line.startswith(f"# {field} = ") for line in lines), (command, field)

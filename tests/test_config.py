@@ -83,6 +83,9 @@ def test_unknown_key_rejected():
         ({"mode": "ablate", "axis": "alpha_beta"}, "values"),
         ({"mode": "ablate", "axis": "temperature", "values": "1"}, "axis"),
         ({"mode": "ablate", "axis": "alpha_beta", "values": "a,b"}, "values"),
+        ({"mode": "ablate", "axis": "n_min", "values": "16,16.5"}, "integer"),
+        ({"mode": "ablate", "axis": "n_min", "values": "16,100"}, r"n_min \(100\)"),
+        ({"mode": "ablate", "axis": "alpha_beta", "values": "0.05,0.7"}, r"alpha \+ beta"),
     ],
 )
 def test_invalid_mappings_rejected(mapping, fragment):

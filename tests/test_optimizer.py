@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optimizer_reference as oracle
-from optimizer_reference import RewardedSample, kl_divergence
+from optimizer_reference import RewardedSample, SoftmaxAnswerPolicy, kl_divergence
 from ttpo.consensus import _log_softmax, _softmax
 from ttpo.errors import ConfigurationError
 from ttpo.optimizer import (
-    SoftmaxAnswerPolicy,
     UpdateConfig,
     advantages,
     consensus_rewards,

@@ -202,6 +202,34 @@ def test_csv_quotes_string_cells_that_need_it():
     assert '"say ""hi"""' in text and "\nplain," in text
 
 
+def trailer_entries(text):
+    """The ``# name = value`` lines of a CSV document, each value decoded."""
+    entries = {}
+    for line in text.split("\n"):
+        if line.startswith("# "):
+            name, _, value = line[2:].partition(" = ")
+            entries[name] = json.loads(value) if value.startswith('"') else value
+    return entries
+
+
+def test_csv_trailer_writes_a_literal_only_where_needed():
+    config = {
+        "p0": "mixture:0.5,0.95,0.5",
+        "trace": "dir/a\nb.jsonl",
+        "labels": "c\rd.csv",
+        "out": '"q".csv',
+        "note": 'a"b',
+    }
+    text = render_report(build_report([], config, 0, "0.1.0"), "csv")
+    assert "# config.p0 = mixture:0.5,0.95,0.5\n" in text
+    assert '# config.trace = "dir/a\\nb.jsonl"\n' in text
+    assert '# config.labels = "c\\rd.csv"\n' in text
+    assert '# config.out = "\\"q\\".csv"\n' in text
+    assert '# config.note = a"b\n' in text
+    assert "\r" not in text
+    assert {key: trailer_entries(text)[f"config.{key}"] for key in config} == config
+
+
 def test_csv_aggregates_recomputable_from_rows():
     # The trailing comment block must match an external recomputation from
     # the emitted rows alone.
@@ -335,6 +363,26 @@ def test_render_ablation_matches_the_oracle(reports, values, axis, parent):
         assert render_ablation(axis, values, reports, parent, fmt) == (
             report_reference.render_ablation(axis, values, reports, parent, fmt)
         )
+
+
+@given(
+    config=st.dictionaries(st.text("abcxyz_", min_size=1, max_size=6), _texts, max_size=4),
+    version=_texts,
+    axis=_texts,
+)
+def test_csv_trailer_decodes_back(config, version, axis):
+    # Every entry is one line, whatever its value holds.
+    report = build_report([row()], config, 7, version)
+    text = render_report(report, "csv")
+    entries = trailer_entries(text)
+    assert text.count("\n") == 2 + len(entries)
+    assert len(entries) == len(dataclasses.fields(Aggregate)) + len(config) + 2
+    assert {key: entries[f"config.{key}"] for key in config} == config
+    assert (entries["seed"], entries["version"]) == ("7", version)
+    sweep = render_ablation(axis, (16.0,), [report], config, "csv")
+    entries = trailer_entries(sweep)
+    assert sweep.count("\n") == 2 + len(entries) == 3 + len(config)
+    assert entries == {"axis": axis} | {f"config.{key}": value for key, value in config.items()}
 
 
 def test_empty_config_and_rows_match_the_oracle():

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from optimizer_reference import SoftmaxAnswerPolicy
 from stopper_reference import draw
 from ttpo import seeding
 from ttpo.errors import ConfigurationError, CorpusError
-from ttpo.optimizer import SoftmaxAnswerPolicy
 from ttpo.seeding import _halves, _lemire, _pcg64_outputs, _seed_words, stream_seed
 from ttpo.synth import (
     CategoricalVoteSource,
