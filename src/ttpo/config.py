@@ -57,6 +57,12 @@ class SyntheticCorpusSpec:
     p0: P0Spec
     cost_per_vote: int = 1
 
+    def __post_init__(self) -> None:
+        if self.m < 2:
+            raise ConfigurationError(f"m must be >= 2, got {self.m}")
+        if self.cost_per_vote < 1:
+            raise ConfigurationError(f"cost_per_vote must be >= 1, got {self.cost_per_vote}")
+
 
 @dataclass(frozen=True)
 class TraceCorpusSpec:

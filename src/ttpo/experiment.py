@@ -11,9 +11,12 @@ All drivers are deterministic in (config, seed). They take each instance's
 votes as arrays and decide a chunk of up to ``seeding._LANES`` instances
 (``_LANES // rounds`` in ``run_ttpo``) per ``stop_batch`` call, the rule
 ``allocate`` applies to one live source; rows come out in corpus order.
-Synthetic votes are read from many instances' random streams at once
-(``synth._categorical_votes``, ``synth._policy_votes``), as the vote
-sources would draw them.
+A chunk is carried as columns from end to end: the synthetic corpus
+(``synth._corpus``), the chunk's stream seeds (``seeding._stream_seeds``),
+its votes, read from many instances' random streams at once as the vote
+sources would draw them (``synth._categorical_votes``,
+``synth._policy_votes``), and its report rows, built by one
+``map(InstanceRow, ...)`` over the outcome columns.
 ``run_ttpo`` holds every policy as one row of a logits matrix and updates a
 chunk's rows with one batched step, which reproduces the one-policy updates
 row for row.
@@ -22,8 +25,10 @@ row for row.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import replace
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,15 +42,14 @@ from .consensus import _log_softmax, _softmax, plurality
 from .errors import ConfigurationError
 from .optimizer import advantages, consensus_rewards, pg_step, sft_step
 from .report import ExperimentReport, InstanceRow, build_report
-from .seeding import _LANES, stream_seed
+from .seeding import _LANES, _stream_seeds
 from .stopper import ThresholdTable, stop_batch
 from .synth import (
-    SyntheticInstance,
     TraceVoteSource,
     _categorical_votes,
+    _corpus,
     _policy_uniforms,
     _policy_votes,
-    gen_instances,
     load_labels,
     load_trace,
 )
@@ -77,18 +81,30 @@ def _spent(costs: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.where(np.arange(costs.shape[1]) < tau[:, None], costs, 0).sum(axis=1)
 
 
+class _Race(NamedTuple):
+    """``_race``'s columns: answer-id arrays for the labels, lists otherwise."""
+
+    tau: list[int]
+    label: np.ndarray
+    kind: list[str]
+    truncated: list[bool]
+    cost: list[int]
+    fixed_label: np.ndarray
+    fixed_cost: list[int]
+
+
 def _race(
     config: ExperimentConfig,
     table: ThresholdTable,
     m: np.ndarray,
     adaptive: Draws,
     fixed: Draws,
-) -> list[tuple[int, int, str, bool, int, int, int]]:
-    """Both arms over one chunk of instances.
+) -> _Race:
+    """Both arms over one chunk of instances, one column per outcome.
 
-    Per row: tau, pseudo-label id, decision kind, truncated, adaptive cost,
-    and the fixed arm's plurality label id and cost over its first
-    fixed_budget draws.
+    The adaptive arm's tau, pseudo-label id, decision kind, truncated flag
+    and cost, and the fixed arm's plurality label id and cost over its
+    first fixed_budget draws.
     """
     votes, costs, lengths = adaptive
     stops = stop_batch(votes, lengths, m, table)
@@ -97,16 +113,14 @@ def _race(
     fixed_label = plurality(
         fixed_votes[:, :budget], np.minimum(fixed_lengths, budget), int(m.max())
     )
-    return list(
-        zip(
-            stops.tau.tolist(),
-            stops.label.tolist(),
-            [kind.value for kind in stops.kind],
-            stops.truncated.tolist(),
-            _spent(costs, stops.tau).tolist(),
-            fixed_label.tolist(),
-            fixed_costs[:, :budget].sum(axis=1).tolist(),
-        )
+    return _Race(
+        stops.tau.tolist(),
+        stops.label,
+        [kind.value for kind in stops.kind],
+        stops.truncated.tolist(),
+        _spent(costs, stops.tau).tolist(),
+        fixed_label,
+        fixed_costs[:, :budget].sum(axis=1).tolist(),
     )
 
 
@@ -120,56 +134,104 @@ def _synthetic_draws(votes: np.ndarray, cost: int) -> Draws:
 
 
 def _categorical_draws(
-    config: ExperimentConfig, chunk: list[SyntheticInstance], purpose: str, n: int
+    config: ExperimentConfig,
+    ids: list[str],
+    true: np.ndarray,
+    p0: np.ndarray,
+    purpose: str,
+    n: int,
 ) -> Draws:
-    seeds = [stream_seed(config.seed, purpose, 0, inst.instance_id) for inst in chunk]
-    return _synthetic_draws(_categorical_votes(chunk, seeds, n), config.corpus.cost_per_vote)
+    spec = config.corpus
+    seeds = _stream_seeds(config.seed, purpose, 0, ids)
+    return _synthetic_draws(_categorical_votes(true, p0, spec.m, seeds, n), spec.cost_per_vote)
 
 
-def _compare_row(
-    instance_id: str, outcome: tuple, name: Callable[[int], int | str | None], gold
-) -> InstanceRow:
-    """One comparison row from a ``_race`` outcome.
+def _savings(cost: list[int], fixed_cost: Iterable[int]) -> list[float]:
+    # On Python ints: past 2**53 a float64 division of the costs can round
+    # differently from the true quotient.
+    return [1.0 - spent / fixed for spent, fixed in zip(cost, fixed_cost)]
 
-    ``name`` maps an answer id to its reported label, or to None to report
-    the id itself; ``gold`` is the true label, or None when there is none.
+
+# A column of reported labels and whether each is correct (None if unknown).
+Judged = tuple[list, list]
+
+
+def _compare_rows(
+    ids: list[str], race: _Race, judge: Callable[[np.ndarray], Judged]
+) -> list[InstanceRow]:
+    """The comparison rows of one chunk, from its ``_race`` columns.
+
+    ``judge`` maps a column of answer ids to the labels the report shows and
+    whether each is correct.
     """
-    tau, label, kind, truncated, cost, f_label, f_cost = outcome
-    pseudo, fixed = name(label), name(f_label)
-    return InstanceRow(
-        instance_id=instance_id,
-        tau=tau,
-        pseudo_label=label if pseudo is None else pseudo,
-        pseudo_correct=None if gold is None or pseudo is None else pseudo == gold,
-        cost=cost,
-        savings_fraction=1.0 - cost / f_cost,
-        decision_kind=kind,
-        truncated=truncated,
-        fixed_cost=f_cost,
-        fixed_label=f_label if fixed is None else fixed,
-        fixed_correct=None if gold is None or fixed is None else fixed == gold,
+    pseudo, pseudo_correct = judge(race.label)
+    fixed, fixed_correct = judge(race.fixed_label)
+    return list(
+        map(
+            InstanceRow,
+            ids,
+            race.tau,
+            pseudo,
+            pseudo_correct,
+            race.cost,
+            _savings(race.cost, race.fixed_cost),
+            race.kind,
+            race.truncated,
+            race.fixed_cost,
+            fixed,
+            fixed_correct,
+        )
     )
+
+
+def _synthetic_judge(true: np.ndarray) -> Callable[[np.ndarray], Judged]:
+    """Synthetic labels are reported as answer ids and checked against ``true``."""
+    return lambda label: (label.tolist(), (label == true).tolist())
+
+
+def _trace_judge(
+    sources: list[TraceVoteSource], labels: dict[str, str]
+) -> Callable[[np.ndarray], Judged]:
+    """Replayed labels are reported as answer strings and checked against gold.
+
+    An id with no answer string is reported as the id, and its correctness
+    is unknown, as it is for an instance with no gold label.
+    """
+    golds = [labels.get(source.instance_id) for source in sources]
+
+    def judge(label: np.ndarray) -> Judged:
+        ids = label.tolist()
+        names = [source.answer_string(i) for source, i in zip(sources, ids)]
+        shown = [i if name is None else name for i, name in zip(ids, names)]
+        correct = [
+            None if gold is None or name is None else name == gold
+            for name, gold in zip(names, golds)
+        ]
+        return shown, correct
+
+    return judge
 
 
 def _compare_synthetic(config: ExperimentConfig) -> list[InstanceRow]:
     spec = config.corpus
-    instances = gen_instances(spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote)
+    ids, true, p0 = _corpus(spec.count, spec.m, spec.p0, config.seed)
     table = ThresholdTable(config.stopper)
     rows = []
     # Each arm's streams are read, and both arms raced, a lane chunk at a time.
-    for chunk in _slices(0, len(instances), _LANES):
-        batch = instances[chunk]
-        outcomes = _race(
+    for chunk in _slices(0, len(ids), _LANES):
+        chunk_ids, chunk_true, chunk_p0 = ids[chunk], true[chunk], p0[chunk]
+        race = _race(
             config,
             table,
-            np.full(len(batch), spec.m),
-            _categorical_draws(config, batch, "adaptive", config.stopper.m_max),
-            _categorical_draws(config, batch, "fixed", config.fixed_budget),
+            np.full(len(chunk_ids), spec.m),
+            _categorical_draws(
+                config, chunk_ids, chunk_true, chunk_p0, "adaptive", config.stopper.m_max
+            ),
+            _categorical_draws(
+                config, chunk_ids, chunk_true, chunk_p0, "fixed", config.fixed_budget
+            ),
         )
-        rows.extend(
-            _compare_row(inst.instance_id, outcome, int, inst.true_answer)
-            for inst, outcome in zip(batch, outcomes)
-        )
+        rows.extend(_compare_rows(chunk_ids, race, _synthetic_judge(chunk_true)))
     return rows
 
 
@@ -183,13 +245,9 @@ def _compare_trace(config: ExperimentConfig) -> list[InstanceRow]:
         batch: list[TraceVoteSource] = sources[chunk]
         # Both arms replay the same trace, so one prefix serves both.
         draws = _take_all(batch, width)
-        outcomes = _race(config, table, np.array([s.m for s in batch]), draws, draws)
-        rows.extend(
-            _compare_row(
-                source.instance_id, outcome, source.answer_string, labels.get(source.instance_id)
-            )
-            for source, outcome in zip(batch, outcomes)
-        )
+        race = _race(config, table, np.array([s.m for s in batch]), draws, draws)
+        ids = [source.instance_id for source in batch]
+        rows.extend(_compare_rows(ids, race, _trace_judge(batch, labels)))
     return rows
 
 
@@ -221,9 +279,7 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
             f"run_ttpo needs mode 'ttpo_rl' or 'ttpo_sft', got {config.mode!r}"
         )
     spec = config.corpus
-    instances = gen_instances(
-        spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote
-    )
+    ids, true, p0 = _corpus(spec.count, spec.m, spec.p0, config.seed)
     table = ThresholdTable(config.stopper)
     m_max = config.stopper.m_max
     update = config.update
@@ -231,11 +287,10 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     # is ln(p0 (m-1) / (1-p0)) and the rest are 0. So the policy's vote
     # stream follows the symmetric noise model the stopper assumes, and
     # allocation and update effects compose coherently.
-    count = len(instances)
+    count = len(ids)
+    rows_index = np.arange(count)
     initial = np.zeros((count, spec.m))
-    initial[np.arange(count), [inst.true_answer for inst in instances]] = [
-        math.log(inst.p0_true * (inst.m - 1) / (1.0 - inst.p0_true)) for inst in instances
-    ]
+    initial[rows_index, true] = [math.log(p * (spec.m - 1) / (1.0 - p)) for p in p0.tolist()]
     ref_log_probs = _log_softmax(initial)
     logits = initial.copy()
     total_tau = np.zeros(count, dtype=np.int64)
@@ -249,10 +304,7 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     # instances reads every round's uniforms at once, one lane per
     # (round, instance); only the cdf comparison waits for the round's logits.
     for chunk in _slices(0, count, max(1, _LANES // rounds)):
-        seeds = [
-            [stream_seed(config.seed, "policy", r, inst.instance_id) for inst in instances[chunk]]
-            for r in range(rounds)
-        ]
+        seeds = [_stream_seeds(config.seed, "policy", r, ids[chunk]) for r in range(rounds)]
         uniforms = _policy_uniforms([seed for row in seeds for seed in row], m_max)
         if uniforms is not None:
             uniforms = uniforms.reshape(rounds, -1, m_max)
@@ -289,40 +341,30 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     # The fixed-budget baseline is deterministic here: every draw costs
     # cost_per_vote, so a fixed arm would cost exactly budget * rounds.
     pre, post = _softmax(initial), _softmax(logits)
-    rows = []
-    for instance, pre_p, post_p, pre_top, post_top, tau, cost, label, kind, cut in zip(
-        instances,
-        pre.tolist(),
-        post.tolist(),
-        initial.argmax(axis=1).tolist(),
-        logits.argmax(axis=1).tolist(),
-        total_tau.tolist(),
-        total_cost.tolist(),
-        labels.tolist(),
-        kinds,
-        truncated.tolist(),
-    ):
-        fixed_cost = config.rounds * config.fixed_budget * instance.cost_per_vote
-        true = instance.true_answer
-        rows.append(
-            InstanceRow(
-                instance_id=instance.instance_id,
-                tau=tau,
-                pseudo_label=label,
-                pseudo_correct=label == true,
-                cost=cost,
-                savings_fraction=1.0 - cost / fixed_cost,
-                decision_kind=kind,
-                truncated=cut,
-                fixed_cost=fixed_cost,
-                pre_update_greedy_correct=pre_top == true,
-                post_update_greedy_correct=post_top == true,
-                pre_true_prob=pre_p[true],
-                post_true_prob=post_p[true],
-                pre_pseudo_prob=pre_p[label],
-                post_pseudo_prob=post_p[label],
-            )
+    fixed_cost = rounds * config.fixed_budget * cost
+    spent = total_cost.tolist()
+    rows = list(
+        map(
+            InstanceRow,
+            ids,
+            total_tau.tolist(),
+            labels.tolist(),
+            (labels == true).tolist(),
+            spent,
+            _savings(spent, repeat(fixed_cost)),
+            kinds,
+            truncated.tolist(),
+            repeat(fixed_cost),
+            repeat(None),
+            repeat(None),
+            (initial.argmax(axis=1) == true).tolist(),
+            (logits.argmax(axis=1) == true).tolist(),
+            pre[rows_index, true].tolist(),
+            post[rows_index, true].tolist(),
+            pre[rows_index, labels].tolist(),
+            post[rows_index, labels].tolist(),
         )
+    )
     return build_report(rows, config_echo(config), config.seed, __version__)
 
 

@@ -1,16 +1,18 @@
 """Deterministic derivation of independent per-instance random streams.
 
 Each stream is ``numpy.random.default_rng(stream_seed(...))``: a PCG64
-generator seeded through a ``SeedSequence``. ``_pcg64_outputs`` computes the
-raw 64-bit outputs of many such generators at once, one lane per seed, with
-the same arithmetic numpy runs per generator, so drivers read the streams
-without building a ``Generator`` per instance.
+generator seeded through a ``SeedSequence``. Drivers derive a lane chunk's
+seeds with ``_stream_seeds``, which hashes the key prefix the chunk shares
+once, and ``_pcg64_outputs`` computes the raw 64-bit outputs of many such
+generators at once, one lane per seed, with the same arithmetic numpy runs
+per generator, so drivers read the streams without building a ``Generator``
+per instance.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -21,10 +23,28 @@ def stream_seed(global_seed: int, purpose: str, round_index: int, instance_id: s
     Streams are keyed by what they feed (``purpose``, e.g. one experiment
     arm), the round of a multi-round run, and the instance, so changing one
     instance's parameters or adding instances never perturbs any other
-    stream. The 128-bit digest feeds ``numpy.random.default_rng`` directly.
+    stream. The seed is the 128-bit blake2b digest of the UTF-8 key
+    ``f"{global_seed}|{purpose}|{round_index}|{instance_id}"``, read
+    big-endian, and feeds ``numpy.random.default_rng`` directly.
     """
-    key = f"{global_seed}|{purpose}|{round_index}|{instance_id}".encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=16).digest(), "big")
+    return _stream_seeds(global_seed, purpose, round_index, [instance_id])[0]
+
+
+def _stream_seeds(
+    global_seed: int, purpose: str, round_index: int, instance_ids: Iterable[str]
+) -> list[int]:
+    """``stream_seed`` of each id under one (seed, purpose, round) key prefix.
+
+    UTF-8 encodes a concatenation as the concatenation of the encodings, so
+    the prefix is hashed once and each id continues a copy of that hash.
+    """
+    prefix = hashlib.blake2b(f"{global_seed}|{purpose}|{round_index}|".encode(), digest_size=16)
+    seeds = []
+    for instance_id in instance_ids:
+        key = prefix.copy()
+        key.update(instance_id.encode())
+        seeds.append(int.from_bytes(key.digest(), "big"))
+    return seeds
 
 
 _MASK32 = 0xFFFF_FFFF

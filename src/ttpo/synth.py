@@ -15,14 +15,18 @@ reads double ``j``, the top 53 bits of PCG64 output ``j``. A categorical
 source's wrong-answer draws follow from output 257 on, each a 32-bit
 Lemire draw over ``m - 1`` answers from the low, then the high, half of an
 output; at ``m = 2`` they read nothing. ``_categorical_votes``,
-``_policy_votes`` and ``gen_instances`` compute those reads from
+``_policy_votes`` and ``_corpus`` compute those reads from
 ``seeding._pcg64_outputs`` across all rows and take a row from its source
 (or, for the corpus, from a ``Generator``) where the lane reading is not
 certain to be numpy's: past 256 votes, where a Lemire draw would reject
 (about ``m / 2**32`` per draw), or where the bound needs 64 bits. Report
 bytes thus rest on numpy's ``Generator`` methods only in those rows.
 Lanes are wide or not worth it: callers pass the corpus, or chunks of
-``seeding._LANES`` seeds.
+``seeding._LANES`` seeds. The drivers hold the corpus as columns, ids,
+true answers and ``p0``s from ``_corpus``, and ``_categorical_votes``
+reads those columns; a ``SyntheticInstance`` is built only for a row
+taken from its source. ``gen_instances`` wraps the same columns in
+instances.
 
 A rollout trace is UTF-8 text with one JSON object per line, carrying
 ``instance_id`` (string), ``rollout_index`` (integer >= 0), ``answer``
@@ -45,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, CorpusError
-from .seeding import _doubles, _halves, _lemire, _pcg64_outputs
+from .seeding import _doubles, _halves, _lemire, _pcg64_outputs, _stream_seeds
 
 _BUFFER_SIZE = 256
 
@@ -129,15 +133,15 @@ class P0Spec:
         share, p_easy, p_hard = self.params
         return p_easy if rng.random() < share else p_hard
 
-    def _samples(self, uniforms: np.ndarray) -> list[float]:
+    def _samples(self, uniforms: np.ndarray) -> np.ndarray:
         """``sample`` of each stream whose next ``random()`` is ``uniforms[i]``."""
         if self.kind == "constant":
-            return [self.params[0]] * uniforms.size
+            return np.full(uniforms.size, self.params[0], dtype=np.float64)
         if self.kind == "uniform":
             lo, hi = self.params
-            return (lo + (hi - lo) * uniforms).tolist()
+            return lo + (hi - lo) * uniforms
         share, p_easy, p_hard = self.params
-        return np.where(uniforms < share, p_easy, p_hard).tolist()
+        return np.where(uniforms < share, p_easy, p_hard)
 
 
 @dataclass(frozen=True)
@@ -174,40 +178,44 @@ def gen_instances(
     """Deterministic corpus: each instance is a pure function of (seed, id).
 
     Instance ``i`` is what ``rng = default_rng(seed_i)`` gives through
-    ``rng.integers(m)`` then ``p0_spec.sample(rng)``: the first reads the
-    low half of output 1, the second output 2. All streams are read as
-    lanes; a row whose draw would reject replays the ``Generator``.
+    ``rng.integers(m)`` then ``p0_spec.sample(rng)``.
     """
-    # Imported at call time, where perfbench's tracer sees ttpo.seeding's name.
-    from .seeding import stream_seed
+    ids, answers, p0s = _corpus(count, m, p0_spec, seed, id_prefix)
+    return [
+        SyntheticInstance(
+            instance_id=instance_id,
+            true_answer=answer,
+            m=m,
+            p0_true=p0,
+            cost_per_vote=cost_per_vote,
+        )
+        for instance_id, answer, p0 in zip(ids, answers.tolist(), p0s.tolist())
+    ]
 
+
+def _corpus(
+    count: int, m: int, p0_spec: P0Spec, seed: int, id_prefix: str = "inst"
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``gen_instances``' corpus as columns: (ids, true answers, p0s).
+
+    ``rng.integers(m)`` reads the low half of output 1 and
+    ``p0_spec.sample(rng)`` output 2. All streams are read as lanes; a row
+    whose draw would reject replays the ``Generator``.
+    """
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     ids = [f"{id_prefix}-{i:05d}" for i in range(count)]
-    seeds = [stream_seed(seed, "corpus", 0, instance_id) for instance_id in ids]
+    seeds = _stream_seeds(seed, "corpus", 0, ids)
     raw = _pcg64_outputs(seeds, [(1, 2)])
     if m < 2**32:
         answers, redo = _lemire(_halves(raw[:, :1])[:, 0], m)
     else:
         answers, redo = np.zeros(count, np.int64), np.ones(count, bool)
     p0s = p0_spec._samples(_doubles(raw[:, 1]))
-    instances = []
-    for row, (instance_id, answer, p0, replay) in enumerate(
-        zip(ids, answers.tolist(), p0s, redo.tolist())
-    ):
-        if replay:
-            rng = np.random.default_rng(seeds[row])
-            answer, p0 = int(rng.integers(m)), p0_spec.sample(rng)
-        instances.append(
-            SyntheticInstance(
-                instance_id=instance_id,
-                true_answer=answer,
-                m=m,
-                p0_true=p0,
-                cost_per_vote=cost_per_vote,
-            )
-        )
-    return instances
+    for row in np.flatnonzero(redo).tolist():
+        rng = np.random.default_rng(seeds[row])
+        answers[row], p0s[row] = rng.integers(m), p0_spec.sample(rng)
+    return ids, answers, p0s
 
 
 class _BufferedSource:
@@ -304,42 +312,38 @@ class PolicyVoteSource(_BufferedSource):
 
 
 def _categorical_votes(
-    instances: Sequence[SyntheticInstance], seeds: Sequence[int], n: int
+    true: np.ndarray, p0: np.ndarray, m: int, seeds: Sequence[int], n: int
 ) -> np.ndarray:
-    """``CategoricalVoteSource(instances[i], seeds[i]).take(n)[0]`` per row.
+    """``CategoricalVoteSource(instance_i, seeds[i]).take(n)[0]`` per row.
 
-    Vote ``j`` is a hit when double ``j`` (outputs 1..n) is below ``p0_true``;
-    otherwise it is the ``j``-th 32-bit Lemire draw over the wrong answers,
-    read from output ``_BUFFER_SIZE + 1`` on, and with m = 2 that draw reads
-    nothing. A row that needs more than one refill, whose ``m - 1`` is at
-    least 2**32, or whose Lemire draw would reject is taken from the source.
+    Row ``i`` is an instance with true answer ``true[i]``, vote accuracy
+    ``p0[i]`` and ``m`` answers. Vote ``j`` is a hit when double ``j``
+    (outputs 1..n) is below ``p0[i]``; otherwise it is the ``j``-th 32-bit
+    Lemire draw over the wrong answers, read from output ``_BUFFER_SIZE + 1``
+    on, and with m = 2 that draw reads nothing. A row that needs more than
+    one refill, whose ``m - 1`` is at least 2**32, or whose Lemire draw would
+    reject is taken from the source.
     """
-    votes = np.empty((len(instances), n), dtype=np.int64)
-    exact = np.array(
-        [n <= _BUFFER_SIZE and inst.m - 1 < 2**32 for inst in instances], dtype=bool
-    )
-    rows = np.flatnonzero(exact)
-    if rows.size:
-        picked = [instances[row] for row in rows.tolist()]
-        true = np.array([inst.true_answer for inst in picked])[:, None]
-        p0 = np.array([inst.p0_true for inst in picked])[:, None]
-        bound = np.array([inst.m - 1 for inst in picked], dtype=np.uint64)[:, None]
+    if n > _BUFFER_SIZE or m - 1 >= 2**32:
+        votes = np.empty((len(seeds), n), dtype=np.int64)
+        exact = np.zeros(len(seeds), dtype=bool)
+    else:
         spans = [(1, n)]
-        if (bound > 1).any():
+        if m > 2:
             spans.append((_BUFFER_SIZE + 1, (n + 1) // 2))
-        raw = _pcg64_outputs([seeds[row] for row in rows.tolist()], spans)
-        hit = _doubles(raw[:, :n]) < p0
-        words = _halves(raw[:, n:])[:, :n] if len(spans) > 1 else np.zeros(hit.shape, np.uint64)
-        wrong, rejected = _lemire(words, bound)
-        wrong += wrong >= true
-        np.copyto(wrong, true, where=hit)
-        votes[rows] = wrong
-        exact[rows] = ~rejected.any(axis=1)
+        raw = _pcg64_outputs(seeds, spans)
+        hit = _doubles(raw[:, :n]) < p0[:, None]
+        words = _halves(raw[:, n:])[:, :n] if m > 2 else np.zeros(hit.shape, np.uint64)
+        wrong, rejected = _lemire(words, m - 1)
+        wrong += wrong >= true[:, None]
+        np.copyto(wrong, true[:, None], where=hit)
+        votes, exact = wrong, ~rejected.any(axis=1)
     # A lane cannot serve these rows, not even one lane at a time: a rejected
     # Lemire draw shifts the rest of the row's reads by an amount of its own,
     # and with m - 1 >= 2**32 numpy draws 64-bit values.
     for row in np.flatnonzero(~exact).tolist():
-        votes[row] = CategoricalVoteSource(instances[row], seeds[row]).take(n)[0]
+        instance = SyntheticInstance("", int(true[row]), m, float(p0[row]))
+        votes[row] = CategoricalVoteSource(instance, seeds[row]).take(n)[0]
     return votes
 
 

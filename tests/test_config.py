@@ -93,6 +93,22 @@ def test_invalid_mappings_rejected(mapping, fragment):
         resolve_config(mapping)
 
 
+@pytest.mark.parametrize(
+    "mapping, fragment",
+    [
+        ({"m": "1"}, "m must be >= 2, got 1"),
+        ({"m": "-4"}, "m must be >= 2, got -4"),
+        ({"cost_per_vote": "0"}, "cost_per_vote must be >= 1, got 0"),
+        ({"cost_per_vote": "-3"}, "cost_per_vote must be >= 1, got -3"),
+    ],
+)
+def test_synthetic_corpus_sizes_rejected(mapping, fragment):
+    # The drivers read the corpus as columns and build no instance whose
+    # checks would catch these, so the config must.
+    with pytest.raises(ConfigurationError, match=fragment):
+        resolve_config(mapping)
+
+
 def test_closed_loop_rejects_trace_corpus(tmp_path):
     trace = tmp_path / "t.jsonl"
     trace.write_text("")

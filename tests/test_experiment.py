@@ -288,6 +288,24 @@ def test_ttpo_multi_round_accumulates_costs():
     assert all(b.tau >= a.tau for a, b in zip(one.rows, three.rows))
 
 
+@pytest.mark.parametrize("mode", ["compare", "ttpo_rl"])
+def test_savings_fraction_divides_costs_exactly_past_2_53(mode):
+    # Every cost here is past 2**53, where an int64 does not convert to
+    # float64 exactly, so dividing the cost columns as float64 would round
+    # some rows differently from the quotient of the ints.
+    # Spread-out vote accuracies and a short warm-up give many distinct tau.
+    common = {"count": 400, "p0": "uniform:0.3,0.9", "cost_per_vote": 36237194813656420}
+    if mode == "compare":
+        report = run_compare(compare_config(n_min=8, streak_k=2, **common))
+    else:
+        report = run_ttpo(ttpo_config(rounds=3, **common))
+    costs = np.array([(r.cost, r.fixed_cost) for r in report.rows], dtype=np.int64)
+    float64 = (1.0 - costs[:, 0].astype(np.float64) / costs[:, 1]).tolist()
+    exact = [1.0 - r.cost / r.fixed_cost for r in report.rows]
+    assert float64 != exact
+    assert [r.savings_fraction for r in report.rows] == exact
+
+
 def test_ablation_rejects_bad_inputs():
     with pytest.raises(ConfigurationError, match="ablate"):
         run_ablation(compare_config())

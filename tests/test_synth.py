@@ -1,15 +1,25 @@
 """Tests for corpus generation, vote sources, and trace replay."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from optimizer_reference import SoftmaxAnswerPolicy
 from stopper_reference import draw
 from ttpo import seeding
 from ttpo.errors import ConfigurationError, CorpusError
-from ttpo.seeding import _halves, _lemire, _pcg64_outputs, _seed_words, stream_seed
+from ttpo.seeding import (
+    _halves,
+    _lemire,
+    _pcg64_outputs,
+    _seed_words,
+    _stream_seeds,
+    stream_seed,
+)
 from ttpo.synth import (
     CategoricalVoteSource,
     P0Spec,
@@ -18,6 +28,7 @@ from ttpo.synth import (
     TraceRecord,
     _categorical_votes,
     _choice_accepts,
+    _corpus,
     _policy_uniforms,
     _policy_votes,
     canonical_trace_line,
@@ -219,6 +230,39 @@ class TestStreamSeed:
         assert stream_seed(1, "a", 1, "x") != base
         assert stream_seed(1, "a", 0, "y") != base
 
+    @given(
+        global_seed=st.one_of(
+            st.integers(min_value=-(2**70), max_value=-1),
+            st.integers(min_value=0, max_value=2**64),
+            st.integers(min_value=2**64 + 1, max_value=2**130),
+        ),
+        purpose=st.sampled_from(["corpus", "adaptive", "fixed", "policy", "Zweck-éß"]),
+        round_index=st.integers(min_value=0, max_value=40),
+        instance_ids=st.lists(st.text(max_size=12), max_size=12),
+    )
+    @example(
+        global_seed=-1,
+        purpose="adaptive",
+        round_index=0,
+        instance_ids=["inst-00000", "été", "問題-7", "\U0001f600", ""],
+    )
+    @example(global_seed=2**64 + 3, purpose="policy", round_index=7, instance_ids=["a|b", "|"])
+    @settings(max_examples=100, deadline=None)
+    def test_bulk_seeds_match_one_at_a_time(
+        self, global_seed, purpose, round_index, instance_ids
+    ):
+        # The key is hashed whole, as UTF-8, so the shared-prefix hash must
+        # give what a hash of each full key gives.
+        got = _stream_seeds(global_seed, purpose, round_index, instance_ids)
+        assert got == [
+            stream_seed(global_seed, purpose, round_index, instance_id)
+            for instance_id in instance_ids
+        ]
+        keys = [f"{global_seed}|{purpose}|{round_index}|{i}".encode() for i in instance_ids]
+        assert got == [
+            int.from_bytes(hashlib.blake2b(key, digest_size=16).digest(), "big") for key in keys
+        ]
+
 
 # Stream seeds as the drivers make them, plus seeds of one, two, three and
 # four 32-bit words, since SeedSequence hashes a seed word by word.
@@ -231,6 +275,14 @@ LANE_SEEDS = [stream_seed(6, "lanes", 0, f"inst-{i:05d}") for i in range(200)] +
     2**96,
     2**128 - 1,
 ]
+
+
+def _columns(instances):
+    """The true-answer and vote-accuracy columns ``_categorical_votes`` reads."""
+    return (
+        np.array([inst.true_answer for inst in instances]),
+        np.array([inst.p0_true for inst in instances]),
+    )
 
 
 class TestLanes:
@@ -268,7 +320,7 @@ class TestLanes:
         instances = gen_instances(len(LANE_SEEDS), m, P0Spec.uniform(0.05, 0.95), seed=8)
         # 300 votes is past one refill, so every row falls back to its source.
         for n in (0, 1, 63, 64, 65, 256, 300):
-            got = _categorical_votes(instances, LANE_SEEDS, n)
+            got = _categorical_votes(*_columns(instances), m, LANE_SEEDS, n)
             assert got.shape == (len(instances), n)
             for inst, seed, votes in zip(instances, LANE_SEEDS, got):
                 expected = CategoricalVoteSource(inst, seed).take(n)[0]
@@ -286,7 +338,7 @@ class TestLanes:
         words = _halves(_pcg64_outputs(LANE_SEEDS, [(257, (n + 1) // 2)]))[:, :n]
         rejecting = _lemire(words, m - 1)[1].any(axis=1)
         assert 0 < rejecting.sum() < len(LANE_SEEDS)
-        got = _categorical_votes(instances, LANE_SEEDS, n)
+        got = _categorical_votes(*_columns(instances), m, LANE_SEEDS, n)
         for inst, seed, votes in zip(instances, LANE_SEEDS, got):
             assert votes.tolist() == CategoricalVoteSource(inst, seed).take(n)[0].tolist()
 
@@ -301,6 +353,29 @@ class TestLanes:
         for inst in gen_instances(300, m, spec, seed=9):
             rng = np.random.default_rng(stream_seed(9, "corpus", 0, inst.instance_id))
             assert (inst.true_answer, inst.p0_true) == (int(rng.integers(m)), spec.sample(rng))
+
+    @pytest.mark.parametrize("m", [2, 4, 37, 3 * 2**30 + 1, 2**32])
+    @pytest.mark.parametrize(
+        "spec",
+        [P0Spec.mixture(0.5, 0.95, 0.5), P0Spec.uniform(0.4, 0.9), P0Spec.constant(0.8)],
+        ids=["mixture", "uniform", "constant"],
+    )
+    def test_corpus_columns_match_instances(self, m, spec):
+        # With m = 3 * 2**30 + 1 about a quarter of the answer draws reject;
+        # m = 2**32 is past the 32-bit draw, so every row replays its Generator.
+        ids, true, p0 = _corpus(300, m, spec, seed=9)
+        instances = gen_instances(300, m, spec, seed=9)
+        assert true.dtype == np.int64 and p0.dtype == np.float64
+        assert ids == [inst.instance_id for inst in instances]
+        assert true.tolist() == [inst.true_answer for inst in instances]
+        assert p0.tolist() == [inst.p0_true for inst in instances]
+        for instance_id, answer, accuracy in zip(ids, true.tolist(), p0.tolist()):
+            rng = np.random.default_rng(stream_seed(9, "corpus", 0, instance_id))
+            assert (answer, accuracy) == (int(rng.integers(m)), spec.sample(rng))
+        if m == 3 * 2**30 + 1:
+            seeds = [stream_seed(9, "corpus", 0, instance_id) for instance_id in ids]
+            words = _halves(_pcg64_outputs(seeds, [(1, 1)]))[:, 0]
+            assert 0 < _lemire(words, m)[1].sum() < 300
 
     @pytest.mark.parametrize("m", [2, 3, 8, 37])
     def test_policy_votes_match_sources(self, m):
