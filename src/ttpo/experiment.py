@@ -194,20 +194,14 @@ def _trace_judge(
 ) -> Callable[[np.ndarray], Judged]:
     """Replayed labels are reported as answer strings and checked against gold.
 
-    An id with no answer string is reported as the id, and its correctness
-    is unknown, as it is for an instance with no gold label.
+    Correctness is unknown for an instance with no gold label.
     """
     golds = [labels.get(source.instance_id) for source in sources]
 
     def judge(label: np.ndarray) -> Judged:
-        ids = label.tolist()
-        names = [source.answer_string(i) for source, i in zip(sources, ids)]
-        shown = [i if name is None else name for i, name in zip(ids, names)]
-        correct = [
-            None if gold is None or name is None else name == gold
-            for name, gold in zip(names, golds)
-        ]
-        return shown, correct
+        names = [source.answer_string(i) for source, i in zip(sources, label.tolist())]
+        correct = [None if gold is None else name == gold for name, gold in zip(names, golds)]
+        return names, correct
 
     return judge
 
@@ -305,18 +299,11 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     # (round, instance); only the cdf comparison waits for the round's logits.
     for chunk in _slices(0, count, max(1, _LANES // rounds)):
         seeds = [_stream_seeds(config.seed, "policy", r, ids[chunk]) for r in range(rounds)]
-        uniforms = _policy_uniforms([seed for row in seeds for seed in row], m_max)
-        if uniforms is not None:
-            uniforms = uniforms.reshape(rounds, -1, m_max)
+        flat = [seed for row in seeds for seed in row]
+        uniforms = _policy_uniforms(flat, m_max).reshape(rounds, -1, m_max)
         for round_index in range(rounds):
             probs = _softmax(logits[chunk])
-            votes = _policy_votes(
-                probs,
-                seeds[round_index],
-                None if uniforms is None else uniforms[round_index],
-                m_max,
-                cost,
-            )
+            votes = _policy_votes(probs, seeds[round_index], uniforms[round_index], m_max, cost)
             votes, costs, lengths = _synthetic_draws(votes, cost)
             stops = stop_batch(votes, lengths, np.full(len(votes), spec.m), table)
             total_tau[chunk] += stops.tau

@@ -1,8 +1,10 @@
 """Experiment reports: per-instance rows, aggregates, and emission.
 
-Reports are plain values. Aggregates are derived from rows alone by
-``compute_aggregate`` (left-to-right sums over len, so an external reader
-can recompute them exactly on any Python version), and emission is
+Reports are plain values: ``InstanceRow``, ``Aggregate`` and
+``ExperimentReport`` are named tuples, so a list of rows transposes into
+report columns with one ``zip(*rows)``. Aggregates are derived from rows
+alone by ``compute_aggregate`` (left-to-right sums over len, so an external
+reader can recompute them exactly on any Python version), and emission is
 deterministic: the same report always renders to the same bytes, in both
 CSV and JSON forms. JSON reports round-trip through ``load_report`` to an
 equal value.
@@ -14,18 +16,16 @@ import io
 import json
 import re
 import sys
-from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from collections.abc import Iterator, Sequence
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
-from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class InstanceRow:
+class InstanceRow(NamedTuple):
     """Per-instance outcome; optional fields stay None outside their mode.
 
     Correctness fields are None when no ground truth exists (unlabeled
@@ -52,9 +52,11 @@ class InstanceRow:
     post_pseudo_prob: float | None = None
 
 
-@dataclass(frozen=True)
-class Aggregate:
-    """Corpus-level statistics; every value is recomputable from the rows."""
+class Aggregate(NamedTuple):
+    """Corpus-level statistics; every value is recomputable from the rows.
+
+    ``count`` is the row count; it shadows ``tuple.count``.
+    """
 
     count: int
     mean_tau: float
@@ -71,8 +73,7 @@ class Aggregate:
     mean_post_true_prob: float | None
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     rows: tuple[InstanceRow, ...]
     aggregate: Aggregate
     config: dict[str, str]
@@ -80,7 +81,11 @@ class ExperimentReport:
     version: str
 
 
-def _mean(values: list) -> float:
+_ROW_COLUMNS = InstanceRow._fields
+_AGGREGATE_COLUMNS = Aggregate._fields
+
+
+def _mean(values: Sequence) -> float:
     # Added left to right: from Python 3.12 on, sum() compensates float sums,
     # which would make a report's float means depend on the interpreter.
     total = 0
@@ -89,7 +94,7 @@ def _mean(values: list) -> float:
     return total / len(values)
 
 
-def _optional_mean(values: list) -> float | None:
+def _optional_mean(values: Sequence) -> float | None:
     present = [v for v in values if v is not None]
     if not present:
         return None
@@ -99,63 +104,39 @@ def _optional_mean(values: list) -> float | None:
 def compute_aggregate(rows: list[InstanceRow] | tuple[InstanceRow, ...]) -> Aggregate:
     """Reduce rows to corpus statistics using left-to-right sum/len arithmetic."""
     if not rows:
-        return Aggregate(
-            count=0,
-            mean_tau=0.0,
-            mean_cost=0.0,
-            mean_fixed_cost=None,
-            savings_pct=None,
-            mean_savings_fraction=None,
-            pseudo_label_accuracy=None,
-            fixed_accuracy=None,
-            empirical_stop_error_rate=None,
-            pre_update_accuracy=None,
-            post_update_accuracy=None,
-            mean_pre_true_prob=None,
-            mean_post_true_prob=None,
-        )
-    mean_cost = _mean([row.cost for row in rows])
-    fixed_costs = [row.fixed_cost for row in rows]
+        return Aggregate(0, 0.0, 0.0, *[None] * 10)
+    columns = dict(zip(_ROW_COLUMNS, zip(*rows)))
+
+    def rate(name: str) -> float | None:
+        """The mean of a bool column as floats, over its non-None entries."""
+        return _optional_mean([None if v is None else float(v) for v in columns[name]])
+
+    mean_cost = _mean(columns["cost"])
+    fixed_costs = columns["fixed_cost"]
     mean_fixed_cost = None if any(c is None for c in fixed_costs) else _mean(fixed_costs)
     savings_pct = None
     if mean_fixed_cost:
         savings_pct = 1.0 - mean_cost / mean_fixed_cost
     stopped = [
-        row.pseudo_correct
-        for row in rows
-        if row.decision_kind == "stop_leader" and row.pseudo_correct is not None
+        correct
+        for kind, correct in zip(columns["decision_kind"], columns["pseudo_correct"])
+        if kind == "stop_leader" and correct is not None
     ]
     stop_error = None if not stopped else 1.0 - _mean([bool(c) for c in stopped])
     return Aggregate(
         count=len(rows),
-        mean_tau=_mean([row.tau for row in rows]),
+        mean_tau=_mean(columns["tau"]),
         mean_cost=mean_cost,
         mean_fixed_cost=mean_fixed_cost,
         savings_pct=savings_pct,
-        mean_savings_fraction=_optional_mean([row.savings_fraction for row in rows]),
-        pseudo_label_accuracy=_optional_mean(
-            [None if row.pseudo_correct is None else float(row.pseudo_correct) for row in rows]
-        ),
-        fixed_accuracy=_optional_mean(
-            [None if row.fixed_correct is None else float(row.fixed_correct) for row in rows]
-        ),
+        mean_savings_fraction=_optional_mean(columns["savings_fraction"]),
+        pseudo_label_accuracy=rate("pseudo_correct"),
+        fixed_accuracy=rate("fixed_correct"),
         empirical_stop_error_rate=stop_error,
-        pre_update_accuracy=_optional_mean(
-            [
-                None if row.pre_update_greedy_correct is None
-                else float(row.pre_update_greedy_correct)
-                for row in rows
-            ]
-        ),
-        post_update_accuracy=_optional_mean(
-            [
-                None if row.post_update_greedy_correct is None
-                else float(row.post_update_greedy_correct)
-                for row in rows
-            ]
-        ),
-        mean_pre_true_prob=_optional_mean([row.pre_true_prob for row in rows]),
-        mean_post_true_prob=_optional_mean([row.post_true_prob for row in rows]),
+        pre_update_accuracy=rate("pre_update_greedy_correct"),
+        post_update_accuracy=rate("post_update_greedy_correct"),
+        mean_pre_true_prob=_optional_mean(columns["pre_true_prob"]),
+        mean_post_true_prob=_optional_mean(columns["post_true_prob"]),
     )
 
 
@@ -171,12 +152,6 @@ def build_report(
     )
 
 
-_ROW_COLUMNS = tuple(f.name for f in fields(InstanceRow))
-_AGGREGATE_COLUMNS = tuple(f.name for f in fields(Aggregate))
-# Field values in column order. Every field is a scalar, so a shallow read
-# renders the same as dataclasses.asdict without its per-value deep copy.
-_row_values = attrgetter(*_ROW_COLUMNS)
-_aggregate_values = attrgetter(*_AGGREGATE_COLUMNS)
 # Row columns in the key order json.dumps(sort_keys=True) writes them.
 _JSON_KEYS = tuple(sorted(_ROW_COLUMNS))
 _JSON_ORDER = tuple(map(_ROW_COLUMNS.index, _JSON_KEYS))
@@ -298,7 +273,7 @@ def _json_rows(rows: tuple[InstanceRow, ...], indent: str) -> list[str]:
         + ",\n".join(f'{pad}  "{name}": %s' for name in _JSON_KEYS)
         + "\n" + pad + "}"
     )
-    columns = tuple(zip(*map(_row_values, rows)))
+    columns = tuple(zip(*rows))
     formatted = _format_columns(
         [columns[i] for i in _JSON_ORDER], encode_basestring_ascii, _JSON_CONSTANTS, _json_scalar
     )
@@ -316,9 +291,8 @@ def _report_json(report: ExperimentReport, indent: str) -> list[str]:
     order.
     """
     inner = indent + "  "
-    aggregate = dict(zip(_AGGREGATE_COLUMNS, _aggregate_values(report.aggregate)))
     return [
-        f'{{\n{inner}"aggregate": {_json_part(aggregate, inner)},\n'
+        f'{{\n{inner}"aggregate": {_json_part(report.aggregate._asdict(), inner)},\n'
         f'{inner}"config": {_json_part(report.config, inner)},\n'
         f'{inner}"rows": ',
         *_json_rows(report.rows, inner),
@@ -341,11 +315,11 @@ def render_report(report: ExperimentReport, fmt: str) -> str:
     out = io.StringIO()
     out.write(",".join(_ROW_COLUMNS) + "\n")
     if report.rows:
-        columns = zip(*map(_row_values, report.rows))
+        columns = zip(*report.rows)
         formatted = _format_columns(columns, _csv_text, _CSV_CONSTANTS, _cell)
         out.write("\n".join(map(",".join, zip(*formatted))))
         out.write("\n")
-    aggregates = zip(_AGGREGATE_COLUMNS, map(_cell, _aggregate_values(report.aggregate)))
+    aggregates = zip(_AGGREGATE_COLUMNS, map(_cell, report.aggregate))
     identity = [("seed", str(report.seed)), ("version", report.version)]
     out.write(_trailer(aggregates, report.config, identity))
     return out.getvalue()
@@ -378,7 +352,7 @@ def render_ablation(
     out = io.StringIO()
     out.write("value," + ",".join(_AGGREGATE_COLUMNS) + "\n")
     for value, report in zip(values, reports):
-        cells = map(_cell, _aggregate_values(report.aggregate))
+        cells = map(_cell, report.aggregate)
         out.write(_cell(value) + "," + ",".join(cells) + "\n")
     out.write(_trailer([("axis", axis)], parent_config))
     return out.getvalue()

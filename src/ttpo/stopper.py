@@ -19,8 +19,11 @@ to its own threshold and void the error guarantee.
 
 :func:`stop_batch` is the one implementation of the rule. It decides any
 number of vote streams at once from the running largest and second-largest
-answer counts, which it builds one answer id at a time, so its working
-memory is a few ``[rows, votes]`` arrays whatever the answer-space size.
+answer counts, which it builds one answer id at a time. Its arrays are
+``[rows, votes]`` in shape, but that loop runs once per answer id up to the
+largest vote, and the :func:`~ttpo.consensus.plurality` giving its label
+counts ``rows × (largest vote + 2)`` cells, so its cost grows with the
+answer ids in play (ROADMAP open item 1 measures it at ``m = 100,000``).
 Because the frozen threshold depends only on ``m`` and the warm-up maximum
 count, one :class:`ThresholdTable` per run covers every instance. The
 online driver, :func:`~ttpo.allocator.allocate`, calls it on the prefix a

@@ -10,17 +10,20 @@ into takes.
 
 The source classes define the synthetic streams; the batch drivers read
 them for many instances at once. A source refills 256 votes at a time
-from ``numpy.random.default_rng(stream_seed)``, so its vote ``j`` (1 to 256)
-reads double ``j``, the top 53 bits of PCG64 output ``j``. A categorical
-source's wrong-answer draws follow from output 257 on, each a 32-bit
-Lemire draw over ``m - 1`` answers from the low, then the high, half of an
-output; at ``m = 2`` they read nothing. ``_categorical_votes``,
-``_policy_votes`` and ``_corpus`` compute those reads from
-``seeding._pcg64_outputs`` across all rows and take a row from its source
-(or, for the corpus, from a ``Generator``) where the lane reading is not
-certain to be numpy's: past 256 votes, where a Lemire draw would reject
-(about ``m / 2**32`` per draw), or where the bound needs 64 bits. Report
-bytes thus rest on numpy's ``Generator`` methods only in those rows.
+from ``numpy.random.default_rng(stream_seed)``. A policy source's vote
+``j`` reads double ``j``, the top 53 bits of PCG64 output ``j``, for every
+``j``, since each refill's ``choice`` reads the next 256 doubles. A
+categorical source's vote ``j`` (1 to 256) reads double ``j`` too, and its
+wrong-answer draws follow from output 257 on, each a 32-bit Lemire draw
+over ``m - 1`` answers from the low, then the high, half of an output; at
+``m = 2`` they read nothing. ``_categorical_votes``, ``_policy_votes`` and
+``_corpus`` compute those reads from ``seeding._pcg64_outputs`` across all
+rows and take a row from its source (or, for the corpus, from a
+``Generator``) where the lane reading is not certain to be numpy's: past a
+categorical source's first 256 votes, where a Lemire draw would reject
+(about ``m / 2**32`` per draw), where the bound needs 64 bits, or where
+``choice`` would refuse a policy's probabilities. Report bytes thus rest on
+numpy's ``Generator`` methods only in those rows.
 Lanes are wide or not worth it: callers pass the corpus, or chunks of
 ``seeding._LANES`` seeds. The drivers hold the corpus as columns, ids,
 true answers and ``p0``s from ``_corpus``, and ``_categorical_votes``
@@ -347,29 +350,27 @@ def _categorical_votes(
     return votes
 
 
-def _policy_uniforms(seeds: Sequence[int], n: int) -> np.ndarray | None:
+def _policy_uniforms(seeds: Sequence[int], n: int) -> np.ndarray:
     """Doubles 1..n of each stream, the uniforms ``Generator.choice`` reads.
 
-    None when ``n`` is past one refill: ``_policy_votes`` then takes every
-    row from its source.
+    Each refill's ``choice`` reads the next ``_BUFFER_SIZE`` doubles, so vote
+    ``j`` reads double ``j`` however many refills it takes.
     """
-    if n > _BUFFER_SIZE:
-        return None
     return _doubles(_pcg64_outputs(seeds, [(1, n)]))
 
 
 def _policy_votes(
-    probs: np.ndarray, seeds: Sequence[int], uniforms: np.ndarray | None, n: int, cost: int
+    probs: np.ndarray, seeds: Sequence[int], uniforms: np.ndarray, n: int, cost: int
 ) -> np.ndarray:
     """``PolicyVoteSource(probs[i], seeds[i], cost).take(n)[0]`` per row.
 
     ``choice(m, p=p)`` turns ``random()`` into the count of ``cdf`` entries
     at or below it, with ``cdf = p.cumsum(); cdf /= cdf[-1]``. A row that
-    ``choice`` would refuse, or any row when ``uniforms`` is None, is taken
-    from its source, which raises what it always raised.
+    ``choice`` would refuse is taken from its source, which raises what it
+    always raised.
     """
     votes = np.empty((probs.shape[0], n), dtype=np.int64)
-    exact = np.zeros(probs.shape[0], dtype=bool) if uniforms is None else _choice_accepts(probs)
+    exact = _choice_accepts(probs)
     if exact.any():
         cdf = probs[exact].cumsum(axis=1)
         cdf = cdf / cdf[:, -1:]

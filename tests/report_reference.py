@@ -9,15 +9,11 @@ every CSV field through ``_cell``, and every trailer line through
 
 import io
 import json
-from dataclasses import fields
-from operator import attrgetter
 
 from ttpo.report import Aggregate, ExperimentReport, InstanceRow
 
-_ROW_COLUMNS = tuple(f.name for f in fields(InstanceRow))
-_AGGREGATE_COLUMNS = tuple(f.name for f in fields(Aggregate))
-_row_values = attrgetter(*_ROW_COLUMNS)
-_aggregate_values = attrgetter(*_AGGREGATE_COLUMNS)
+_ROW_COLUMNS = InstanceRow._fields
+_AGGREGATE_COLUMNS = Aggregate._fields
 
 
 def _cell(value) -> str:
@@ -44,9 +40,9 @@ def _comment(name, value) -> str:
 def report_document(report: ExperimentReport) -> dict:
     """The report as a plain JSON-ready dict."""
     return {
-        "aggregate": dict(zip(_AGGREGATE_COLUMNS, _aggregate_values(report.aggregate))),
+        "aggregate": report.aggregate._asdict(),
         "config": report.config,
-        "rows": [dict(zip(_ROW_COLUMNS, _row_values(row))) for row in report.rows],
+        "rows": [row._asdict() for row in report.rows],
         "seed": report.seed,
         "version": report.version,
     }
@@ -60,8 +56,8 @@ def render_report(report: ExperimentReport, fmt: str) -> str:
     out = io.StringIO()
     out.write(",".join(_ROW_COLUMNS) + "\n")
     for row in report.rows:
-        out.write(",".join(map(_cell, _row_values(row))) + "\n")
-    for name, value in zip(_AGGREGATE_COLUMNS, _aggregate_values(report.aggregate)):
+        out.write(",".join(map(_cell, row)) + "\n")
+    for name, value in report.aggregate._asdict().items():
         out.write(_comment(name, _cell(value)))
     for key in sorted(report.config):
         out.write(_comment(f"config.{key}", report.config[key]))
@@ -90,7 +86,7 @@ def render_ablation(
     out = io.StringIO()
     out.write("value," + ",".join(_AGGREGATE_COLUMNS) + "\n")
     for value, report in zip(values, reports):
-        cells = map(_cell, _aggregate_values(report.aggregate))
+        cells = map(_cell, report.aggregate)
         out.write(_cell(value) + "," + ",".join(cells) + "\n")
     out.write(_comment("axis", axis))
     for key in sorted(parent_config):

@@ -1,6 +1,5 @@
 """Command-line surface: subcommands, overrides, exit codes, outputs."""
 
-import dataclasses
 import json
 import os
 import re
@@ -388,7 +387,7 @@ def test_readme_recipes_run(tmp_path, capsys):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     recipes = _RECIPE.findall(readme.read_text(encoding="utf-8"))
     assert [name for name, _, _ in recipes] == ["savings.cfg", "sweep.cfg", "loop.cfg"]
-    aggregates = [field.name for field in dataclasses.fields(Aggregate)]
+    aggregates = list(Aggregate._fields)
     for name, text, command in recipes:
         (tmp_path / name).write_text(text)
         argv = [str(tmp_path / arg) if arg == name else arg for arg in shlex.split(command)[1:]]

@@ -175,6 +175,34 @@ def test_trace_without_labels_reports_no_accuracy(tmp_path):
     assert report.aggregate.empirical_stop_error_rate is None
 
 
+def test_replayed_labels_are_answer_strings_in_both_arms(tmp_path):
+    # A unanimous trace has m = 2 but only ever votes id 0, and a two-answer
+    # tie goes to the first-seen answer: each arm reports the answer string,
+    # judged against gold.
+    trace = tmp_path / "rollouts.jsonl"
+    labels = tmp_path / "labels.csv"
+    write_trace(trace, {"unanimous": [("x", 1)] * 12, "tie": [("p", 1), ("q", 1)] * 6})
+    labels.write_text("instance_id,answer\nunanimous,y\ntie,p\n")
+    config = resolve_config(
+        {
+            "mode": "compare",
+            "corpus": "trace",
+            "trace": str(trace),
+            "labels": str(labels),
+            "n_min": "4",
+            "m_max": "12",
+            "fixed_budget": "12",
+        }
+    )
+    rows = {r.instance_id: r for r in run_compare(config).rows}
+    unanimous, tie = rows["unanimous"], rows["tie"]
+    assert (unanimous.pseudo_label, unanimous.fixed_label) == ("x", "x")
+    assert (unanimous.pseudo_correct, unanimous.fixed_correct) == (False, False)
+    assert (tie.pseudo_label, tie.fixed_label) == ("p", "p")
+    assert (tie.pseudo_correct, tie.fixed_correct) == (True, True)
+    assert tie.decision_kind == "budget_exhausted" and tie.tau == 12
+
+
 def test_empty_trace_replays_as_the_reference_does(tmp_path):
     # End to end through the command line: no instances, no rows, and the
     # empty aggregate, in both formats.

@@ -1,7 +1,6 @@
 """Report assembly, aggregate arithmetic, and deterministic emission."""
 
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -68,6 +67,14 @@ rows_strategy = st.lists(
     min_size=1,
     max_size=30,
 )
+
+
+def test_records_are_immutable():
+    report = build_report([row()], {"mode": "compare"}, 7, "0.1.0")
+    for record in (report.rows[0], report.aggregate, report):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def test_empty_aggregate():
@@ -332,9 +339,9 @@ def any_report(draw, max_rows=25):
     aggregate = Aggregate(
         count=count,
         **{
-            f.name: draw(st.one_of(_none, _floats))
-            for f in dataclasses.fields(Aggregate)
-            if f.name != "count"
+            name: draw(st.one_of(_none, _floats))
+            for name in Aggregate._fields
+            if name != "count"
         },
     )
     return ExperimentReport(
@@ -376,7 +383,7 @@ def test_csv_trailer_decodes_back(config, version, axis):
     text = render_report(report, "csv")
     entries = trailer_entries(text)
     assert text.count("\n") == 2 + len(entries)
-    assert len(entries) == len(dataclasses.fields(Aggregate)) + len(config) + 2
+    assert len(entries) == len(Aggregate._fields) + len(config) + 2
     assert {key: entries[f"config.{key}"] for key in config} == config
     assert (entries["seed"], entries["version"]) == ("7", version)
     sweep = render_ablation(axis, (16.0,), [report], config, "csv")
@@ -422,7 +429,7 @@ def _pyenv_python(version):
 # Runs in the other interpreter: report.py needs only the standard library
 # and errors.py, so the two are loaded as a stub package, without numpy.
 _VERSION_SCRIPT = """
-import dataclasses, json, sys
+import json, sys
 sys.path.insert(0, sys.argv[1])
 from ttpo.report import (
     Aggregate, ExperimentReport, InstanceRow, compute_aggregate, render_report,
@@ -430,7 +437,7 @@ from ttpo.report import (
 payload = json.load(sys.stdin)
 for fields in payload["corpora"]:
     rows = [InstanceRow(**row) for row in fields]
-    print(json.dumps(dataclasses.asdict(compute_aggregate(rows))))
+    print(json.dumps(compute_aggregate(rows)._asdict()))
 doc = payload["report"]
 report = ExperimentReport(
     rows=tuple(InstanceRow(**row) for row in doc["rows"]),
@@ -478,8 +485,12 @@ def test_float_means_do_not_depend_on_the_python_version(version, tmp_path):
     corpora = [tenths, list(closed_loop.rows)]
     report = escapes_report()
     payload = {
-        "corpora": [[dataclasses.asdict(r) for r in rows] for rows in corpora],
-        "report": dataclasses.asdict(report),
+        "corpora": [[r._asdict() for r in rows] for rows in corpora],
+        "report": {
+            **report._asdict(),
+            "rows": [r._asdict() for r in report.rows],
+            "aggregate": report.aggregate._asdict(),
+        },
     }
     result = subprocess.run(
         [str(python), "-I", "-c", _VERSION_SCRIPT, str(tmp_path)],
@@ -490,6 +501,6 @@ def test_float_means_do_not_depend_on_the_python_version(version, tmp_path):
         check=True,
     )
     *aggregates, rendered = result.stdout.splitlines()
-    expected = [json.dumps(dataclasses.asdict(compute_aggregate(rows))) for rows in corpora]
+    expected = [json.dumps(compute_aggregate(rows)._asdict()) for rows in corpora]
     assert aggregates == expected
     assert json.loads(rendered) == [render_report(report, fmt) for fmt in ("json", "csv")]

@@ -382,9 +382,8 @@ class TestLanes:
         rng = np.random.default_rng(m)
         probs = rng.dirichlet(np.full(m, 0.4), size=len(LANE_SEEDS))
         probs[0] = np.eye(m)[-1]
-        for n in (0, 1, 64, 256, 300):
+        for n in (0, 1, 64, 256, 300, 600):
             uniforms = _policy_uniforms(LANE_SEEDS, n)
-            assert (uniforms is None) == (n > 256)
             got = _policy_votes(probs, LANE_SEEDS, uniforms, n, cost=1)
             for p, seed, votes in zip(probs, LANE_SEEDS, got):
                 assert votes.tolist() == PolicyVoteSource(p, seed).take(n)[0].tolist()
