@@ -1,11 +1,12 @@
 """Experiment drivers: adaptive-vs-fixed comparison, closed-loop updates, sweeps.
 
 Three entry points, one per mode family. ``run_compare`` races the adaptive
-allocator against fixed-budget majority voting on a shared corpus with
-arm-isolated random streams. ``run_ttpo`` closes the loop on synthetic
-policies: allocate, pseudo-label, update, repeat. ``run_ablation`` re-runs
-the comparison across one stopping-rule axis with everything else held
-fixed, including the random streams, so differences isolate the axis.
+allocator against fixed-budget majority voting on a shared corpus, both
+arms reading one vote stream per instance, so the arms differ only in the
+rule that reads it. ``run_ttpo`` closes the loop on synthetic policies:
+allocate, pseudo-label, update, repeat. ``run_ablation`` re-runs the
+comparison across one stopping-rule axis with everything else held fixed,
+including the random streams, so differences isolate the axis.
 
 All drivers are deterministic in (config, seed). They take each instance's
 votes as arrays and decide a chunk of up to ``seeding._LANES`` instances
@@ -94,33 +95,28 @@ class _Race(NamedTuple):
 
 
 def _race(
-    config: ExperimentConfig,
-    table: ThresholdTable,
-    m: np.ndarray,
-    adaptive: Draws,
-    fixed: Draws,
+    config: ExperimentConfig, table: ThresholdTable, m: np.ndarray, draws: Draws
 ) -> _Race:
     """Both arms over one chunk of instances, one column per outcome.
 
-    The adaptive arm's tau, pseudo-label id, decision kind, truncated flag
-    and cost, and the fixed arm's plurality label id and cost over its
-    first fixed_budget draws.
+    Both arms read the same votes. The adaptive arm's tau, pseudo-label id,
+    decision kind, truncated flag and cost come from ``stop_batch``; the
+    fixed arm's label id is the plurality of the first ``fixed_budget``
+    votes (fewer where a replay runs dry), and each arm pays for the votes
+    it read.
     """
-    votes, costs, lengths = adaptive
+    votes, costs, lengths = draws
     stops = stop_batch(votes, lengths, m, table)
     budget = config.fixed_budget
-    fixed_votes, fixed_costs, fixed_lengths = fixed
-    fixed_label = plurality(
-        fixed_votes[:, :budget], np.minimum(fixed_lengths, budget), int(m.max())
-    )
+    fixed_tau = np.minimum(lengths, budget)
     return _Race(
         stops.tau.tolist(),
         stops.label,
         [kind.value for kind in stops.kind],
         stops.truncated.tolist(),
         _spent(costs, stops.tau).tolist(),
-        fixed_label,
-        fixed_costs[:, :budget].sum(axis=1).tolist(),
+        plurality(votes[:, :budget], fixed_tau, int(m.max())),
+        _spent(costs, fixed_tau).tolist(),
     )
 
 
@@ -133,19 +129,6 @@ def _synthetic_draws(votes: np.ndarray, cost: int) -> Draws:
     )
 
 
-def _categorical_draws(
-    config: ExperimentConfig,
-    ids: list[str],
-    true: np.ndarray,
-    p0: np.ndarray,
-    purpose: str,
-    n: int,
-) -> Draws:
-    spec = config.corpus
-    seeds = _stream_seeds(config.seed, purpose, 0, ids)
-    return _synthetic_draws(_categorical_votes(true, p0, spec.m, seeds, n), spec.cost_per_vote)
-
-
 def _savings(cost: list[int], fixed_cost: Iterable[int]) -> list[float]:
     # On Python ints: past 2**53 a float64 division of the costs can round
     # differently from the true quotient.
@@ -154,11 +137,10 @@ def _savings(cost: list[int], fixed_cost: Iterable[int]) -> list[float]:
 
 # A column of reported labels and whether each is correct (None if unknown).
 Judged = tuple[list, list]
+Judge = Callable[[np.ndarray], Judged]
 
 
-def _compare_rows(
-    ids: list[str], race: _Race, judge: Callable[[np.ndarray], Judged]
-) -> list[InstanceRow]:
+def _compare_rows(ids: list[str], race: _Race, judge: Judge) -> list[InstanceRow]:
     """The comparison rows of one chunk, from its ``_race`` columns.
 
     ``judge`` maps a column of answer ids to the labels the report shows and
@@ -184,14 +166,12 @@ def _compare_rows(
     )
 
 
-def _synthetic_judge(true: np.ndarray) -> Callable[[np.ndarray], Judged]:
+def _synthetic_judge(true: np.ndarray) -> Judge:
     """Synthetic labels are reported as answer ids and checked against ``true``."""
     return lambda label: (label.tolist(), (label == true).tolist())
 
 
-def _trace_judge(
-    sources: list[TraceVoteSource], labels: dict[str, str]
-) -> Callable[[np.ndarray], Judged]:
+def _trace_judge(sources: list[TraceVoteSource], labels: dict[str, str]) -> Judge:
     """Replayed labels are reported as answer strings and checked against gold.
 
     Correctness is unknown for an instance with no gold label.
@@ -206,55 +186,50 @@ def _trace_judge(
     return judge
 
 
-def _compare_synthetic(config: ExperimentConfig) -> list[InstanceRow]:
-    spec = config.corpus
-    ids, true, p0 = _corpus(spec.count, spec.m, spec.p0, config.seed)
-    table = ThresholdTable(config.stopper)
-    rows = []
-    # Each arm's streams are read, and both arms raced, a lane chunk at a time.
-    for chunk in _slices(0, len(ids), _LANES):
-        chunk_ids, chunk_true, chunk_p0 = ids[chunk], true[chunk], p0[chunk]
-        race = _race(
-            config,
-            table,
-            np.full(len(chunk_ids), spec.m),
-            _categorical_draws(
-                config, chunk_ids, chunk_true, chunk_p0, "adaptive", config.stopper.m_max
-            ),
-            _categorical_draws(
-                config, chunk_ids, chunk_true, chunk_p0, "fixed", config.fixed_budget
-            ),
-        )
-        rows.extend(_compare_rows(chunk_ids, race, _synthetic_judge(chunk_true)))
-    return rows
-
-
-def _compare_trace(config: ExperimentConfig) -> list[InstanceRow]:
-    sources = list(load_trace(config.corpus.trace_path).values())
-    labels = load_labels(config.corpus.labels_path) if config.corpus.labels_path else {}
-    table = ThresholdTable(config.stopper)
-    rows = []
-    width = max(config.stopper.m_max, config.fixed_budget)
-    for chunk in _slices(0, len(sources), _LANES):
-        batch: list[TraceVoteSource] = sources[chunk]
-        # Both arms replay the same trace, so one prefix serves both.
-        draws = _take_all(batch, width)
-        race = _race(config, table, np.array([s.m for s in batch]), draws, draws)
-        ids = [source.instance_id for source in batch]
-        rows.extend(_compare_rows(ids, race, _trace_judge(batch, labels)))
-    return rows
-
-
 def run_compare(config: ExperimentConfig) -> ExperimentReport:
-    """Race adaptive allocation against fixed-budget majority voting."""
+    """Race adaptive allocation against fixed-budget majority voting.
+
+    Each instance has one vote stream, and both arms read it from its first
+    vote: a synthetic instance's ``"adaptive"`` stream, or a trace replayed
+    from its first rollout. The streams are read, and both arms raced, a
+    lane chunk at a time.
+    """
     if config.mode != "compare":
         raise ConfigurationError(
             f"run_compare needs mode 'compare', got {config.mode!r}"
         )
-    if isinstance(config.corpus, SyntheticCorpusSpec):
-        rows = _compare_synthetic(config)
+    table = ThresholdTable(config.stopper)
+    width = max(config.stopper.m_max, config.fixed_budget)
+    spec = config.corpus
+    if isinstance(spec, SyntheticCorpusSpec):
+        ids, true, p0 = _corpus(spec.count, spec.m, spec.p0, config.seed)
+
+        def chunk_of(part: slice) -> tuple[np.ndarray, Draws, Judge]:
+            seeds = _stream_seeds(config.seed, "adaptive", 0, ids[part])
+            votes = _categorical_votes(true[part], p0[part], spec.m, seeds, width)
+            return (
+                np.full(len(seeds), spec.m),
+                _synthetic_draws(votes, spec.cost_per_vote),
+                _synthetic_judge(true[part]),
+            )
+
     else:
-        rows = _compare_trace(config)
+        sources = list(load_trace(spec.trace_path).values())
+        labels = load_labels(spec.labels_path) if spec.labels_path else {}
+        ids = [source.instance_id for source in sources]
+
+        def chunk_of(part: slice) -> tuple[np.ndarray, Draws, Judge]:
+            batch: list[TraceVoteSource] = sources[part]
+            return (
+                np.array([source.m for source in batch]),
+                _take_all(batch, width),
+                _trace_judge(batch, labels),
+            )
+
+    rows = []
+    for part in _slices(0, len(ids), _LANES):
+        m, draws, judge = chunk_of(part)
+        rows.extend(_compare_rows(ids[part], _race(config, table, m, draws), judge))
     return build_report(rows, config_echo(config), config.seed, __version__)
 
 
@@ -298,12 +273,15 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     # instances reads every round's uniforms at once, one lane per
     # (round, instance); only the cdf comparison waits for the round's logits.
     for chunk in _slices(0, count, max(1, _LANES // rounds)):
-        seeds = [_stream_seeds(config.seed, "policy", r, ids[chunk]) for r in range(rounds)]
-        flat = [seed for row in seeds for seed in row]
-        uniforms = _policy_uniforms(flat, m_max).reshape(rounds, -1, m_max)
+        seeds = [
+            seed
+            for r in range(rounds)
+            for seed in _stream_seeds(config.seed, "policy", r, ids[chunk])
+        ]
+        uniforms = _policy_uniforms(seeds, m_max).reshape(rounds, -1, m_max)
         for round_index in range(rounds):
             probs = _softmax(logits[chunk])
-            votes = _policy_votes(probs, seeds[round_index], uniforms[round_index], m_max, cost)
+            votes = _policy_votes(probs, uniforms[round_index])
             votes, costs, lengths = _synthetic_draws(votes, cost)
             stops = stop_batch(votes, lengths, np.full(len(votes), spec.m), table)
             total_tau[chunk] += stops.tau

@@ -45,7 +45,19 @@ from .errors import AllocationError, ConfigurationError
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """False-accept and false-reject probability budgets for the test."""
+    """Wald's error budgets ``alpha`` and ``beta`` for the top-two test.
+
+    They set the gap threshold through ``(1 - beta) / alpha``, which bounds
+    one wrong answer's race against the true one: that wrong answer takes
+    the stop with probability at most ``alpha / (1 - beta)``. The run's
+    wrong-stop probability is not bounded by it once ``m >= 3``, because
+    each of the ``m - 1`` wrong answers runs its own race (0.0723 at
+    ``m = 3``, ``p0 = 0.7``, ``alpha = beta = 0.05``).
+    ``tests/test_operating_characteristic.py`` checks the summed bound
+    ``(m - 1) * alpha / (1 - beta)`` for the run, exactly, in the textbook
+    regime (fixed ``p0``, ``n_min = 1``, ``streak_k = 1``); ROADMAP open
+    item 5 extends that check to the default rule.
+    """
 
     alpha: float = 0.05
     beta: float = 0.05
@@ -119,6 +131,10 @@ def compute_thresholds(config: StopperConfig, p0: float, m: int) -> int:
     start; each answer is confirmed by integer cross-multiplication of the
     two powers. The cap never changes a decision: the gap after ``t`` votes
     is at most ``t <= m_max``, so any threshold above ``m_max`` is never met.
+
+    The threshold bounds each wrong answer's race against the true one by
+    ``alpha / (1 - beta)``, not the run's wrong-stop probability once
+    ``m >= 3``; see :class:`ErrorBudget`.
     """
     (an, ad), (bn, bd), (pn, pd) = (
         Decimal(repr(float(x))).as_integer_ratio()

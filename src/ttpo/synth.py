@@ -16,14 +16,16 @@ from ``numpy.random.default_rng(stream_seed)``. A policy source's vote
 categorical source's vote ``j`` (1 to 256) reads double ``j`` too, and its
 wrong-answer draws follow from output 257 on, each a 32-bit Lemire draw
 over ``m - 1`` answers from the low, then the high, half of an output; at
-``m = 2`` they read nothing. ``_categorical_votes``, ``_policy_votes`` and
-``_corpus`` compute those reads from ``seeding._pcg64_outputs`` across all
-rows and take a row from its source (or, for the corpus, from a
-``Generator``) where the lane reading is not certain to be numpy's: past a
-categorical source's first 256 votes, where a Lemire draw would reject
-(about ``m / 2**32`` per draw), where the bound needs 64 bits, or where
-``choice`` would refuse a policy's probabilities. Report bytes thus rest on
-numpy's ``Generator`` methods only in those rows.
+``m = 2`` they read nothing. ``_categorical_votes`` and ``_corpus``
+compute those reads from ``seeding._pcg64_outputs`` across all rows and
+take a row from its source (or, for the corpus, from a ``Generator``)
+where the lane reading is not certain to be numpy's: past a categorical
+source's first 256 votes, where a Lemire draw would reject (about
+``m / 2**32`` per draw), or where the bound needs 64 bits. Report bytes
+thus rest on numpy's ``Generator`` methods only in those rows.
+``_policy_votes`` reads every row from the doubles and has no fallback:
+its caller's rows are softmaxes of finite logits, which ``choice`` always
+accepts.
 Lanes are wide or not worth it: callers pass the corpus, or chunks of
 ``seeding._LANES`` seeds. The drivers hold the corpus as columns, ids,
 true answers and ``p0``s from ``_corpus``, and ``_categorical_votes``
@@ -176,14 +178,13 @@ def gen_instances(
     p0_spec: P0Spec,
     seed: int,
     cost_per_vote: int = 1,
-    id_prefix: str = "inst",
 ) -> list[SyntheticInstance]:
     """Deterministic corpus: each instance is a pure function of (seed, id).
 
     Instance ``i`` is what ``rng = default_rng(seed_i)`` gives through
     ``rng.integers(m)`` then ``p0_spec.sample(rng)``.
     """
-    ids, answers, p0s = _corpus(count, m, p0_spec, seed, id_prefix)
+    ids, answers, p0s = _corpus(count, m, p0_spec, seed)
     return [
         SyntheticInstance(
             instance_id=instance_id,
@@ -197,7 +198,7 @@ def gen_instances(
 
 
 def _corpus(
-    count: int, m: int, p0_spec: P0Spec, seed: int, id_prefix: str = "inst"
+    count: int, m: int, p0_spec: P0Spec, seed: int
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """``gen_instances``' corpus as columns: (ids, true answers, p0s).
 
@@ -207,7 +208,7 @@ def _corpus(
     """
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
-    ids = [f"{id_prefix}-{i:05d}" for i in range(count)]
+    ids = [f"inst-{i:05d}" for i in range(count)]
     seeds = _stream_seeds(seed, "corpus", 0, ids)
     raw = _pcg64_outputs(seeds, [(1, 2)])
     if m < 2**32:
@@ -359,51 +360,22 @@ def _policy_uniforms(seeds: Sequence[int], n: int) -> np.ndarray:
     return _doubles(_pcg64_outputs(seeds, [(1, n)]))
 
 
-def _policy_votes(
-    probs: np.ndarray, seeds: Sequence[int], uniforms: np.ndarray, n: int, cost: int
-) -> np.ndarray:
-    """``PolicyVoteSource(probs[i], seeds[i], cost).take(n)[0]`` per row.
+def _policy_votes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``PolicyVoteSource(probs[i], seed_i).take(n)[0]`` per row.
 
-    ``choice(m, p=p)`` turns ``random()`` into the count of ``cdf`` entries
-    at or below it, with ``cdf = p.cumsum(); cdf /= cdf[-1]``. A row that
-    ``choice`` would refuse is taken from its source, which raises what it
-    always raised.
+    ``uniforms[i]`` is ``_policy_uniforms`` of stream ``seed_i``, ``n``
+    doubles wide. ``choice(m, p=p)`` turns ``random()`` into the count of
+    ``cdf`` entries at or below it, with ``cdf = p.cumsum(); cdf /=
+    cdf[-1]``. Every row must be one ``choice`` accepts as ``p``, as a
+    softmax of finite logits is.
     """
-    votes = np.empty((probs.shape[0], n), dtype=np.int64)
-    exact = _choice_accepts(probs)
-    if exact.any():
-        cdf = probs[exact].cumsum(axis=1)
-        cdf = cdf / cdf[:, -1:]
-        drawn = uniforms[exact]
-        counted = np.zeros(drawn.shape, dtype=np.int64)
-        # The last entry is exactly 1, above every uniform, so it never counts.
-        for j in range(cdf.shape[1] - 1):
-            counted += drawn >= cdf[:, j : j + 1]
-        votes[exact] = counted
-    fallback = np.flatnonzero(~exact).tolist()
-    sources = [PolicyVoteSource(probs[row], seeds[row], cost=cost) for row in fallback]
-    for row, source in zip(fallback, sources):
-        votes[row] = source.take(n)[0]
+    cdf = probs.cumsum(axis=1)
+    cdf = cdf / cdf[:, -1:]
+    votes = np.zeros(uniforms.shape, dtype=np.int64)
+    # The last entry is exactly 1, above every uniform, so it never counts.
+    for j in range(cdf.shape[1] - 1):
+        votes += uniforms >= cdf[:, j : j + 1]
     return votes
-
-
-def _choice_accepts(probs: np.ndarray) -> np.ndarray:
-    """Rows ``Generator.choice`` takes as ``p``: no NaN sum, none negative, sum 1.
-
-    The sum is numpy's left-to-right Kahan sum and the tolerance its
-    ``sqrt(eps)``, so a row accepted here is accepted there.
-    """
-    total = probs[:, 0].copy()
-    carry = np.zeros_like(total)
-    # A row holding inf sums to NaN or inf and is refused either way.
-    with np.errstate(invalid="ignore"):
-        for column in probs.T[1:]:
-            step = column - carry
-            new = total + step
-            carry = (new - total) - step
-            total = new
-    tolerance = np.sqrt(np.finfo(np.float64).eps)
-    return ~np.isnan(total) & ~(probs < 0).any(axis=1) & ~(np.abs(total - 1.0) > tolerance)
 
 
 @dataclass(frozen=True)

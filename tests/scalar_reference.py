@@ -3,7 +3,8 @@
 The experiment drivers decide chunks of instances with ``stop_batch``; these
 build the same reports the slow way, one call of the per-vote oracle
 ``stopper_reference.allocate`` per instance and round, with the fixed arm
-drawn one vote at a time. The closed loop starts each policy from
+drawn one vote at a time from a second source replaying the same stream
+from its first vote. The closed loop starts each policy from
 ``initial_policy`` and updates it on its own with the per-sample rules in
 ``optimizer_reference``. Tests require the two to render to identical bytes.
 """
@@ -68,8 +69,9 @@ def _synthetic_compare_row(config, instance):
     adaptive = CategoricalVoteSource(
         instance, stream_seed(config.seed, "adaptive", 0, instance.instance_id)
     )
+    # The fixed arm reads the adaptive arm's stream again from its first vote.
     fixed = CategoricalVoteSource(
-        instance, stream_seed(config.seed, "fixed", 0, instance.instance_id)
+        instance, stream_seed(config.seed, "adaptive", 0, instance.instance_id)
     )
     result = allocate(adaptive, config.stopper)
     fixed_label, fixed_cost = fixed_arm(fixed, config.fixed_budget, instance.m)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ttpo.cli as cli
+from ttpo.config import parse_kv_file, resolve_config
 from ttpo.report import Aggregate
 from ttpo.synth import TraceRecord, canonical_trace_line
 
@@ -400,3 +401,13 @@ def test_readme_recipes_run(tmp_path, capsys):
         else:
             for field in aggregates:
                 assert any(line.startswith(f"# {field} = ") for line in lines), (command, field)
+
+
+def test_readme_defaults_block_is_the_default_config(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(
+        r"The defaults are:\n\n```ini\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S
+    )
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text(block)
+    assert resolve_config(parse_kv_file(cfg)) == resolve_config({})

@@ -15,10 +15,18 @@ from ttpo.experiment import (
     run_compare,
     run_ttpo,
 )
-from scalar_reference import initial_policy, reference_compare, reference_ttpo
+from scalar_reference import (
+    initial_policy,
+    reference_ablation,
+    reference_compare,
+    reference_ttpo,
+)
 from ttpo.report import render_ablation, render_report
+from ttpo.seeding import stream_seed
 from ttpo.synth import (
     MAX_COST,
+    CategoricalVoteSource,
+    P0Spec,
     SyntheticInstance,
     TraceRecord,
     canonical_trace_line,
@@ -89,6 +97,33 @@ def test_fixed_arm_isolated_from_adaptive_arm():
         assert a.pseudo_label == b.pseudo_label
         assert a.cost == b.cost
         assert a.fixed_cost == 32 and b.fixed_cost == 64
+
+
+def test_both_arms_read_one_vote_stream():
+    # The fixed arm votes on the first fixed_budget votes of the stream the
+    # adaptive arm reads, so its budget moves only the fixed columns. On a
+    # low-accuracy corpus a second stream would disagree in many rows.
+    settings = {"count": 60, "m": 3, "p0": "constant:0.4", "m_max": 64, "seed": 31}
+    instances = gen_instances(60, 3, P0Spec.constant(0.4), 31)
+
+    def adaptive_columns(report):
+        return [
+            (r.instance_id, r.tau, r.pseudo_label, r.pseudo_correct, r.cost)
+            + (r.decision_kind, r.truncated)
+            for r in report.rows
+        ]
+
+    base = adaptive_columns(run_compare(compare_config(fixed_budget=64, **settings)))
+    for budget in (20, 64, 100, 300):
+        report = run_compare(compare_config(fixed_budget=budget, **settings))
+        assert adaptive_columns(report) == base
+        for row, inst in zip(report.rows, instances):
+            seed = stream_seed(31, "adaptive", 0, inst.instance_id)
+            votes = CategoricalVoteSource(inst, seed).take(budget)[0]
+            # argmax breaks ties toward the lowest answer id, as plurality does.
+            assert row.fixed_label == int(np.bincount(votes, minlength=3).argmax())
+            assert row.fixed_correct == (row.fixed_label == inst.true_answer)
+            assert row.fixed_cost == budget
 
 
 def test_mixture_easy_instances_stop_sooner():
@@ -405,11 +440,15 @@ def test_report_json_is_loadable_structure():
 
 # blake2b of the rendered reports (JSON, CSV). The first four are
 # acceptance criterion 8's configs, recorded from the per-vote drivers
-# before the array kernel replaced them. The last three were recorded with
+# before the array kernel replaced them. The next three were recorded with
 # the scipy softmax and the float/mpmath threshold resolution, before the
 # exact integer rule and the numpy softmax replaced them: the second update
 # rule, a fixed-p0 run on an exact-integer threshold ratio, and a replay
-# over many answer-space sizes. Any byte drift in either format fails here.
+# over many answer-space sizes. The fixed-p0 run was re-recorded from the
+# per-vote reference when the fixed arm moved onto the adaptive arm's vote
+# stream, which changed some of its fixed-arm labels. Both the batched
+# drivers and the per-vote reference must render every digest, so any byte
+# drift in either format, or between the two, fails here.
 GOLDEN_DIGESTS = {
     "compare": (
         "b06999877fe930e51f31dc364d83709dd84ac917906a77ab7a9c37bef1202db57ceb58ac7447039c88f5d8422f9938fad8a11b52d38816d99b27cad5bf87f221",
@@ -432,8 +471,8 @@ GOLDEN_DIGESTS = {
         "4c8efc14e578bf037ce00ad5409d2df98c9ff1e068c3b43309de98995656ad0fc787612ce7007da72420f396673ae2401d913668d2bf0ca690d3ea9e89e5449f",
     ),
     "compare-p0-fixed": (
-        "a791a5e4b4e4f10a907743f223b773a6e148b08ab714098d15753a44bc7a21f23e479ea46f8084bd7af9e80d7676490f1765a0a2f75ff481a56423f88fbf713c",
-        "8640ecd7afc305be77010b6ba0ee49b7b96704c9c8806c75268b377baed42de45d02359ccabcac5c085fddb6463f0969025820915166663165b163254f5c7248",
+        "a1783501c2d19f16026ababb18fe5e0037c5920b36d382ae109df6770a2df92e45fbf71f6ea7bedb17641dbfb494b8e19891f37eaaeb62e0dc05a0a4d4ef83ea",
+        "7c186fdf49064f4e7b3669fdea93c46f48d64ab1449fdb13f1eef1d7d622ad45ace68afc4a689371b57d788cf2bc990face7a386c73f2ac7495c01b7b853faf7",
     ),
     "replay-wide": (
         "59e05e1990be022e8c6ab4d7100c329240a0bc068b043e53979c2befd29ab9693df398fd47fcae4cfc4b0f620af17281da831bf338e43575626eec6ad34a037d",
@@ -489,12 +528,12 @@ def _golden_ablate_config():
     )
 
 
-def _golden_reports():
-    compare = resolve_config(
+def _golden_reports(compare=run_compare, ttpo=run_ttpo, ablation=run_ablation):
+    """The golden reports, from the batched drivers or from the ones given."""
+    mixture = resolve_config(
         {"mode": "compare", "count": "400", "p0": "mixture:0.5,0.95,0.5", "seed": "77"}
     )
-    ttpo = resolve_config({"mode": "ttpo_rl", "count": "200", "seed": "78"})
-    ablate = _golden_ablate_config()
+    rl = resolve_config({"mode": "ttpo_rl", "count": "200", "seed": "78"})
     sft = resolve_config(
         {"mode": "ttpo_sft", "count": "200", "m": "5", "rounds": "2", "seed": "80"}
     )
@@ -521,16 +560,36 @@ def _golden_reports():
             "seed": "82",
         }
     )
-    low, high = run_ablation(ablate)
+    low, high = ablation(_golden_ablate_config())
     return {
-        "compare": run_compare(compare),
-        "ttpo": run_ttpo(ttpo),
+        "compare": compare(mixture),
+        "ttpo": ttpo(rl),
         "ablate-0.05": low,
         "ablate-0.1": high,
-        "ttpo_sft": run_ttpo(sft),
-        "compare-p0-fixed": run_compare(fixed),
-        "replay-wide": run_compare(replay),
+        "ttpo_sft": ttpo(sft),
+        "compare-p0-fixed": compare(fixed),
+        "replay-wide": compare(replay),
     }
+
+
+def _report_digests(report):
+    return tuple(
+        hashlib.blake2b(render_report(report, fmt).encode("utf-8")).hexdigest()
+        for fmt in ("json", "csv")
+    )
+
+
+def _sweep_digests(reports):
+    """Digests of the document `ttpo ablate --out sweep.json` writes."""
+    config = _golden_ablate_config()
+    return tuple(
+        hashlib.blake2b(
+            render_ablation(
+                config.axis, config.values, reports, config_echo(config), fmt
+            ).encode("utf-8")
+        ).hexdigest()
+        for fmt in ("json", "csv")
+    )
 
 
 def test_reports_match_golden_digests(tmp_path, monkeypatch):
@@ -539,23 +598,19 @@ def test_reports_match_golden_digests(tmp_path, monkeypatch):
     assert max(distinct for distinct, _ in shapes) >= 20
     assert {length for _, length in shapes} >= {6, 32, 90}
     for name, report in _golden_reports().items():
-        digests = tuple(
-            hashlib.blake2b(render_report(report, fmt).encode("utf-8")).hexdigest()
-            for fmt in ("json", "csv")
-        )
-        assert digests == GOLDEN_DIGESTS[name], name
+        assert _report_digests(report) == GOLDEN_DIGESTS[name], name
 
 
 def test_sweep_document_matches_golden_digests():
-    # The document `ttpo ablate --out sweep.json` writes, in both formats.
-    config = _golden_ablate_config()
-    reports = run_ablation(config)
-    digests = tuple(
-        hashlib.blake2b(
-            render_ablation(
-                config.axis, config.values, reports, config_echo(config), fmt
-            ).encode("utf-8")
-        ).hexdigest()
-        for fmt in ("json", "csv")
-    )
-    assert digests == GOLDEN_DIGESTS["ablate-sweep"]
+    assert _sweep_digests(run_ablation(_golden_ablate_config())) == GOLDEN_DIGESTS["ablate-sweep"]
+
+
+def test_per_vote_reference_renders_the_golden_digests(tmp_path, monkeypatch):
+    # The digests come from the per-vote oracle, not only from the drivers.
+    monkeypatch.chdir(tmp_path)
+    write_golden_trace(tmp_path)
+    reports = _golden_reports(reference_compare, reference_ttpo, reference_ablation)
+    for name, report in reports.items():
+        assert _report_digests(report) == GOLDEN_DIGESTS[name], name
+    sweep = [reports["ablate-0.05"], reports["ablate-0.1"]]
+    assert _sweep_digests(sweep) == GOLDEN_DIGESTS["ablate-sweep"]
