@@ -45,11 +45,8 @@ from .stopper import (
 from .synth import (
     CategoricalVoteSource,
     P0Spec,
-    PolicyVoteSource,
     SyntheticInstance,
-    TraceRecord,
     TraceVoteSource,
-    canonical_trace_line,
     gen_instances,
     load_labels,
     load_trace,
@@ -69,14 +66,12 @@ __all__ = [
     "ExperimentReport",
     "InstanceRow",
     "P0Spec",
-    "PolicyVoteSource",
     "StopKind",
     "StopperConfig",
     "SyntheticCorpusSpec",
     "SyntheticInstance",
     "ThresholdTable",
     "TraceCorpusSpec",
-    "TraceRecord",
     "TraceVoteSource",
     "UpdateConfig",
     "VoteSource",
@@ -85,7 +80,6 @@ __all__ = [
     "advantages",
     "allocate",
     "build_report",
-    "canonical_trace_line",
     "clamp_p0",
     "compute_aggregate",
     "compute_thresholds",

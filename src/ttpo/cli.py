@@ -28,48 +28,47 @@ from .experiment import run_ablation, run_compare, run_ttpo
 from .report import emit_ablation, emit_report
 from .version import __version__
 
-# (flag dest, config key): flag values are merged into the flat mapping as
-# strings so file values and flags go through one validation path.
-_COMMON_OVERRIDES = (
-    ("seed", "seed"),
-    ("out", "out"),
-    ("format", "format"),
-    ("alpha", "alpha"),
-    ("beta", "beta"),
-    ("n_min", "n_min"),
-    ("m_max", "m_max"),
-    ("streak", "streak_k"),
-    ("fixed_budget", "fixed_budget"),
+# (flag, config key, metavar, help): a flag's value is merged into the flat
+# mapping under its key as a string, so file values and flags go through one
+# validation path.
+_COMMON_FLAGS = (
+    ("--seed", "seed", "INT", "global random seed"),
+    ("--out", "out", "PATH", "report destination ('-' = stdout)"),
+    ("--format", "format", "{csv,json}", "report format"),
+    ("--alpha", "alpha", "FLOAT", "type-I error budget"),
+    ("--beta", "beta", "FLOAT", "type-II error budget"),
+    ("--n-min", "n_min", "INT", "warm-up votes before stopping"),
+    ("--m-max", "m_max", "INT", "vote budget per instance"),
+    ("--streak", "streak_k", "INT", "consecutive confirmations to stop"),
+    ("--fixed-budget", "fixed_budget", "INT", "fixed-arm votes per instance"),
 )
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    parser.add_argument("--seed", metavar="INT", help="global random seed")
-    parser.add_argument("--out", metavar="PATH", help="report destination ('-' = stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), help="report format")
-    parser.add_argument("--alpha", metavar="FLOAT", help="type-I error budget")
-    parser.add_argument("--beta", metavar="FLOAT", help="type-II error budget")
-    parser.add_argument("--n-min", metavar="INT", help="warm-up votes before stopping")
-    parser.add_argument("--m-max", metavar="INT", help="vote budget per instance")
-    parser.add_argument("--streak", metavar="INT", help="consecutive confirmations to stop")
-    parser.add_argument("--fixed-budget", metavar="INT", help="fixed-arm votes per instance")
+    for flag, key, metavar, help_text in _COMMON_FLAGS:
+        parser.add_argument(flag, dest=key, metavar=metavar, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttpo",
         description="Adaptive rollout allocation with sequential-test stopping.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     compare = sub.add_parser(
-        "compare", help="adaptive allocation vs fixed-budget majority voting"
+        "compare",
+        help="adaptive allocation vs fixed-budget majority voting",
+        allow_abbrev=False,
     )
     _add_common(compare)
 
-    ttpo = sub.add_parser("ttpo", help="closed-loop allocate / pseudo-label / update")
+    ttpo = sub.add_parser(
+        "ttpo", help="closed-loop allocate / pseudo-label / update", allow_abbrev=False
+    )
     ttpo.add_argument(
         "--update",
         choices=("rl", "sft"),
@@ -77,14 +76,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(ttpo)
 
-    ablate = sub.add_parser("ablate", help="sweep one stopping-rule axis")
+    ablate = sub.add_parser(
+        "ablate", help="sweep one stopping-rule axis", allow_abbrev=False
+    )
     ablate.add_argument("--axis", choices=ABLATION_AXES, help="axis to sweep")
     ablate.add_argument(
         "--values", metavar="V1,V2,...", help="comma-separated axis values"
     )
     _add_common(ablate)
 
-    replay = sub.add_parser("replay", help="comparison over a recorded rollout trace")
+    replay = sub.add_parser(
+        "replay", help="comparison over a recorded rollout trace", allow_abbrev=False
+    )
     replay.add_argument(
         "trace", nargs="?", metavar="TRACE", help="line-delimited rollout trace file"
     )
@@ -120,8 +123,8 @@ def _build_mapping(args: argparse.Namespace) -> dict[str, str]:
         if args.labels:
             mapping["labels"] = args.labels
 
-    for dest, key in _COMMON_OVERRIDES:
-        value = getattr(args, dest)
+    for _, key, _, _ in _COMMON_FLAGS:
+        value = getattr(args, key)
         if value is not None:
             mapping[key] = value
     return mapping

@@ -141,9 +141,12 @@ def _ablated_stopper(config: ExperimentConfig, value: float) -> StopperConfig:
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat 'key = value' config file; '#' starts a comment line."""
+    """Parse a flat 'key = value' config file; '#' starts a comment line.
+
+    The file is UTF-8, with or without a leading byte-order mark.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except FileNotFoundError as exc:
         raise ConfigurationError(f"config file not found: {path}") from exc
     except OSError as exc:

@@ -1,18 +1,20 @@
 """Vote accounting and the categorical answer-noise model.
 
 A vote stream over a fixed finite answer set of size ``m`` is summarized by a
-:class:`VoteTally`. Under the symmetric noise model (:class:`AnswerModel`) a
-vote hits the true answer with probability ``p0`` and each of the other
-``m - 1`` answers with equal probability ``(1 - p0) / (m - 1)``. The evidence
-for the current leader over the runner-up then reduces to a function of the
-integer vote-count gap, which is what the sequential stopper thresholds on.
+:class:`VoteTally`, the frozen per-answer counts an allocation result
+reports and :func:`posterior` reads; it is built whole from its counts.
+Under the symmetric noise model (:class:`AnswerModel`) a vote hits the true
+answer with probability ``p0`` and each of the other ``m - 1`` answers with
+equal probability ``(1 - p0) / (m - 1)``. The evidence for the current
+leader over the runner-up then reduces to a function of the integer
+vote-count gap, which is what the sequential stopper thresholds on. The
+batched stopper and the fixed arm find leaders with :func:`plurality`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -36,24 +38,6 @@ class VoteTally:
         if any(c < 0 for c in self.counts):
             raise ValueError("vote counts must be non-negative")
 
-    @classmethod
-    def empty(cls, m: int) -> "VoteTally":
-        if m < 1:
-            raise ValueError(f"answer space size must be >= 1, got {m}")
-        return cls(counts=(0,) * m)
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[int, int], m: int | None = None) -> "VoteTally":
-        """Build a tally from a sparse ``{answer: count}`` mapping."""
-        if m is None:
-            m = max(counts) + 1 if counts else 1
-        slots = [0] * m
-        for answer, count in counts.items():
-            if not 0 <= answer < m:
-                raise ValueError(f"answer {answer} out of range for m={m}")
-            slots[answer] = count
-        return cls(counts=tuple(slots))
-
     @property
     def m(self) -> int:
         return len(self.counts)
@@ -61,9 +45,6 @@ class VoteTally:
     @property
     def total(self) -> int:
         return sum(self.counts)
-
-    def count(self, answer: AnswerId) -> int:
-        return self.counts[answer]
 
 
 @dataclass(frozen=True)

@@ -290,7 +290,7 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
             truncated[chunk] = stops.truncated
             kinds[chunk] = [kind.value for kind in stops.kind]
             if config.mode == "ttpo_rl":
-                # Policy sources never run dry and m_max >= n_min, so every
+                # Policy votes never run dry and m_max >= n_min, so every
                 # row stopped at or after its n_min warm-up votes. They
                 # predate the stopping decision, so they carry no selection
                 # bias into the rewards.

@@ -1,31 +1,30 @@
 """Synthetic instances, vote sources, and rollout-trace replay.
 
-Three source kinds feed the allocator: exact categorical simulators (a vote
+Two source kinds feed the allocator: exact categorical simulators (a vote
 hits the true answer with probability ``p0_true``, otherwise lands uniformly
-on a wrong answer), snapshots of a policy's answer probability vector, and
-replay of recorded rollout traces from real model runs. Every source is
-read one way: ``take(n)`` hands out the next ``n`` votes and their costs as
-arrays, and a synthetic source's stream is the same however it is split
-into takes.
+on a wrong answer) and replay of recorded rollout traces from real model
+runs. Every source is read one way: ``take(n)`` hands out the next ``n``
+votes and their costs as arrays, and a categorical source's stream is the
+same however it is split into takes.
 
-The source classes define the synthetic streams; the batch drivers read
-them for many instances at once. A source refills 256 votes at a time
-from ``numpy.random.default_rng(stream_seed)``. A policy source's vote
-``j`` reads double ``j``, the top 53 bits of PCG64 output ``j``, for every
-``j``, since each refill's ``choice`` reads the next 256 doubles. A
-categorical source's vote ``j`` (1 to 256) reads double ``j`` too, and its
+``CategoricalVoteSource`` defines the synthetic stream; the batch drivers
+read it for many instances at once. The source refills 256 votes at a time
+from ``numpy.random.default_rng(stream_seed)``: its vote ``j`` (1 to 256)
+reads double ``j``, the top 53 bits of PCG64 output ``j``, and its
 wrong-answer draws follow from output 257 on, each a 32-bit Lemire draw
 over ``m - 1`` answers from the low, then the high, half of an output; at
 ``m = 2`` they read nothing. ``_categorical_votes`` and ``_corpus``
 compute those reads from ``seeding._pcg64_outputs`` across all rows and
 take a row from its source (or, for the corpus, from a ``Generator``)
-where the lane reading is not certain to be numpy's: past a categorical
-source's first 256 votes, where a Lemire draw would reject (about
-``m / 2**32`` per draw), or where the bound needs 64 bits. Report bytes
-thus rest on numpy's ``Generator`` methods only in those rows.
-``_policy_votes`` reads every row from the doubles and has no fallback:
-its caller's rows are softmaxes of finite logits, which ``choice`` always
-accepts.
+where the lane reading is not certain to be numpy's: past a source's
+first 256 votes, where a Lemire draw would reject (about ``m / 2**32``
+per draw), or where the bound needs 64 bits. Report bytes thus rest on
+numpy's ``Generator`` methods only in those rows.
+The closed loop draws each vote from its policy's softmax as numpy's
+``Generator.choice`` would, vote ``j`` reading double ``j``:
+``_policy_votes`` reads every row from the doubles and has no fallback,
+since its caller's rows are softmaxes of finite logits, which ``choice``
+always accepts.
 Lanes are wide or not worth it: callers pass the corpus, or chunks of
 ``seeding._LANES`` seeds. The drivers hold the corpus as columns, ids,
 true answers and ``p0``s from ``_corpus``, and ``_categorical_votes``
@@ -222,19 +221,22 @@ def _corpus(
     return ids, answers, p0s
 
 
-class _BufferedSource:
-    """Block access for sources that refill a vote buffer from their RNG.
+class CategoricalVoteSource:
+    """Exact simulator of the symmetric vote-noise model, buffered.
 
-    Subclasses keep ``_buffer``/``_pos``, a ``_refill`` that replaces the
-    buffer, and a constant per-vote ``_cost``.
+    Each refill draws ``_BUFFER_SIZE`` hit flags, then as many wrong answers,
+    from the source's own ``Generator``.
     """
 
-    _buffer: np.ndarray
-    _pos: int
-    _cost: int
+    def __init__(self, instance: SyntheticInstance, stream_seed: int):
+        self._instance = instance
+        self._rng = np.random.default_rng(stream_seed)
+        self._buffer = np.empty(0, dtype=np.int64)
+        self._pos = 0
 
-    def _refill(self) -> None:
-        raise NotImplementedError
+    @property
+    def m(self) -> int:
+        return self._instance.m
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Answers and costs of the next ``n`` votes.
@@ -244,75 +246,23 @@ class _BufferedSource:
         """
         if n < 0:
             raise ValueError(f"cannot take a negative number of votes, got {n}")
+        inst = self._instance
         chunks = [np.empty(0, dtype=np.int64)]
         while n > 0:
             if self._pos >= self._buffer.size:
-                self._refill()
+                hit = self._rng.random(_BUFFER_SIZE) < inst.p0_true
+                # Uniform over the m-1 wrong answers: draw in [0, m-1) and
+                # skip past the true answer's slot.
+                wrong = self._rng.integers(0, inst.m - 1, size=_BUFFER_SIZE)
+                wrong += wrong >= inst.true_answer
+                self._buffer = np.where(hit, inst.true_answer, wrong)
+                self._pos = 0
             chunk = self._buffer[self._pos : self._pos + n]
             self._pos += chunk.size
             n -= chunk.size
             chunks.append(chunk)
         answers = np.concatenate(chunks)
-        return answers, np.full(answers.size, self._cost, dtype=np.int64)
-
-
-class CategoricalVoteSource(_BufferedSource):
-    """Exact simulator of the symmetric vote-noise model, buffered."""
-
-    def __init__(self, instance: SyntheticInstance, stream_seed: int):
-        self._instance = instance
-        self._cost = instance.cost_per_vote
-        self._rng = np.random.default_rng(stream_seed)
-        self._buffer = np.empty(0, dtype=np.int64)
-        self._pos = 0
-
-    @property
-    def m(self) -> int:
-        return self._instance.m
-
-    def _refill(self) -> None:
-        inst = self._instance
-        hit = self._rng.random(_BUFFER_SIZE) < inst.p0_true
-        # Uniform over the m-1 wrong answers: draw in [0, m-1) and skip past
-        # the true answer's slot.
-        wrong = self._rng.integers(0, inst.m - 1, size=_BUFFER_SIZE)
-        wrong += wrong >= inst.true_answer
-        self._buffer = np.where(hit, inst.true_answer, wrong)
-        self._pos = 0
-
-
-class PolicyVoteSource(_BufferedSource):
-    """Draws answers from a snapshot of a policy's answer distribution.
-
-    ``probabilities`` is the policy's vector over its ``m`` answers, e.g. a
-    row of the closed loop's softmax.
-    The snapshot is a copy taken at construction: after a policy update the
-    caller builds a fresh source, keeping mutation visible in the simulation
-    loop rather than hidden inside the source.
-    """
-
-    def __init__(self, probabilities: np.ndarray, stream_seed: int, cost: int = 1):
-        if cost < 1:
-            raise ValueError(f"cost must be >= 1, got {cost}")
-        probs = np.array(probabilities, dtype=float)
-        if probs.ndim != 1 or probs.size < 2:
-            raise ValueError("probabilities must be a vector over at least two answers")
-        if not np.isfinite(probs).all():
-            raise ValueError("probabilities must be finite")
-        self._probs = probs
-        self._m = probs.size
-        self._cost = cost
-        self._rng = np.random.default_rng(stream_seed)
-        self._buffer = np.empty(0, dtype=np.int64)
-        self._pos = 0
-
-    @property
-    def m(self) -> int:
-        return self._m
-
-    def _refill(self) -> None:
-        self._buffer = self._rng.choice(self._m, size=_BUFFER_SIZE, p=self._probs)
-        self._pos = 0
+        return answers, np.full(answers.size, inst.cost_per_vote, dtype=np.int64)
 
 
 def _categorical_votes(
@@ -354,20 +304,22 @@ def _categorical_votes(
 def _policy_uniforms(seeds: Sequence[int], n: int) -> np.ndarray:
     """Doubles 1..n of each stream, the uniforms ``Generator.choice`` reads.
 
-    Each refill's ``choice`` reads the next ``_BUFFER_SIZE`` doubles, so vote
-    ``j`` reads double ``j`` however many refills it takes.
+    ``choice(m, size=n, p=p)`` reads exactly ``n`` doubles, one per vote, so
+    vote ``j`` reads double ``j`` however the stream is split into calls.
     """
     return _doubles(_pcg64_outputs(seeds, [(1, n)]))
 
 
 def _policy_votes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """``PolicyVoteSource(probs[i], seed_i).take(n)[0]`` per row.
+    """``default_rng(seed_i).choice(m, size=n, p=probs[i])`` per row.
 
     ``uniforms[i]`` is ``_policy_uniforms`` of stream ``seed_i``, ``n``
-    doubles wide. ``choice(m, p=p)`` turns ``random()`` into the count of
-    ``cdf`` entries at or below it, with ``cdf = p.cumsum(); cdf /=
-    cdf[-1]``. Every row must be one ``choice`` accepts as ``p``, as a
-    softmax of finite logits is.
+    doubles wide. numpy's ``Generator.choice(m, p=p)`` turns ``random()``
+    into the count of ``cdf`` entries at or below it, with ``cdf =
+    p.cumsum(); cdf /= cdf[-1]``. Every row must be one ``choice`` accepts
+    as ``p``, as a softmax of finite logits is. The per-vote oracle that
+    calls ``choice`` itself is ``PolicyVoteSource`` in the tests'
+    ``scalar_reference``.
     """
     cdf = probs.cumsum(axis=1)
     cdf = cdf / cdf[:, -1:]
@@ -376,30 +328,6 @@ def _policy_votes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     for j in range(cdf.shape[1] - 1):
         votes += uniforms >= cdf[:, j : j + 1]
     return votes
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One recorded rollout: an answer string and its token cost."""
-
-    instance_id: str
-    rollout_index: int
-    answer: str
-    tokens: int
-
-
-def canonical_trace_line(record: TraceRecord) -> str:
-    """Canonical serialized form of one trace record (sorted keys, no spaces)."""
-    return json.dumps(
-        {
-            "answer": record.answer,
-            "instance_id": record.instance_id,
-            "rollout_index": record.rollout_index,
-            "tokens": record.tokens,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
 
 
 class TraceVoteSource:

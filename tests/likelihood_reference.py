@@ -21,7 +21,7 @@ def log_likelihood(tally: VoteTally, hypothesis: int, model: AnswerModel) -> flo
         raise ValueError(f"tally covers {tally.m} answers but model expects {model.m}")
     if not 0 <= hypothesis < model.m:
         raise ValueError(f"hypothesis {hypothesis} out of range for m={model.m}")
-    v = tally.count(hypothesis)
+    v = tally.counts[hypothesis]
     return v * math.log(model.p0) + (tally.total - v) * math.log(model.wrong_mass)
 
 

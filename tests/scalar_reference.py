@@ -20,17 +20,46 @@ from ttpo.errors import AllocationError
 from ttpo.report import InstanceRow, build_report
 from ttpo.seeding import stream_seed
 from ttpo.stopper import ErrorBudget
-from ttpo.synth import (
-    CategoricalVoteSource,
-    PolicyVoteSource,
-    gen_instances,
-    load_labels,
-    load_trace,
-)
+from ttpo.synth import CategoricalVoteSource, gen_instances, load_labels, load_trace
 from ttpo.version import __version__
 
 import optimizer_reference as oracle
 from stopper_reference import allocate, draw, top_two
+
+
+class PolicyVoteSource:
+    """Draws answers from a snapshot of a policy's answer distribution.
+
+    The per-vote oracle for ``ttpo.synth._policy_votes``. ``probabilities``
+    is the policy's vector over its ``m`` answers, e.g. a row of the closed
+    loop's softmax, copied at construction: after a policy update the caller
+    builds a fresh source. Each take is one ``Generator.choice`` call, which
+    reads exactly one double per vote, so takes of any sizes read the same
+    stream.
+    """
+
+    def __init__(self, probabilities, stream_seed, cost=1):
+        if cost < 1:
+            raise ValueError(f"cost must be >= 1, got {cost}")
+        probs = np.array(probabilities, dtype=float)
+        if probs.ndim != 1 or probs.size < 2:
+            raise ValueError("probabilities must be a vector over at least two answers")
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
+        self._probs = probs
+        self._cost = cost
+        self._rng = np.random.default_rng(stream_seed)
+
+    @property
+    def m(self):
+        return self._probs.size
+
+    def take(self, n):
+        """Answers and costs of the next ``n`` votes."""
+        if n < 0:
+            raise ValueError(f"cannot take a negative number of votes, got {n}")
+        answers = self._rng.choice(self.m, size=n, p=self._probs)
+        return answers, np.full(n, self._cost, dtype=np.int64)
 
 
 def initial_policy(instance):

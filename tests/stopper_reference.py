@@ -10,6 +10,7 @@ vote at a time through ``draw``, a ``take(1)``. Tests require the library
 to give the same decision and result fields and to read the same votes.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +27,12 @@ class TopTwo:
     leader: AnswerId
     runner_up: AnswerId
     gap: int
+
+
+def tally_of(counts: Mapping[int, int], m: int) -> VoteTally:
+    """The tally over ``m`` answers with ``counts[j]`` votes for answer ``j``
+    and none for the answers ``counts`` leaves out."""
+    return VoteTally(counts=tuple(counts.get(j, 0) for j in range(m)))
 
 
 def tally_ingest(tally: VoteTally, vote: AnswerId) -> VoteTally:
@@ -113,7 +120,7 @@ class SprtStopper:
             raise ConfigurationError(f"need at least two candidate answers, got m={m}")
         self.config = config
         self.m = m
-        self._tally = VoteTally.empty(m)
+        self._tally = tally_of({}, m)
         self._t = 0
         self._streak = 0
         self._decision: StopDecision | None = None

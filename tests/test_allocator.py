@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stopper_reference as reference
+from scalar_reference import PolicyVoteSource
 from test_kernel import CASES, RecordedSource, random_block
 from ttpo.allocator import VoteSource, allocate
 from ttpo.errors import AllocationError, ConfigurationError
@@ -16,7 +17,6 @@ from ttpo.stopper import ErrorBudget, StopKind, StopperConfig, ThresholdTable, s
 from ttpo.synth import (
     CategoricalVoteSource,
     P0Spec,
-    PolicyVoteSource,
     SyntheticInstance,
     TraceVoteSource,
     gen_instances,

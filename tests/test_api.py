@@ -18,14 +18,12 @@ PUBLIC = [
     "ExperimentReport",
     "InstanceRow",
     "P0Spec",
-    "PolicyVoteSource",
     "StopKind",
     "StopperConfig",
     "SyntheticCorpusSpec",
     "SyntheticInstance",
     "ThresholdTable",
     "TraceCorpusSpec",
-    "TraceRecord",
     "TraceVoteSource",
     "UpdateConfig",
     "VoteSource",
@@ -34,7 +32,6 @@ PUBLIC = [
     "advantages",
     "allocate",
     "build_report",
-    "canonical_trace_line",
     "clamp_p0",
     "compute_aggregate",
     "compute_thresholds",
@@ -58,7 +55,7 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC) == 48
+    assert len(PUBLIC) == 45
     assert sorted(ttpo.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(ttpo, name) is not None, name

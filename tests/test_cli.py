@@ -13,7 +13,7 @@ import pytest
 import ttpo.cli as cli
 from ttpo.config import parse_kv_file, resolve_config
 from ttpo.report import Aggregate
-from ttpo.synth import TraceRecord, canonical_trace_line
+from trace_reference import TraceRecord, canonical_trace_line
 
 
 def run_cli(*argv):
@@ -251,17 +251,25 @@ def test_unreadable_or_unwritable_paths(tmp_path, capsys, argv, code, message):
             2,
             "corpus error: trace line 2: invalid JSON (nested too deeply)",
         ),
+        # Only config files skip a byte-order mark.
+        (
+            ("replay", "{trace}", "--labels", "{bom}"),
+            2,
+            "corpus error: labels file {bom}: expected header 'instance_id,answer'",
+        ),
     ],
-    ids=["config", "trace", "labels", "trace-nested-too-deeply"],
+    ids=["config", "trace", "labels", "trace-nested-too-deeply", "labels-byte-order-mark"],
 )
 def test_undecodable_inputs(tmp_path, capsys, argv, code, message):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\xff\xfe")
+    bom = tmp_path / "bom.csv"
+    bom.write_text("instance_id,answer\nq1,a\n", encoding="utf-8-sig")
     trace = tmp_path / "trace.jsonl"
     trace.write_text(canonical_trace_line(TraceRecord("q1", 0, "a", 1)) + "\n")
     deep = tmp_path / "deep.jsonl"
     deep.write_text(trace.read_text() + "[" * 100_000 + "\n")
-    names = {"bad": bad, "trace": trace, "deep": deep}
+    names = {"bad": bad, "trace": trace, "deep": deep, "bom": bom}
     argv = [arg.format(**names) for arg in argv]
     assert run_cli(*argv, "--out", str(tmp_path / "r.json")) == code
     err = capsys.readouterr().err
@@ -310,6 +318,22 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli("race") == 1
     assert run_cli("compare", "--format", "yaml") == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,abbreviation",
+    [
+        (("compare", "--n-min", "2", "--streak", "1", "--m", "3"), "--m"),
+        (("ttpo", "--up", "sft"), "--up"),
+        (("ablate", "--ax", "n_min", "--values", "16,32"), "--ax"),
+        (("replay", "trace.jsonl", "--lab", "gold.csv"), "--lab"),
+    ],
+    ids=["compare", "ttpo", "ablate", "replay"],
+)
+def test_abbreviated_flags_exit_one(argv, abbreviation, capsys):
+    # argparse would otherwise take `--m` for `--m-max`, `--up` for `--update`.
+    assert run_cli(*argv) == 1
+    assert f"unrecognized arguments: {abbreviation}" in capsys.readouterr().err
 
 
 def test_help_and_version_exit_zero(capsys):

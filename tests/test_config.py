@@ -132,6 +132,16 @@ def test_parse_kv_file(tmp_path):
     }
 
 
+def test_parse_kv_file_skips_a_byte_order_mark(tmp_path):
+    text = "seed = 3\n# comparison run\np0 = uniform:0.4,0.9\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_kv_file(marked) == parse_kv_file(plain)
+    assert resolve_config(parse_kv_file(marked)) == resolve_config(parse_kv_file(plain))
+
+
 def test_parse_kv_file_missing():
     with pytest.raises(ConfigurationError, match="not found"):
         parse_kv_file("/nonexistent/run.cfg")

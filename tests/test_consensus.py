@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from likelihood_reference import log_bayes_factor_full, log_likelihood
-from stopper_reference import tally_ingest, top_two
+from stopper_reference import tally_ingest, tally_of, top_two
 from ttpo.consensus import (
     AnswerModel,
     VoteTally,
@@ -39,48 +39,38 @@ def models_for(tally: VoteTally) -> st.SearchStrategy[AnswerModel]:
 
 
 class TestVoteTally:
-    def test_empty(self):
-        tally = VoteTally.empty(3)
-        assert tally.counts == (0, 0, 0)
-        assert tally.total == 0
-
-    def test_from_counts_sparse(self):
-        tally = VoteTally.from_counts({2: 4, 0: 1}, m=4)
-        assert tally.counts == (1, 0, 4, 0)
-        assert tally.total == 5
-
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             VoteTally(counts=(1, -1))
 
     def test_ingest_from_empty(self):
-        tally = tally_ingest(VoteTally.empty(4), 2)
-        assert tally.count(2) == 1
+        tally = tally_ingest(tally_of({}, 4), 2)
+        assert tally.counts[2] == 1
         assert tally.total == 1
 
     def test_ingest_increments_existing(self):
-        tally = tally_ingest(VoteTally.from_counts({0: 3, 1: 1}, m=2), 1)
+        tally = tally_ingest(tally_of({0: 3, 1: 1}, m=2), 1)
         assert tally.counts == (3, 2)
         assert tally.total == 5
 
     def test_ingest_sequence_matches_counter(self):
         # Fold oracle: ingesting a sequence reproduces collections.Counter.
         votes = [0, 0, 1, 0]
-        tally = VoteTally.empty(2)
+        tally = tally_of({}, 2)
         for v in votes:
             tally = tally_ingest(tally, v)
         assert tally.counts == (3, 1)
         assert tally.total == 4
         expected = Counter(votes)
-        assert all(tally.count(j) == expected[j] for j in range(tally.m))
+        assert all(tally.counts[j] == expected[j] for j in range(tally.m))
 
     def test_ingest_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            tally_ingest(VoteTally.empty(2), 2)
+            tally_ingest(tally_of({}, 2), 2)
 
     @given(st.lists(st.integers(min_value=0, max_value=4), max_size=60))
     def test_conservation(self, votes):
-        tally = VoteTally.empty(5)
+        tally = tally_of({}, 5)
         for v in votes:
             tally = tally_ingest(tally, v)
         assert tally.total == sum(tally.counts) == len(votes)
@@ -90,21 +80,21 @@ class TestVoteTally:
 class TestTopTwo:
     def test_clear_leader_tied_runner_up(self):
         # Runner-up tie between answers 1 and 2 breaks toward the lower id.
-        pair = top_two(VoteTally.from_counts({0: 5, 1: 2, 2: 2}, m=3))
+        pair = top_two(tally_of({0: 5, 1: 2, 2: 2}, m=3))
         assert (pair.leader, pair.runner_up, pair.gap) == (0, 1, 3)
 
     def test_single_observed_class(self):
         # Unobserved answers participate with count 0.
-        pair = top_two(VoteTally.from_counts({3: 4}, m=4))
+        pair = top_two(tally_of({3: 4}, m=4))
         assert (pair.leader, pair.runner_up, pair.gap) == (3, 0, 4)
 
     def test_exact_tie(self):
-        pair = top_two(VoteTally.from_counts({0: 2, 1: 2}, m=2))
+        pair = top_two(tally_of({0: 2, 1: 2}, m=2))
         assert (pair.leader, pair.runner_up, pair.gap) == (0, 1, 0)
 
     def test_empty_tally_rejected(self):
         with pytest.raises(ValueError):
-            top_two(VoteTally.empty(3))
+            top_two(tally_of({}, 3))
 
     @given(tallies())
     def test_matches_exhaustive_scan(self, tally):
@@ -150,29 +140,29 @@ class TestLogLikelihood:
     def test_empty_tally_is_zero(self):
         model = AnswerModel(p0=0.7, m=3)
         for hyp in range(3):
-            assert log_likelihood(VoteTally.empty(3), hyp, model) == 0.0
+            assert log_likelihood(tally_of({}, 3), hyp, model) == 0.0
 
     def test_symmetric_two_votes(self):
         # Direct formula at p0 = wrong_mass = 0.5: 2 * ln(0.5).
         model = AnswerModel(p0=0.5 + 1e-9, m=2)
-        got = log_likelihood(VoteTally.from_counts({0: 2}, m=2), 0, model)
+        got = log_likelihood(tally_of({0: 2}, m=2), 0, model)
         assert got == pytest.approx(-1.3862943611198906, abs=1e-7)
 
     def test_asymmetric_counts(self):
         # 3*ln(0.8) + 1*ln(0.2/3), evaluated independently.
         model = AnswerModel(p0=0.8, m=4)
-        got = log_likelihood(VoteTally.from_counts({0: 3, 1: 1}, m=4), 0, model)
+        got = log_likelihood(tally_of({0: 3, 1: 1}, m=4), 0, model)
         assert got == pytest.approx(-3.377480855044839, abs=1e-12)
 
     def test_hypothesis_out_of_range_rejected(self):
         model = AnswerModel(p0=0.8, m=2)
         with pytest.raises(ValueError):
-            log_likelihood(VoteTally.empty(2), 2, model)
+            log_likelihood(tally_of({}, 2), 2, model)
 
     def test_mismatched_answer_space_rejected(self):
         model = AnswerModel(p0=0.8, m=4)
         with pytest.raises(ValueError):
-            log_likelihood(VoteTally.empty(3), 0, model)
+            log_likelihood(tally_of({}, 3), 0, model)
 
 
 class TestLogBayesFactor:
@@ -199,7 +189,7 @@ class TestLogBayesFactor:
     def test_full_form_single_vote(self):
         # Both routes must give ln(12) for one vote at p0=0.8, m=4.
         model = AnswerModel(p0=0.8, m=4)
-        tally = VoteTally.from_counts({0: 1}, m=4)
+        tally = tally_of({0: 1}, m=4)
         full = log_bayes_factor_full(tally, model)
         closed = log_bayes_factor_closed_form(top_two(tally).gap, model)
         assert full == pytest.approx(2.4849066497880004, abs=1e-12)
@@ -207,7 +197,7 @@ class TestLogBayesFactor:
 
     def test_full_form_symmetric_tally(self):
         model = AnswerModel(p0=0.9, m=2)
-        assert log_bayes_factor_full(VoteTally.from_counts({0: 2, 1: 2}, m=2), model) == 0.0
+        assert log_bayes_factor_full(tally_of({0: 2, 1: 2}, m=2), model) == 0.0
 
     def test_full_vs_closed_random_tallies(self):
         # 1000 seeded random tallies over m=5; the two routes stay within 1e-9.
@@ -235,19 +225,19 @@ class TestLogBayesFactor:
 class TestPosterior:
     def test_empty_tally_uniform(self):
         model = AnswerModel(p0=0.8, m=4)
-        got = posterior(VoteTally.empty(4), model)
+        got = posterior(tally_of({}, 4), model)
         np.testing.assert_allclose(got, [0.25] * 4, atol=1e-15)
 
     def test_single_vote_two_classes(self):
         # One vote at p0=0.8 moves a uniform prior to exactly [0.8, 0.2].
         model = AnswerModel(p0=0.8, m=2)
-        got = posterior(VoteTally.from_counts({0: 1}, m=2), model)
+        got = posterior(tally_of({0: 1}, m=2), model)
         np.testing.assert_allclose(got, [0.8, 0.2], atol=1e-12)
 
     def test_huge_gap_stays_finite(self):
         # Gap of 400 at kappa=9 overflows any linear-space ratio.
         model = AnswerModel(p0=0.9, m=2)
-        got = posterior(VoteTally.from_counts({0: 400}, m=2), model)
+        got = posterior(tally_of({0: 400}, m=2), model)
         assert np.all(np.isfinite(got))
         assert got[0] == pytest.approx(1.0, abs=1e-12)
 

@@ -3,11 +3,15 @@
 import dataclasses
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ttpo import cli
+from ttpo import cli, experiment
 from ttpo.config import config_echo, resolve_config
 from ttpo.errors import ConfigurationError, CorpusError
 from ttpo.experiment import (
@@ -21,6 +25,7 @@ from scalar_reference import (
     reference_compare,
     reference_ttpo,
 )
+from trace_reference import TraceRecord, canonical_trace_line
 from ttpo.report import render_ablation, render_report
 from ttpo.seeding import stream_seed
 from ttpo.synth import (
@@ -28,8 +33,6 @@ from ttpo.synth import (
     CategoricalVoteSource,
     P0Spec,
     SyntheticInstance,
-    TraceRecord,
-    canonical_trace_line,
     gen_instances,
 )
 
@@ -614,3 +617,145 @@ def test_per_vote_reference_renders_the_golden_digests(tmp_path, monkeypatch):
         assert _report_digests(report) == GOLDEN_DIGESTS[name], name
     sweep = [reports["ablate-0.05"], reports["ablate-0.1"]]
     assert _sweep_digests(sweep) == GOLDEN_DIGESTS["ablate-sweep"]
+
+
+_MODES = (
+    {"mode": "compare"},
+    {"mode": "ablate", "axis": "alpha_beta"},
+    {"mode": "ablate", "axis": "n_min"},
+    {"mode": "ttpo_rl", "advantage_mode": "mean_baseline"},
+    {"mode": "ttpo_rl", "advantage_mode": "group_normalized"},
+    {"mode": "ttpo_sft"},
+)
+_PERCENT = st.integers(1, 99).map(lambda k: k / 100)
+
+
+@st.composite
+def _p0_specs(draw):
+    kind = draw(st.sampled_from(["constant", "uniform", "mixture"]))
+    if kind == "constant":
+        return f"constant:{draw(_PERCENT)}"
+    if kind == "uniform":
+        lo, hi = sorted(draw(st.lists(_PERCENT, min_size=2, max_size=2, unique=True)))
+        return f"uniform:{lo},{hi}"
+    share = draw(st.integers(0, 100)) / 100
+    return f"mixture:{share},{draw(_PERCENT)},{draw(_PERCENT)}"
+
+
+@st.composite
+def _trace_instances(draw, n_min):
+    """Ragged replay rollouts: {instance_id: [(answer, tokens), ...]}.
+
+    Lengths run from below the warm-up to past 256 votes, and a two-answer
+    alternation makes every even prefix a tie. The votes themselves come
+    from a drawn seed: drawing hundreds of list elements one by one is
+    what would make this strategy slow.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    per_instance = {}
+    for index in range(draw(st.integers(0, 5))):
+        length = draw(
+            st.one_of(st.integers(1, n_min), st.integers(1, 80), st.integers(250, 300))
+        )
+        if draw(st.booleans()):
+            answers = (["p", "q"] * length)[:length]
+        else:
+            answers = rng.choice(list("abcdefg")[: draw(st.integers(1, 7))], length).tolist()
+        per_instance[f"r{index}"] = list(zip(answers, rng.integers(1, 50, length).tolist()))
+    return per_instance
+
+
+@st.composite
+def _oracle_cases(draw):
+    """(config mapping, replay rollouts or None, labelled ids, lane width)."""
+    mapping = dict(draw(st.sampled_from(_MODES)))
+    closed_loop = mapping["mode"] in ("ttpo_rl", "ttpo_sft")
+    rounds = draw(st.integers(1, 3)) if closed_loop else 1
+    n_min = draw(st.integers(1, 40))
+    m_max = draw(
+        st.one_of(st.just(n_min), st.integers(n_min, 80), st.sampled_from([256, 257, 300]))
+    )
+    fixed_budget = draw(
+        st.one_of(
+            st.integers(1, m_max),
+            st.just(m_max),
+            st.integers(m_max + 1, m_max + 40),
+            st.sampled_from([256, 257, 320]),
+        )
+    )
+    cap = MAX_COST // (rounds * max(m_max, fixed_budget))
+    cost = draw(st.one_of(st.just(1), st.integers(1, 1000), st.integers(min(2**53 + 1, cap), cap)))
+    mapping.update(
+        rounds=str(rounds),
+        count=str(draw(st.integers(1, 8))),
+        m=str(draw(st.integers(2, 6))),
+        p0=draw(_p0_specs()),
+        p0_mode=draw(st.sampled_from(["adaptive", "fixed"])),
+        cost_per_vote=str(cost),
+        n_min=str(n_min),
+        m_max=str(m_max),
+        streak_k=str(draw(st.integers(1, 6))),
+        fixed_budget=str(fixed_budget),
+        alpha=str(draw(st.sampled_from([0.01, 0.05, 0.1, 0.3]))),
+        beta=str(draw(st.sampled_from([0.01, 0.05, 0.1, 0.3]))),
+        seed=str(draw(st.integers(0, 2**64))),
+    )
+    if mapping["p0_mode"] == "fixed":
+        mapping["p0_mode"] = f"fixed:{draw(_PERCENT)}"
+    if mapping.get("axis") == "alpha_beta":
+        values = draw(st.lists(st.sampled_from([0.01, 0.05, 0.2, 0.45]), min_size=1, max_size=2))
+        mapping["values"] = ",".join(map(str, values))
+    elif mapping.get("axis") == "n_min":
+        values = draw(st.lists(st.integers(1, m_max), min_size=1, max_size=2))
+        mapping["values"] = ",".join(map(str, values))
+    trace = labelled = None
+    if not closed_loop and draw(st.booleans()):
+        trace = draw(_trace_instances(n_min))
+        labelled = draw(st.lists(st.sampled_from(sorted(trace) or ["r0"]), unique=True))
+    return mapping, trace, labelled, draw(st.sampled_from([1, 3, 4096]))
+
+
+@given(case=_oracle_cases())
+# Two votes on a knife edge. At seed 0 the first double of inst-00000's
+# round-0 policy stream is 0.832778407726228 and its true answer is 0, so
+# with that p0 the first cdf entry equals the vote's uniform exactly, a tie
+# ``choice`` breaks upward. With p0 = 0.5, m = 2 and 256-vote arms, vote 256,
+# the last of the first refill, often decides a plurality.
+@example(
+    case=(
+        {"mode": "ttpo_rl", "count": "1", "m": "2", "p0": "constant:0.832778407726228",
+         "n_min": "8", "seed": "0"},
+        None, None, 4096,
+    )
+)
+@example(
+    case=(
+        {"mode": "compare", "count": "20", "m": "2", "p0": "constant:0.5",
+         "n_min": "256", "m_max": "256", "fixed_budget": "256"},
+        None, None, 4096,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_drivers_match_the_per_vote_oracle_across_the_config_space(case):
+    # The batched drivers against the per-vote reference drivers, byte for
+    # byte, over every mode, corpus kind and stopping-rule corner. Lane
+    # widths of 1 and 3 split the corpus into many chunks.
+    mapping, trace, labelled, lanes = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "_LANES", lanes)
+        if trace is not None:
+            mapping = dict(mapping, corpus="trace", trace=str(Path(tmp) / "t.jsonl"))
+            write_trace(Path(mapping["trace"]), trace)
+            if labelled:
+                mapping["labels"] = str(Path(tmp) / "gold.csv")
+                gold = [f"{instance_id},a" for instance_id in labelled]
+                Path(mapping["labels"]).write_text("\n".join(["instance_id,answer", *gold]) + "\n")
+        config = resolve_config(mapping)
+        if config.mode == "compare":
+            got, want = [run_compare(config)], [reference_compare(config)]
+        elif config.mode == "ablate":
+            got, want = run_ablation(config), reference_ablation(config)
+        else:
+            got, want = [run_ttpo(config)], [reference_ttpo(config)]
+        for fmt in ("json", "csv"):
+            assert [render_report(r, fmt) for r in got] == [render_report(r, fmt) for r in want]

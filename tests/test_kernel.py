@@ -19,7 +19,7 @@ from ttpo.stopper import (
     compute_thresholds,
     stop_batch,
 )
-from ttpo.synth import TraceRecord, canonical_trace_line
+from trace_reference import TraceRecord, canonical_trace_line
 
 
 class RecordedSource:

@@ -11,8 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stopper_reference import CONTINUE, SprtStopper, StopDecision, estimate_p0, top_two
-from ttpo.consensus import AnswerModel, VoteTally
+from stopper_reference import (
+    CONTINUE,
+    SprtStopper,
+    StopDecision,
+    estimate_p0,
+    tally_of,
+    top_two,
+)
+from ttpo.consensus import AnswerModel
 from ttpo.errors import ConfigurationError
 from ttpo.stopper import (
     ErrorBudget,
@@ -130,24 +137,24 @@ class TestGapThresholds:
 class TestClampAndEstimate:
     def test_mid_range_estimate(self):
         config = StopperConfig(n_min=32)
-        tally = VoteTally.from_counts({0: 20, 1: 12}, m=4)
+        tally = tally_of({0: 20, 1: 12}, m=4)
         assert estimate_p0(tally, config, 4) == pytest.approx(0.375)
 
     def test_unanimous_estimate(self):
         config = StopperConfig(n_min=32)
-        tally = VoteTally.from_counts({0: 32}, m=4)
+        tally = tally_of({0: 32}, m=4)
         assert estimate_p0(tally, config, 4) == pytest.approx(0.6)
 
     def test_weak_majority_clamped_to_floor(self):
         config = StopperConfig(n_min=32)
-        tally = VoteTally.from_counts({0: 9, 1: 8, 2: 8, 3: 7}, m=4)
+        tally = tally_of({0: 9, 1: 8, 2: 8, 3: 7}, m=4)
         # raw 0.6 * 9/32 = 0.16875 sits below chance for m=4.
         assert estimate_p0(tally, config, 4) == pytest.approx(0.25 + 1e-3)
 
     def test_wrong_total_rejected(self):
         config = StopperConfig(n_min=32)
         with pytest.raises(ValueError):
-            estimate_p0(VoteTally.from_counts({0: 5}, m=4), config, 4)
+            estimate_p0(tally_of({0: 5}, m=4), config, 4)
 
     def test_clamp_bounds(self):
         assert clamp_p0(0.99999, 2, 1e-3) == pytest.approx(0.999)

@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optimizer_reference import SoftmaxAnswerPolicy
+from scalar_reference import PolicyVoteSource
 from stopper_reference import draw
+from trace_reference import TraceRecord, canonical_trace_line
 from ttpo import seeding
 from ttpo.errors import ConfigurationError, CorpusError
 from ttpo.seeding import (
@@ -23,14 +25,11 @@ from ttpo.seeding import (
 from ttpo.synth import (
     CategoricalVoteSource,
     P0Spec,
-    PolicyVoteSource,
     SyntheticInstance,
-    TraceRecord,
     _categorical_votes,
     _corpus,
     _policy_uniforms,
     _policy_votes,
-    canonical_trace_line,
     gen_instances,
     load_labels,
     load_trace,

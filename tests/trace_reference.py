@@ -3,16 +3,42 @@
 This is the loader the columnar one replaced: ``json.loads`` and a per-field
 check on every line, one ``TraceRecord`` per rollout, and a source that keeps
 the record list. Tests require the two to accept the same traces, build the
-same sources, and reject the same lines with the same errors.
+same sources, and reject the same lines with the same errors. Tests write
+their traces with ``canonical_trace_line``.
 """
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ttpo.errors import CorpusError
-from ttpo.synth import TraceRecord, _open_corpus_file
+from ttpo.synth import _open_corpus_file
+
+
+@dataclass(frozen=True)
+class TraceRecord:
+    """One recorded rollout: an answer string and its token cost."""
+
+    instance_id: str
+    rollout_index: int
+    answer: str
+    tokens: int
+
+
+def canonical_trace_line(record: TraceRecord) -> str:
+    """Canonical serialized form of one trace record (sorted keys, no spaces)."""
+    return json.dumps(
+        {
+            "answer": record.answer,
+            "instance_id": record.instance_id,
+            "rollout_index": record.rollout_index,
+            "tokens": record.tokens,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
 
 
 class TraceVoteSource:
