@@ -65,13 +65,17 @@ def allocate(source: VoteSource, config: StopperConfig) -> AllocationResult:
             f"vote source must cover at least two answers, got m={m}"
         )
     table = ThresholdTable(config)
+    # The earliest stop: a full streak that starts at the warm-up's last
+    # vote, or, under a fixed p0, at the first vote the gap can reach its
+    # threshold (the gap after t votes is at most t).
+    first_hit = config.n_min
     if config.p0_fixed is not None:
-        table.lookup(m, 0)  # an unusable fixed model fails before any vote
+        # An unusable fixed model fails here, before any vote.
+        first_hit = max(first_hit, table.lookup(m, 0)[1])
     answers = np.empty(config.m_max, dtype=np.int64)
     costs = np.empty(config.m_max, dtype=np.int64)
     t = 0
-    # The earliest stop: a full streak that starts at the warm-up's last vote.
-    target = min(config.n_min + config.streak_k - 1, config.m_max)
+    target = min(first_hit + config.streak_k - 1, config.m_max)
     while True:
         chunk, chunk_costs = source.take(target - t)
         end = t + len(chunk)

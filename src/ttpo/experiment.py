@@ -29,7 +29,6 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import replace
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,13 +42,12 @@ from .consensus import _log_softmax, _softmax, plurality
 from .errors import ConfigurationError
 from .optimizer import advantages, consensus_rewards, pg_step, sft_step
 from .report import ExperimentReport, InstanceRow, build_report
-from .seeding import _LANES, _stream_seeds
+from .seeding import _LANES, _stream_seeds, _uniforms
 from .stopper import ThresholdTable, stop_batch
 from .synth import (
     TraceVoteSource,
     _categorical_votes,
     _corpus,
-    _policy_uniforms,
     _policy_votes,
     load_labels,
     load_trace,
@@ -82,44 +80,6 @@ def _spent(costs: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.where(np.arange(costs.shape[1]) < tau[:, None], costs, 0).sum(axis=1)
 
 
-class _Race(NamedTuple):
-    """``_race``'s columns: answer-id arrays for the labels, lists otherwise."""
-
-    tau: list[int]
-    label: np.ndarray
-    kind: list[str]
-    truncated: list[bool]
-    cost: list[int]
-    fixed_label: np.ndarray
-    fixed_cost: list[int]
-
-
-def _race(
-    config: ExperimentConfig, table: ThresholdTable, m: np.ndarray, draws: Draws
-) -> _Race:
-    """Both arms over one chunk of instances, one column per outcome.
-
-    Both arms read the same votes. The adaptive arm's tau, pseudo-label id,
-    decision kind, truncated flag and cost come from ``stop_batch``; the
-    fixed arm's label id is the plurality of the first ``fixed_budget``
-    votes (fewer where a replay runs dry), and each arm pays for the votes
-    it read.
-    """
-    votes, costs, lengths = draws
-    stops = stop_batch(votes, lengths, m, table)
-    budget = config.fixed_budget
-    fixed_tau = np.minimum(lengths, budget)
-    return _Race(
-        stops.tau.tolist(),
-        stops.label,
-        [kind.value for kind in stops.kind],
-        stops.truncated.tolist(),
-        _spent(costs, stops.tau).tolist(),
-        plurality(votes[:, :budget], fixed_tau, int(m.max())),
-        _spent(costs, fixed_tau).tolist(),
-    )
-
-
 def _synthetic_draws(votes: np.ndarray, cost: int) -> Draws:
     """A synthetic source's draws: it never runs dry and every vote costs ``cost``."""
     return (
@@ -140,26 +100,43 @@ Judged = tuple[list, list]
 Judge = Callable[[np.ndarray], Judged]
 
 
-def _compare_rows(ids: list[str], race: _Race, judge: Judge) -> list[InstanceRow]:
-    """The comparison rows of one chunk, from its ``_race`` columns.
+def _compare_rows(
+    config: ExperimentConfig,
+    table: ThresholdTable,
+    ids: list[str],
+    m: np.ndarray,
+    draws: Draws,
+    judge: Judge,
+) -> list[InstanceRow]:
+    """Both arms over one chunk of instances: the chunk's comparison rows.
 
-    ``judge`` maps a column of answer ids to the labels the report shows and
-    whether each is correct.
+    Both arms read the same votes. The adaptive arm's tau, pseudo-label,
+    decision kind, truncated flag and cost come from ``stop_batch``; the
+    fixed arm's label is the plurality of the first ``fixed_budget`` votes
+    (fewer where a replay runs dry), and each arm pays for the votes it
+    read. ``judge`` maps a column of answer ids to the labels the report
+    shows and whether each is correct.
     """
-    pseudo, pseudo_correct = judge(race.label)
-    fixed, fixed_correct = judge(race.fixed_label)
+    votes, costs, lengths = draws
+    stops = stop_batch(votes, lengths, m, table)
+    budget = config.fixed_budget
+    fixed_tau = np.minimum(lengths, budget)
+    cost = _spent(costs, stops.tau).tolist()
+    fixed_cost = _spent(costs, fixed_tau).tolist()
+    pseudo, pseudo_correct = judge(stops.label)
+    fixed, fixed_correct = judge(plurality(votes[:, :budget], fixed_tau, int(m.max())))
     return list(
         map(
             InstanceRow,
             ids,
-            race.tau,
+            stops.tau.tolist(),
             pseudo,
             pseudo_correct,
-            race.cost,
-            _savings(race.cost, race.fixed_cost),
-            race.kind,
-            race.truncated,
-            race.fixed_cost,
+            cost,
+            _savings(cost, fixed_cost),
+            [kind.value for kind in stops.kind],
+            stops.truncated.tolist(),
+            fixed_cost,
             fixed,
             fixed_correct,
         )
@@ -228,8 +205,7 @@ def run_compare(config: ExperimentConfig) -> ExperimentReport:
 
     rows = []
     for part in _slices(0, len(ids), _LANES):
-        m, draws, judge = chunk_of(part)
-        rows.extend(_compare_rows(ids[part], _race(config, table, m, draws), judge))
+        rows.extend(_compare_rows(config, table, ids[part], *chunk_of(part)))
     return build_report(rows, config_echo(config), config.seed, __version__)
 
 
@@ -278,7 +254,7 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
             for r in range(rounds)
             for seed in _stream_seeds(config.seed, "policy", r, ids[chunk])
         ]
-        uniforms = _policy_uniforms(seeds, m_max).reshape(rounds, -1, m_max)
+        uniforms = _uniforms(seeds, m_max).reshape(rounds, -1, m_max)
         for round_index in range(rounds):
             probs = _softmax(logits[chunk])
             votes = _policy_votes(probs, uniforms[round_index])

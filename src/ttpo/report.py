@@ -18,7 +18,7 @@ import re
 import sys
 from collections.abc import Iterator, Sequence
 from json.encoder import encode_basestring_ascii
-from math import inf, isfinite
+from math import isfinite
 from pathlib import Path
 from typing import NamedTuple
 
@@ -201,29 +201,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _json_scalar(value) -> str:
-    """One value as json.dumps writes it, tested in json.dumps's own order."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == inf:
-            return "Infinity"
-        if value == -inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
 def _format_columns(columns, strings, constants: dict, per_value) -> list[Iterator[str]]:
     """Each column's formatted values, by one C-level callable where its types allow.
 
@@ -275,7 +252,7 @@ def _json_rows(rows: tuple[InstanceRow, ...], indent: str) -> list[str]:
     )
     columns = tuple(zip(*rows))
     formatted = _format_columns(
-        [columns[i] for i in _JSON_ORDER], encode_basestring_ascii, _JSON_CONSTANTS, _json_scalar
+        [columns[i] for i in _JSON_ORDER], encode_basestring_ascii, _JSON_CONSTANTS, json.dumps
     )
     pieces = list(map(template.__mod__, zip(*formatted)))
     # The first row's leading comma becomes the list's opening bracket.

@@ -3,10 +3,12 @@
 Each stream is ``numpy.random.default_rng(stream_seed(...))``: a PCG64
 generator seeded through a ``SeedSequence``. Drivers derive a lane chunk's
 seeds with ``_stream_seeds``, which hashes the key prefix the chunk shares
-once, and ``_pcg64_outputs`` computes the raw 64-bit outputs of many such
-generators at once, one lane per seed, with the same arithmetic numpy runs
-per generator, so drivers read the streams without building a ``Generator``
-per instance.
+once. Every synthetic draw reads one double of its stream, so a stream is
+read only through ``_uniforms``, its ``Generator.random(n)``. That rests on
+``_pcg64_outputs``, which computes the first raw 64-bit outputs of many
+such generators at once, one lane per seed, with the same arithmetic numpy
+runs per generator, so drivers read the streams without building a
+``Generator`` per instance.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ def _stream_seeds(
 
 _MASK32 = 0xFFFF_FFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 _INIT_A = 0x43B0D7E5
@@ -152,33 +153,19 @@ def _add(
     return hi + b_hi + (low < b_lo), low
 
 
-def _jump(steps: int) -> tuple[int, int]:
-    """(A, C) with ``steps`` LCG steps equal to ``s * A + inc * C`` (mod 2**128)."""
-    mult, total = 1, 0
-    for _ in range(steps):
-        total = (total * _PCG_MULT + 1) & _MASK128
-        mult = mult * _PCG_MULT & _MASK128
-    return mult, total
+def _pcg64_outputs(seeds: Sequence[int], n: int) -> np.ndarray:
+    """Outputs 1..n of ``np.random.default_rng(seed).bit_generator`` per seed.
 
-
-def _pcg64_outputs(seeds: Sequence[int], spans: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Raw outputs of ``np.random.default_rng(seed).bit_generator`` per seed.
-
-    ``spans`` lists ``(first, count)`` runs of 1-based output positions in
-    increasing order; the result is ``[len(seeds), sum(counts)]`` uint64
-    with the runs side by side. Lanes step together, one 128-bit multiply
-    by the PCG64 constant per output, and jump only across unread outputs.
+    The result is ``[len(seeds), n]`` uint64. Lanes step together, one
+    128-bit multiply by the PCG64 constant per output.
     """
-    total = sum(count for _, count in spans)
-    out = np.empty((total, len(seeds)), dtype=np.uint64)
+    out = np.empty((n, len(seeds)), dtype=np.uint64)
     for start in range(0, len(seeds), _LANES):
-        _lane_outputs(seeds[start : start + _LANES], spans, out[:, start : start + _LANES])
+        _lane_outputs(seeds[start : start + _LANES], out[:, start : start + _LANES])
     return out.T
 
 
-def _lane_outputs(
-    seeds: Sequence[int], spans: Sequence[tuple[int, int]], out: np.ndarray
-) -> None:
+def _lane_outputs(seeds: Sequence[int], out: np.ndarray) -> None:
     """One pass of ``_pcg64_outputs``, written to ``out`` as ``[outputs, lanes]``."""
     words = _seed_words(seeds)
     # pcg64_set_seed takes words 0-1 as initstate and 2-3 as initseq, high
@@ -187,46 +174,20 @@ def _lane_outputs(
     inc_lo = (words[:, 3] << np.uint64(1)) | np.uint64(1)
     hi, lo = _add(inc_hi, inc_lo, words[:, 0], words[:, 1])
     hi, lo = _add(*_mul_const(hi, lo, _PCG_MULT), inc_hi, inc_lo)
-    position, row = 0, 0
     rotate = np.uint64(58)
-    for first, count in spans:
-        if first - 1 > position:
-            mult, addend = _jump(first - 1 - position)
-            hi, lo = _add(*_mul_const(hi, lo, mult), *_mul_const(inc_hi, inc_lo, addend))
-        for _ in range(count):
-            hi, lo = _add(*_mul_const(hi, lo, _PCG_MULT), inc_hi, inc_lo)
-            # XSL-RR: rotate the xor of the halves right by the top six bits.
-            folded = hi ^ lo
-            turn = hi >> rotate
-            np.bitwise_or(
-                folded >> turn, folded << ((np.uint64(64) - turn) & np.uint64(63)), out=out[row]
-            )
-            row += 1
-        position = first - 1 + count
+    for row in out:
+        hi, lo = _add(*_mul_const(hi, lo, _PCG_MULT), inc_hi, inc_lo)
+        # XSL-RR: rotate the xor of the halves right by the top six bits.
+        folded = hi ^ lo
+        turn = hi >> rotate
+        np.bitwise_or(folded >> turn, folded << ((np.uint64(64) - turn) & np.uint64(63)), out=row)
 
 
-def _doubles(outputs: np.ndarray) -> np.ndarray:
-    """``Generator.random()`` of each output: its top 53 bits over 2**53."""
-    return np.multiply(outputs >> np.uint64(11), 1.0 / 9007199254740992.0, dtype=np.float64)
+def _uniforms(seeds: Sequence[int], n: int) -> np.ndarray:
+    """``np.random.default_rng(seed).random(n)`` per seed: ``[len(seeds), n]`` float64.
 
-
-def _halves(outputs: np.ndarray) -> np.ndarray:
-    """The 32-bit words ``next_uint32`` hands out: each output's low half, then its high."""
-    words = np.empty((*outputs.shape[:-1], 2 * outputs.shape[-1]), dtype=np.uint64)
-    np.bitwise_and(outputs, np.uint64(_MASK32), out=words[..., 0::2])
-    np.right_shift(outputs, np.uint64(32), out=words[..., 1::2])
-    return words
-
-
-def _lemire(words: np.ndarray, bound: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's 32-bit Lemire draw in ``[0, bound)`` from each word, and where it rejects.
-
-    ``bound`` is below 2**32. A rejected draw makes numpy read one more
-    word, shifting every later draw of that stream, so its value here is
-    not numpy's.
+    ``random()`` is the top 53 bits of the next output over 2**53, so double
+    ``j`` is output ``j`` however the stream is split into calls.
     """
-    bound = np.asarray(bound, dtype=np.uint64)
-    product = words * bound
-    rejected = (product & np.uint64(_MASK32)) < (np.uint64(1 << 32) - bound) % bound
-    product >>= np.uint64(32)
-    return product.view(np.int64), rejected
+    outputs = _pcg64_outputs(seeds, n)
+    return np.multiply(outputs >> np.uint64(11), 1.0 / 9007199254740992.0, dtype=np.float64)

@@ -7,30 +7,19 @@ runs. Every source is read one way: ``take(n)`` hands out the next ``n``
 votes and their costs as arrays, and a categorical source's stream is the
 same however it is split into takes.
 
-``CategoricalVoteSource`` defines the synthetic stream; the batch drivers
-read it for many instances at once. The source refills 256 votes at a time
-from ``numpy.random.default_rng(stream_seed)``: its vote ``j`` (1 to 256)
-reads double ``j``, the top 53 bits of PCG64 output ``j``, and its
-wrong-answer draws follow from output 257 on, each a 32-bit Lemire draw
-over ``m - 1`` answers from the low, then the high, half of an output; at
-``m = 2`` they read nothing. ``_categorical_votes`` and ``_corpus``
-compute those reads from ``seeding._pcg64_outputs`` across all rows and
-take a row from its source (or, for the corpus, from a ``Generator``)
-where the lane reading is not certain to be numpy's: past a source's
-first 256 votes, where a Lemire draw would reject (about ``m / 2**32``
-per draw), or where the bound needs 64 bits. Report bytes thus rest on
-numpy's ``Generator`` methods only in those rows.
-The closed loop draws each vote from its policy's softmax as numpy's
-``Generator.choice`` would, vote ``j`` reading double ``j``:
-``_policy_votes`` reads every row from the doubles and has no fallback,
-since its caller's rows are softmaxes of finite logits, which ``choice``
-always accepts.
+A synthetic rollout is one categorical draw, and it reads one double,
+``random()``, of its stream ``numpy.random.default_rng(stream_seed)``.
+``CategoricalVoteSource`` defines the synthetic vote stream: vote ``j``
+reads double ``j`` and ``_categorical`` turns it into an answer id. An
+instance of the corpus reads doubles 1 and 2 of its ``"corpus"`` stream,
+and the closed loop's policy vote ``j`` reads double ``j`` as numpy's
+``Generator.choice`` does (``_policy_votes``). The drivers read those
+doubles for many streams at once with ``seeding._uniforms``, which computes
+numpy's generator lane by lane, so no row needs a ``Generator`` of its own.
 Lanes are wide or not worth it: callers pass the corpus, or chunks of
-``seeding._LANES`` seeds. The drivers hold the corpus as columns, ids,
-true answers and ``p0``s from ``_corpus``, and ``_categorical_votes``
-reads those columns; a ``SyntheticInstance`` is built only for a row
-taken from its source. ``gen_instances`` wraps the same columns in
-instances.
+``seeding._LANES`` seeds. The drivers hold the corpus as columns, ids, true
+answers and ``p0``s from ``_corpus``, and ``gen_instances`` wraps the same
+columns in instances.
 
 A rollout trace is UTF-8 text with one JSON object per line, carrying
 ``instance_id`` (string), ``rollout_index`` (integer >= 0), ``answer``
@@ -53,9 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, CorpusError
-from .seeding import _doubles, _halves, _lemire, _pcg64_outputs, _stream_seeds
-
-_BUFFER_SIZE = 256
+from .seeding import _stream_seeds, _uniforms
 
 
 @dataclass(frozen=True)
@@ -128,17 +115,13 @@ class P0Spec:
             raise ConfigurationError(f"non-numeric p0 spec parameter in {text!r}") from exc
         return cls(kind=kind.strip(), params=params)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "uniform":
-            lo, hi = self.params
-            return float(rng.uniform(lo, hi))
-        share, p_easy, p_hard = self.params
-        return p_easy if rng.random() < share else p_hard
-
     def _samples(self, uniforms: np.ndarray) -> np.ndarray:
-        """``sample`` of each stream whose next ``random()`` is ``uniforms[i]``."""
+        """The accuracy each uniform in ``[0, 1)`` gives.
+
+        ``uniform`` maps ``u`` to ``lo + (hi - lo) * u``, as
+        ``Generator.uniform`` does, and ``mixture`` gives ``p_easy`` when
+        ``u < easy_share``.
+        """
         if self.kind == "constant":
             return np.full(uniforms.size, self.params[0], dtype=np.float64)
         if self.kind == "uniform":
@@ -180,8 +163,12 @@ def gen_instances(
 ) -> list[SyntheticInstance]:
     """Deterministic corpus: each instance is a pure function of (seed, id).
 
-    Instance ``i`` is what ``rng = default_rng(seed_i)`` gives through
-    ``rng.integers(m)`` then ``p0_spec.sample(rng)``.
+    Instance ``i`` reads ``u1, u2 = default_rng(seed_i).random(2)``, with
+    ``seed_i = stream_seed(seed, "corpus", 0, id_i)``: its true answer is
+    ``floor(u1 * m)`` in float64 and its vote accuracy is ``p0_spec`` at
+    ``u2``. The answer is below ``m``: ``u1 <= 1 - 2**-53``, so the rounded
+    product lies at least half an ulp below ``float(m)``, which is within
+    half an ulp of ``m``.
     """
     ids, answers, p0s = _corpus(count, m, p0_spec, seed)
     return [
@@ -199,70 +186,55 @@ def gen_instances(
 def _corpus(
     count: int, m: int, p0_spec: P0Spec, seed: int
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """``gen_instances``' corpus as columns: (ids, true answers, p0s).
-
-    ``rng.integers(m)`` reads the low half of output 1 and
-    ``p0_spec.sample(rng)`` output 2. All streams are read as lanes; a row
-    whose draw would reject replays the ``Generator``.
-    """
+    """``gen_instances``' corpus as columns: (ids, true answers, p0s)."""
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     ids = [f"inst-{i:05d}" for i in range(count)]
-    seeds = _stream_seeds(seed, "corpus", 0, ids)
-    raw = _pcg64_outputs(seeds, [(1, 2)])
-    if m < 2**32:
-        answers, redo = _lemire(_halves(raw[:, :1])[:, 0], m)
-    else:
-        answers, redo = np.zeros(count, np.int64), np.ones(count, bool)
-    p0s = p0_spec._samples(_doubles(raw[:, 1]))
-    for row in np.flatnonzero(redo).tolist():
-        rng = np.random.default_rng(seeds[row])
-        answers[row], p0s[row] = rng.integers(m), p0_spec.sample(rng)
-    return ids, answers, p0s
+    uniforms = _uniforms(_stream_seeds(seed, "corpus", 0, ids), 2)
+    answers = np.floor(uniforms[:, 0] * float(m)).astype(np.int64)
+    return ids, answers, p0_spec._samples(uniforms[:, 1])
+
+
+def _categorical(
+    uniforms: np.ndarray, true: np.ndarray | int, p0: np.ndarray | float, m: int
+) -> np.ndarray:
+    """The vote each uniform gives under the symmetric noise model.
+
+    A uniform ``u`` below ``p0`` is a hit on the true answer. A miss spreads
+    ``(u - p0) / (1 - p0)`` evenly over the ``m - 1`` wrong answers: with
+    ``k = min(floor((u - p0) / (1 - p0) * (m - 1)), m - 2)``, computed in
+    float64 in that order, the vote is ``k + (k >= true)``. ``true`` and
+    ``p0`` are scalars or broadcast against ``uniforms``.
+    """
+    # A hit's fraction is negative; clipping it keeps the cast in range.
+    spread = np.maximum(uniforms - p0, 0.0) / (1.0 - p0) * float(m - 1)
+    wrong = np.minimum(np.floor(spread).astype(np.int64), m - 2)
+    wrong += wrong >= true
+    return np.where(uniforms < p0, true, wrong)
 
 
 class CategoricalVoteSource:
-    """Exact simulator of the symmetric vote-noise model, buffered.
+    """Exact simulator of the symmetric vote-noise model.
 
-    Each refill draws ``_BUFFER_SIZE`` hit flags, then as many wrong answers,
-    from the source's own ``Generator``.
+    Vote ``j`` reads double ``j`` of ``numpy.random.default_rng(stream_seed)``
+    through ``_categorical``, so takes of any sizes read the same stream.
     """
 
     def __init__(self, instance: SyntheticInstance, stream_seed: int):
         self._instance = instance
         self._rng = np.random.default_rng(stream_seed)
-        self._buffer = np.empty(0, dtype=np.int64)
-        self._pos = 0
 
     @property
     def m(self) -> int:
         return self._instance.m
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Answers and costs of the next ``n`` votes.
-
-        Reads the buffer on from where the last take stopped and refills it
-        whenever it runs out, so takes of any sizes read the same stream.
-        """
+        """Answers and costs of the next ``n`` votes."""
         if n < 0:
             raise ValueError(f"cannot take a negative number of votes, got {n}")
         inst = self._instance
-        chunks = [np.empty(0, dtype=np.int64)]
-        while n > 0:
-            if self._pos >= self._buffer.size:
-                hit = self._rng.random(_BUFFER_SIZE) < inst.p0_true
-                # Uniform over the m-1 wrong answers: draw in [0, m-1) and
-                # skip past the true answer's slot.
-                wrong = self._rng.integers(0, inst.m - 1, size=_BUFFER_SIZE)
-                wrong += wrong >= inst.true_answer
-                self._buffer = np.where(hit, inst.true_answer, wrong)
-                self._pos = 0
-            chunk = self._buffer[self._pos : self._pos + n]
-            self._pos += chunk.size
-            n -= chunk.size
-            chunks.append(chunk)
-        answers = np.concatenate(chunks)
-        return answers, np.full(answers.size, inst.cost_per_vote, dtype=np.int64)
+        answers = _categorical(self._rng.random(n), inst.true_answer, inst.p0_true, inst.m)
+        return answers, np.full(n, inst.cost_per_vote, dtype=np.int64)
 
 
 def _categorical_votes(
@@ -271,55 +243,21 @@ def _categorical_votes(
     """``CategoricalVoteSource(instance_i, seeds[i]).take(n)[0]`` per row.
 
     Row ``i`` is an instance with true answer ``true[i]``, vote accuracy
-    ``p0[i]`` and ``m`` answers. Vote ``j`` is a hit when double ``j``
-    (outputs 1..n) is below ``p0[i]``; otherwise it is the ``j``-th 32-bit
-    Lemire draw over the wrong answers, read from output ``_BUFFER_SIZE + 1``
-    on, and with m = 2 that draw reads nothing. A row that needs more than
-    one refill, whose ``m - 1`` is at least 2**32, or whose Lemire draw would
-    reject is taken from the source.
+    ``p0[i]`` and ``m`` answers; every row reads its first ``n`` doubles.
     """
-    if n > _BUFFER_SIZE or m - 1 >= 2**32:
-        votes = np.empty((len(seeds), n), dtype=np.int64)
-        exact = np.zeros(len(seeds), dtype=bool)
-    else:
-        spans = [(1, n)]
-        if m > 2:
-            spans.append((_BUFFER_SIZE + 1, (n + 1) // 2))
-        raw = _pcg64_outputs(seeds, spans)
-        hit = _doubles(raw[:, :n]) < p0[:, None]
-        words = _halves(raw[:, n:])[:, :n] if m > 2 else np.zeros(hit.shape, np.uint64)
-        wrong, rejected = _lemire(words, m - 1)
-        wrong += wrong >= true[:, None]
-        np.copyto(wrong, true[:, None], where=hit)
-        votes, exact = wrong, ~rejected.any(axis=1)
-    # A lane cannot serve these rows, not even one lane at a time: a rejected
-    # Lemire draw shifts the rest of the row's reads by an amount of its own,
-    # and with m - 1 >= 2**32 numpy draws 64-bit values.
-    for row in np.flatnonzero(~exact).tolist():
-        instance = SyntheticInstance("", int(true[row]), m, float(p0[row]))
-        votes[row] = CategoricalVoteSource(instance, seeds[row]).take(n)[0]
-    return votes
-
-
-def _policy_uniforms(seeds: Sequence[int], n: int) -> np.ndarray:
-    """Doubles 1..n of each stream, the uniforms ``Generator.choice`` reads.
-
-    ``choice(m, size=n, p=p)`` reads exactly ``n`` doubles, one per vote, so
-    vote ``j`` reads double ``j`` however the stream is split into calls.
-    """
-    return _doubles(_pcg64_outputs(seeds, [(1, n)]))
+    return _categorical(_uniforms(seeds, n), true[:, None], p0[:, None], m)
 
 
 def _policy_votes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """``default_rng(seed_i).choice(m, size=n, p=probs[i])`` per row.
 
-    ``uniforms[i]`` is ``_policy_uniforms`` of stream ``seed_i``, ``n``
-    doubles wide. numpy's ``Generator.choice(m, p=p)`` turns ``random()``
-    into the count of ``cdf`` entries at or below it, with ``cdf =
-    p.cumsum(); cdf /= cdf[-1]``. Every row must be one ``choice`` accepts
-    as ``p``, as a softmax of finite logits is. The per-vote oracle that
-    calls ``choice`` itself is ``PolicyVoteSource`` in the tests'
-    ``scalar_reference``.
+    ``uniforms[i]`` is ``seeding._uniforms`` of stream ``seed_i``, ``n``
+    doubles wide: ``choice(m, size=n, p=p)`` reads exactly one double per
+    vote. numpy's ``Generator.choice(m, p=p)`` turns ``random()`` into the
+    count of ``cdf`` entries at or below it, with ``cdf = p.cumsum(); cdf
+    /= cdf[-1]``. Every row must be one ``choice`` accepts as ``p``, as a
+    softmax of finite logits is. The per-vote oracle that calls ``choice``
+    itself is ``PolicyVoteSource`` in the tests' ``scalar_reference``.
     """
     cdf = probs.cumsum(axis=1)
     cdf = cdf / cdf[:, -1:]
@@ -505,9 +443,11 @@ def load_labels(path: str | Path) -> dict[str, str]:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["instance_id", "answer"]:
-            raise CorpusError(
-                f"labels file {path}: expected header 'instance_id,answer'"
-            )
+            problem = "expected header 'instance_id,answer'"
+            # A byte-order mark reads as the start of the first header cell.
+            if header and header[0].startswith("\ufeff"):
+                problem = f"starts with a UTF-8 byte-order mark; {problem}"
+            raise CorpusError(f"labels file {path}: {problem}")
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue

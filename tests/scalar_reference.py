@@ -4,9 +4,12 @@ The experiment drivers decide chunks of instances with ``stop_batch``; these
 build the same reports the slow way, one call of the per-vote oracle
 ``stopper_reference.allocate`` per instance and round, with the fixed arm
 drawn one vote at a time from a second source replaying the same stream
-from its first vote. The closed loop starts each policy from
-``initial_policy`` and updates it on its own with the per-sample rules in
-``optimizer_reference``. Tests require the two to render to identical bytes.
+from its first vote. The synthetic corpus (``reference_corpus``) and vote
+streams (``CategoricalVoteOracle``, ``PolicyVoteSource``) are written here
+from their definitions, one ``Generator`` call per draw, without ``synth``.
+The closed loop starts each policy from ``initial_policy`` and updates it on
+its own with the per-sample rules in ``optimizer_reference``. Tests require
+the two to render to identical bytes.
 """
 
 import math
@@ -20,11 +23,80 @@ from ttpo.errors import AllocationError
 from ttpo.report import InstanceRow, build_report
 from ttpo.seeding import stream_seed
 from ttpo.stopper import ErrorBudget
-from ttpo.synth import CategoricalVoteSource, gen_instances, load_labels, load_trace
+from ttpo.synth import SyntheticInstance, load_labels, load_trace
 from ttpo.version import __version__
 
 import optimizer_reference as oracle
 from stopper_reference import allocate, draw, top_two
+
+
+def categorical_vote(u, true, p0, m):
+    """The synthetic vote a uniform ``u`` gives, in Python floats and ints.
+
+    A hit below ``p0``; a miss spreads ``(u - p0) / (1 - p0)`` over the
+    ``m - 1`` wrong answers and skips the true answer's id.
+    """
+    if u < p0:
+        return true
+    k = min(math.floor((u - p0) / (1 - p0) * (m - 1)), m - 2)
+    return k + (k >= true)
+
+
+class CategoricalVoteOracle:
+    """The per-vote oracle for ``ttpo.synth.CategoricalVoteSource``.
+
+    Vote ``j`` is ``categorical_vote`` of the ``j``-th ``random()`` call on
+    ``default_rng(stream_seed)``, one call per vote.
+    """
+
+    def __init__(self, instance, stream_seed):
+        self._instance = instance
+        self._rng = np.random.default_rng(stream_seed)
+
+    @property
+    def m(self):
+        return self._instance.m
+
+    def take(self, n):
+        inst = self._instance
+        answers = [
+            categorical_vote(self._rng.random(), inst.true_answer, inst.p0_true, inst.m)
+            for _ in range(n)
+        ]
+        return np.array(answers, dtype=np.int64), np.full(n, inst.cost_per_vote, dtype=np.int64)
+
+
+def p0_of(spec, u):
+    """The vote accuracy a ``P0Spec`` gives at the uniform ``u``."""
+    if spec.kind == "constant":
+        return spec.params[0]
+    if spec.kind == "uniform":
+        lo, hi = spec.params
+        return lo + (hi - lo) * u
+    share, p_easy, p_hard = spec.params
+    return p_easy if u < share else p_hard
+
+
+def reference_corpus(count, m, p0_spec, seed, cost_per_vote=1):
+    """The synthetic corpus from its definition, one ``Generator`` per instance.
+
+    Instance ``i`` reads ``u1, u2 = default_rng(seed_i).random(2)``: its true
+    answer is ``floor(u1 * m)`` and its accuracy ``p0_of(u2)``.
+    """
+    instances = []
+    for i in range(count):
+        instance_id = f"inst-{i:05d}"
+        u1, u2 = np.random.default_rng(stream_seed(seed, "corpus", 0, instance_id)).random(2)
+        instances.append(
+            SyntheticInstance(
+                instance_id,
+                math.floor(float(u1) * m),
+                m,
+                p0_of(p0_spec, float(u2)),
+                cost_per_vote,
+            )
+        )
+    return instances
 
 
 class PolicyVoteSource:
@@ -95,11 +167,11 @@ def fixed_arm(source, budget, m):
 
 
 def _synthetic_compare_row(config, instance):
-    adaptive = CategoricalVoteSource(
+    adaptive = CategoricalVoteOracle(
         instance, stream_seed(config.seed, "adaptive", 0, instance.instance_id)
     )
     # The fixed arm reads the adaptive arm's stream again from its first vote.
-    fixed = CategoricalVoteSource(
+    fixed = CategoricalVoteOracle(
         instance, stream_seed(config.seed, "adaptive", 0, instance.instance_id)
     )
     result = allocate(adaptive, config.stopper)
@@ -144,7 +216,7 @@ def _trace_compare_row(config, source, fixed, label):
 def reference_compare(config):
     if isinstance(config.corpus, SyntheticCorpusSpec):
         spec = config.corpus
-        instances = gen_instances(
+        instances = reference_corpus(
             spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote
         )
         rows = [_synthetic_compare_row(config, inst) for inst in instances]
@@ -209,7 +281,7 @@ def _ttpo_row(config, instance):
 
 def reference_ttpo(config):
     spec = config.corpus
-    instances = gen_instances(
+    instances = reference_corpus(
         spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote
     )
     rows = [_ttpo_row(config, inst) for inst in instances]

@@ -251,11 +251,12 @@ def test_unreadable_or_unwritable_paths(tmp_path, capsys, argv, code, message):
             2,
             "corpus error: trace line 2: invalid JSON (nested too deeply)",
         ),
-        # Only config files skip a byte-order mark.
+        # Only config files skip a byte-order mark; a labels file names it.
         (
             ("replay", "{trace}", "--labels", "{bom}"),
             2,
-            "corpus error: labels file {bom}: expected header 'instance_id,answer'",
+            "corpus error: labels file {bom}: starts with a UTF-8 byte-order mark; "
+            "expected header 'instance_id,answer'",
         ),
     ],
     ids=["config", "trace", "labels", "trace-nested-too-deeply", "labels-byte-order-mark"],
@@ -396,7 +397,7 @@ def test_non_finite_update_is_internal_error(tmp_path, capsys):
     # A KL weight this large makes the second round's step overflow.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "count = 8\nm = 4\np0 = constant:0.6\nrounds = 2\n"
+        "count = 200\nm = 4\np0 = constant:0.6\nrounds = 2\n"
         "learning_rate = 12\nbeta_kl = 1.7e308\n"
     )
     with pytest.warns(RuntimeWarning, match="overflow"):

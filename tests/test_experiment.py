@@ -449,33 +449,38 @@ def test_report_json_is_loadable_structure():
 # rule, a fixed-p0 run on an exact-integer threshold ratio, and a replay
 # over many answer-space sizes. The fixed-p0 run was re-recorded from the
 # per-vote reference when the fixed arm moved onto the adaptive arm's vote
-# stream, which changed some of its fixed-arm labels. Both the batched
-# drivers and the per-vote reference must render every digest, so any byte
-# drift in either format, or between the two, fails here.
+# stream, which changed some of its fixed-arm labels. Every synthetic entry
+# was then re-recorded from the per-vote reference when a draw became one
+# double per vote: a corpus true answer and a missed vote's wrong answer
+# are now read from their own uniform, not from numpy's Lemire integer
+# draws, so they moved while every hit flag and p0 stayed; replay-wide
+# reads no random stream and kept its digests. Both the batched drivers and
+# the per-vote reference must render every digest, so any byte drift in
+# either format, or between the two, fails here.
 GOLDEN_DIGESTS = {
     "compare": (
-        "b06999877fe930e51f31dc364d83709dd84ac917906a77ab7a9c37bef1202db57ceb58ac7447039c88f5d8422f9938fad8a11b52d38816d99b27cad5bf87f221",
-        "c357916185cb22363cbf738371d7251919d9d0bffe267dd910e83f6db89f09acc72e5cb736db85e0a0e44725be23e88e2b124abe5384ab80bfb43ceacb9628e0",
+        "707352ce2a2810c11b9d3adadfe06915acb15c1213ee7b7074568046b3397e13632a31e8dd6a19bdde9e50f566c96aa024bec3d1d18225dec3eb48ad6ebadaac",
+        "b840857cf3d9f0491647f90ad426cfb2196eca017822af675e70e6136cee2c15df7f01789a6f251ff04965be9589e74f8fb13568c456f54ad3de59b8ed9f9f2c",
     ),
     "ttpo": (
-        "331de86b1f70d594de15c55ea08c76c0c5f8439c6a74f51d19435d622583ba061b40f380c0b83c776d60e5913afe236853ad35f695edcd79e7bf8b43fddeb238",
-        "a2f8713aa9ab276082988ece218e6a410bea6cfda97952db4b2aabe0cfa960edab18d838d4c85263feb80ed15b517e37c39cbab01dc245f8aabdd1a948b466a8",
+        "457988b916c0bc1da7872c3fcc6108e6b791dee4cf5108e7be47d526b5bcac2c54481e7e83f386bda1a2b2f4e6389745281a4d014ee5288ea8065ba2dd380479",
+        "8ce79dba0efa4f32a77435819db5d9adbc950c0e5387b42d3e7d83d5faf3627e953f4c4e953e5dab3880386e7787905ce7af4e61a1337cb685a2fd546ec369d9",
     ),
     "ablate-0.05": (
-        "616182c47f0d448b6e7a11e4d37bea1bc87b89d5bafe30f4709e2132988698c5cccd195d0bda840e079f3e5150494d503377f602012e74e71bb858b2dc41c07f",
-        "3184a2fac4bad326330bebda829b8f3130a3b080385faae5ec332e1ff8f7965b4f92c81b383e17b17bc638e1813608595897606205a5b96b0bd46e8ff6e7f1df",
+        "9178856f85f84db63562fcc6076a02e665b3b139252bf7ec07b732075c5db13947dc2d8a60fd1d2ec04c0cfb79274ad019f0698b450d4f25463b0e1234abaf21",
+        "743588058260a4e344342e8c17168ad3cd325da1305c66da2c41eade358be5882c78fc472acee4dc45eba991e1c5199384120dcff99fe3f6ae2052af211838e5",
     ),
     "ablate-0.1": (
-        "e12991558d3441e6a52a5dcb4687efaf54284e2d892abe703b83c0d79f60702792a00ef5df2acf5ae83370a7b1b420a3b5eafd693de6428dba978ce909298b97",
-        "02d8622f84dde69e49165219f5d9ceb54cdf0c5b9d3b55f2b35fab564af5d80b1026cc47b9e70e843b22f7f280749c0ce85d70b8732a9fc61306b9e7f2a33038",
+        "0ad0919ed1e8c929c68635ac87f8b2a1f4a04bdacd1c0847c2e5b2a59851641ff571a818a74b920ddff1515cd626f6d99a7995c22af02cb563362733f31b1498",
+        "54d0a8e8d0a369830de8bf64d821988c4bfb4e2323f2dac762af3942dbb1501dce08a877f6dc0cd2d51b2a1817ae65bf43c354fb627618ac0cfb0fb1a0b92911",
     ),
     "ttpo_sft": (
-        "805a1a6cd77debe483da7791fbaa3c16894e0f900285219326c4743ce4c9c6f7ea0a063e0803cd2e253bb205ae4e0bd441d335246d6329fe5d552a7218bfec58",
-        "4c8efc14e578bf037ce00ad5409d2df98c9ff1e068c3b43309de98995656ad0fc787612ce7007da72420f396673ae2401d913668d2bf0ca690d3ea9e89e5449f",
+        "8279706d90f1d43a9c79b00c2a1406390444a63f5e46bafb7837f1cf9d4bb53198388dc6b53a4e1ba002bd57dfb47b789f3d283adf73194358c9aed6b33d007f",
+        "33213939366628aa9f89907e0deb416cfb992f5a19e0f00342de2163f689e8034f6f23299b99f29e5412989397525d372202e5657384e6cee0dad01a096d7042",
     ),
     "compare-p0-fixed": (
-        "a1783501c2d19f16026ababb18fe5e0037c5920b36d382ae109df6770a2df92e45fbf71f6ea7bedb17641dbfb494b8e19891f37eaaeb62e0dc05a0a4d4ef83ea",
-        "7c186fdf49064f4e7b3669fdea93c46f48d64ab1449fdb13f1eef1d7d622ad45ace68afc4a689371b57d788cf2bc990face7a386c73f2ac7495c01b7b853faf7",
+        "150d9cd0d1e412dc030a7a72302f67950d451d987ee0c13acaad0f771c8987c6e5c060ec4e656867654b0877843649a5aaf1cb0fcd90ffeee36f3ea7720d9f26",
+        "a56b9192316d386261efbd7c40c8689dbe4365f6c0fe8ca1abe06f0f5e6ea102f2a36e8150d23dc93a871e85e837cd6d797817d5f83a881c8b1b0fab9d658ba2",
     ),
     "replay-wide": (
         "59e05e1990be022e8c6ab4d7100c329240a0bc068b043e53979c2befd29ab9693df398fd47fcae4cfc4b0f620af17281da831bf338e43575626eec6ad34a037d",
@@ -483,7 +488,7 @@ GOLDEN_DIGESTS = {
     ),
     # render_ablation over the two ablate-* reports: the sweep document.
     "ablate-sweep": (
-        "ba0055918b18db9451e5598735a376e6c03a696b1dfacfba96ebd9f0d68e4b1adde9f9488cf2a9b4b62731489fb92f64766864391f46690e3daa9f525895d8b8",
+        "670d81ec7c39176f3d3a78041f5163667e43f6fe27460596887363e1b557a93535bc70d9f725c558d76be0ed1493d80e67f0cdbb774c668780b721efbb17c521",
         "de81ea259c43d8881565ac90e86af2526c795366ef0ddb11f1f660e1faec162676974ddb7d882926e3ae228d77b4d8812aaab4019349b62cf3db4c9b9ea318a1",
     ),
 }

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,26 +10,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optimizer_reference import SoftmaxAnswerPolicy
-from scalar_reference import PolicyVoteSource
+from scalar_reference import (
+    CategoricalVoteOracle,
+    PolicyVoteSource,
+    categorical_vote,
+    p0_of,
+    reference_corpus,
+)
 from stopper_reference import draw
 from trace_reference import TraceRecord, canonical_trace_line
 from ttpo import seeding
 from ttpo.errors import ConfigurationError, CorpusError
 from ttpo.seeding import (
-    _halves,
-    _lemire,
     _pcg64_outputs,
     _seed_words,
     _stream_seeds,
+    _uniforms,
     stream_seed,
 )
 from ttpo.synth import (
     CategoricalVoteSource,
     P0Spec,
     SyntheticInstance,
+    _categorical,
     _categorical_votes,
     _corpus,
-    _policy_uniforms,
     _policy_votes,
     gen_instances,
     load_labels,
@@ -66,13 +72,11 @@ class TestP0Spec:
             P0Spec.parse(text)
 
     def test_sampling_ranges(self):
-        rng = np.random.default_rng(0)
-        spec = P0Spec.uniform(0.4, 0.9)
-        draws = [spec.sample(rng) for _ in range(100)]
-        assert all(0.4 <= d <= 0.9 for d in draws)
-        spec = P0Spec.mixture(0.5, 0.9, 0.4)
-        draws = {spec.sample(rng) for _ in range(100)}
-        assert draws <= {0.9, 0.4}
+        uniforms = np.random.default_rng(0).random(100)
+        draws = P0Spec.uniform(0.4, 0.9)._samples(uniforms)
+        assert ((0.4 <= draws) & (draws <= 0.9)).all()
+        draws = P0Spec.mixture(0.5, 0.9, 0.4)._samples(uniforms)
+        assert set(draws.tolist()) <= {0.9, 0.4}
 
 
 class TestGenInstances:
@@ -294,29 +298,16 @@ class TestLanes:
     @pytest.mark.parametrize("lanes", [3, 4096])
     def test_outputs_match_the_bit_generator(self, lanes, monkeypatch):
         monkeypatch.setattr(seeding, "_LANES", lanes)
-        spans = [(1, 5), (9, 2), (257, 40)]
-        got = _pcg64_outputs(LANE_SEEDS, spans)
-        for seed, outputs in zip(LANE_SEEDS, got):
-            raw = np.random.default_rng(seed).bit_generator.random_raw(296)
-            expected = np.concatenate([raw[first - 1 : first - 1 + n] for first, n in spans])
-            assert outputs.tolist() == expected.tolist(), seed
-
-    def test_lemire_on_crafted_words(self):
-        words = np.arange(4096, dtype=np.uint64) * np.uint64(1_048_573)
-        # For 3 * 2**30 the low word of w * bound is (3w mod 4) * 2**30 and the
-        # rejection threshold is 2**30: every fourth word rejects.
-        values, rejected = _lemire(words, 3 * 2**30)
-        assert rejected.tolist() == (words % np.uint64(4) == 0).tolist()
-        assert values.tolist() == (words * np.uint64(3) // np.uint64(4)).tolist()
-        # A power of two never rejects; the draw is the word's top bits.
-        values, rejected = _lemire(words, 4)
-        assert not rejected.any()
-        assert values.tolist() == (words >> np.uint64(30)).tolist()
+        got = _pcg64_outputs(LANE_SEEDS, 100)
+        doubles = _uniforms(LANE_SEEDS, 100)
+        for seed, outputs, uniforms in zip(LANE_SEEDS, got, doubles):
+            rng = np.random.default_rng(seed)
+            assert outputs.tolist() == rng.bit_generator.random_raw(100).tolist(), seed
+            assert uniforms.tolist() == np.random.default_rng(seed).random(100).tolist(), seed
 
     @pytest.mark.parametrize("m", [2, 3, 4, 8, 37, 64])
     def test_categorical_votes_match_sources(self, m):
         instances = gen_instances(len(LANE_SEEDS), m, P0Spec.uniform(0.05, 0.95), seed=8)
-        # 300 votes is past one refill, so every row falls back to its source.
         for n in (0, 1, 63, 64, 65, 256, 300):
             got = _categorical_votes(*_columns(instances), m, LANE_SEEDS, n)
             assert got.shape == (len(instances), n)
@@ -324,21 +315,52 @@ class TestLanes:
                 expected = CategoricalVoteSource(inst, seed).take(n)[0]
                 assert votes.tolist() == expected.tolist(), (m, n, seed)
 
-    @pytest.mark.parametrize("n", [1, 8])
-    def test_rows_whose_draw_rejects_fall_back(self, n):
-        # With m - 1 = 3 * 2**30 a quarter of the wrong-answer draws reject,
-        # so some rows hold a rejection among their n draws and some do not.
-        m = 3 * 2**30 + 1
-        instances = [
-            SyntheticInstance(f"i{k}", true_answer=k % 7, m=m, p0_true=0.3)
-            for k in range(len(LANE_SEEDS))
-        ]
-        words = _halves(_pcg64_outputs(LANE_SEEDS, [(257, (n + 1) // 2)]))[:, :n]
-        rejecting = _lemire(words, m - 1)[1].any(axis=1)
-        assert 0 < rejecting.sum() < len(LANE_SEEDS)
-        got = _categorical_votes(*_columns(instances), m, LANE_SEEDS, n)
-        for inst, seed, votes in zip(instances, LANE_SEEDS, got):
-            assert votes.tolist() == CategoricalVoteSource(inst, seed).take(n)[0].tolist()
+    @pytest.mark.parametrize("m", [2, 3, 4, 37, 2**40, 2**62])
+    def test_votes_match_the_per_vote_oracle(self, m, monkeypatch):
+        # The oracle applies the definition in Python floats, one random()
+        # call per vote; the source takes in uneven parts. Narrow lanes run
+        # one pass per lane or three, so they read the last nine rows only,
+        # which hold every hand-picked seed.
+        seeds = LANE_SEEDS[:40] + LANE_SEEDS[-7:]
+        instances = reference_corpus(len(seeds), m, P0Spec.uniform(0.05, 0.95), seed=8)
+        for n in (1, 64, 256, 257, 1000):
+            want = [
+                CategoricalVoteOracle(inst, seed).take(n)[0].tolist()
+                for inst, seed in zip(instances, seeds)
+            ]
+            assert 0 <= min(map(min, want)) and max(map(max, want)) < m
+            for inst, seed, votes in zip(instances, seeds, want):
+                source = CategoricalVoteSource(inst, seed)
+                parts = [source.take(k)[0] for k in (n // 3, 0, n - n // 3 - 1, 1)]
+                assert np.concatenate(parts).tolist() == votes, (m, n, seed)
+            for lanes in (1, 3, 4096):
+                monkeypatch.setattr(seeding, "_LANES", lanes)
+                rows = slice(None) if lanes == 4096 else slice(-9, None)
+                true, p0 = _columns(instances[rows])
+                got = _categorical_votes(true, p0, m, seeds[rows], n)
+                assert got.tolist() == want[rows], (m, n, lanes)
+
+    @pytest.mark.parametrize("m", [2, 4, 37, 2**40, 2**62])
+    def test_crafted_uniforms_pin_the_edges(self, m):
+        # u == p0 is a miss on the lowest wrong answer.
+        for true in (0, 1, m - 1):
+            expected = 0 + (0 >= true)
+            assert _categorical(np.array([0.25]), true, 0.25, m).tolist() == [expected]
+            assert categorical_vote(0.25, true, 0.25, m) == expected
+        # The largest uniform below 1 at p0 = 0.3: the miss fraction rounds
+        # to 1.0, so only the clamp at m - 2 keeps the vote in range.
+        u, p0 = float(np.nextafter(1.0, 0.0)), 0.3
+        assert (u - p0) / (1 - p0) == 1.0
+        for true in (0, m - 1):
+            expected = m - 2 + (m - 2 >= true)
+            assert _categorical(np.array([u]), true, p0, m).tolist() == [expected]
+            assert categorical_vote(u, true, p0, m) == expected
+        # As a corpus draw the same uniform stays below the answer count,
+        # and up to 2**53 it is exactly the last answer.
+        for size in (m, m + 1, 2**63 - 1):
+            answer = math.floor(u * size)
+            assert answer < size and (answer == size - 1 or size > 2**53)
+            assert np.floor(np.array([u]) * float(size)).astype(np.int64).tolist() == [answer]
 
     @pytest.mark.parametrize("m", [2, 4, 8, 37, 3 * 2**30])
     @pytest.mark.parametrize(
@@ -347,10 +369,11 @@ class TestLanes:
         ids=["mixture", "uniform", "constant"],
     )
     def test_corpus_matches_one_generator_per_instance(self, m, spec):
-        # m = 3 * 2**30 makes a quarter of the answer draws reject.
         for inst in gen_instances(300, m, spec, seed=9):
             rng = np.random.default_rng(stream_seed(9, "corpus", 0, inst.instance_id))
-            assert (inst.true_answer, inst.p0_true) == (int(rng.integers(m)), spec.sample(rng))
+            u1, u2 = rng.random(2).tolist()
+            expected = (math.floor(u1 * m), p0_of(spec, u2))
+            assert (inst.true_answer, inst.p0_true) == expected
 
     @pytest.mark.parametrize("m", [2, 4, 37, 3 * 2**30 + 1, 2**32])
     @pytest.mark.parametrize(
@@ -358,22 +381,15 @@ class TestLanes:
         [P0Spec.mixture(0.5, 0.95, 0.5), P0Spec.uniform(0.4, 0.9), P0Spec.constant(0.8)],
         ids=["mixture", "uniform", "constant"],
     )
-    def test_corpus_columns_match_instances(self, m, spec):
-        # With m = 3 * 2**30 + 1 about a quarter of the answer draws reject;
-        # m = 2**32 is past the 32-bit draw, so every row replays its Generator.
+    def test_corpus_columns_match_instances(self, m, spec, monkeypatch):
+        monkeypatch.setattr(seeding, "_LANES", 7)
         ids, true, p0 = _corpus(300, m, spec, seed=9)
         instances = gen_instances(300, m, spec, seed=9)
         assert true.dtype == np.int64 and p0.dtype == np.float64
         assert ids == [inst.instance_id for inst in instances]
         assert true.tolist() == [inst.true_answer for inst in instances]
         assert p0.tolist() == [inst.p0_true for inst in instances]
-        for instance_id, answer, accuracy in zip(ids, true.tolist(), p0.tolist()):
-            rng = np.random.default_rng(stream_seed(9, "corpus", 0, instance_id))
-            assert (answer, accuracy) == (int(rng.integers(m)), spec.sample(rng))
-        if m == 3 * 2**30 + 1:
-            seeds = [stream_seed(9, "corpus", 0, instance_id) for instance_id in ids]
-            words = _halves(_pcg64_outputs(seeds, [(1, 1)]))[:, 0]
-            assert 0 < _lemire(words, m)[1].sum() < 300
+        assert instances == reference_corpus(300, m, spec, seed=9)
 
     @pytest.mark.parametrize("m", [2, 3, 8, 37])
     def test_policy_votes_match_sources(self, m):
@@ -381,7 +397,7 @@ class TestLanes:
         probs = rng.dirichlet(np.full(m, 0.4), size=len(LANE_SEEDS))
         probs[0] = np.eye(m)[-1]
         for n in (0, 1, 64, 256, 300, 600):
-            uniforms = _policy_uniforms(LANE_SEEDS, n)
+            uniforms = _uniforms(LANE_SEEDS, n)
             got = _policy_votes(probs, uniforms)
             for p, seed, votes in zip(probs, LANE_SEEDS, got):
                 assert votes.tolist() == PolicyVoteSource(p, seed).take(n)[0].tolist()
@@ -397,7 +413,7 @@ class TestLanes:
         probs = np.where(zero, 0.0, probs)
         probs /= probs.sum(axis=1, keepdims=True)
         probs[:2] = np.eye(m)[[0, -1]]
-        uniforms = _policy_uniforms(LANE_SEEDS, 64)
+        uniforms = _uniforms(LANE_SEEDS, 64)
         got = _policy_votes(probs, uniforms)
         assert (probs[np.arange(len(probs))[:, None], got] > 0).all()
         for p, seed, votes in zip(probs, LANE_SEEDS, got):
