@@ -60,6 +60,8 @@ class SyntheticCorpusSpec:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ConfigurationError(f"m must be >= 2, got {self.m}")
+        if self.m > 2**63 - 1:  # answer ids are int64
+            raise ConfigurationError(f"m must be <= 2**63 - 1, got {self.m}")
         if self.cost_per_vote < 1:
             raise ConfigurationError(f"cost_per_vote must be >= 1, got {self.cost_per_vote}")
 

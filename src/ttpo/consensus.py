@@ -7,8 +7,8 @@ Under the symmetric noise model (:class:`AnswerModel`) a vote hits the true
 answer with probability ``p0`` and each of the other ``m - 1`` answers with
 equal probability ``(1 - p0) / (m - 1)``. The evidence for the current
 leader over the runner-up then reduces to a function of the integer
-vote-count gap, which is what the sequential stopper thresholds on. The
-batched stopper and the fixed arm find leaders with :func:`plurality`.
+vote-count gap, which is what the sequential stopper thresholds on, in
+the pass that also finds each vote prefix's leader (``stopper.stop_batch``).
 """
 
 from __future__ import annotations
@@ -79,22 +79,6 @@ class AnswerModel:
     def kappa(self) -> float:
         """Evidence strength per unit of vote gap: p0 * (m - 1) / (1 - p0)."""
         return self.p0 * (self.m - 1) / (1.0 - self.p0)
-
-
-def plurality(votes: np.ndarray, lengths: np.ndarray, m: int) -> np.ndarray:
-    """Leader of each row's first ``lengths[i]`` votes over ``m`` answers.
-
-    The most-voted answer of each row of a ``[B, L]`` vote matrix; ties
-    break toward the lowest answer id. Every vote a row reads must lie in
-    ``[0, m)``. One ``bincount`` counts them all: row ``i``'s answers take
-    cells ``i * (m + 1)`` on, and its unread votes the row's last cell.
-    """
-    rows, width = votes.shape
-    live = np.arange(width) < np.asarray(lengths)[:, None]
-    cells = np.where(live, votes, m)
-    cells += np.arange(0, rows * (m + 1), m + 1)[:, None]
-    counts = np.bincount(cells.ravel(), minlength=rows * (m + 1))
-    return counts.reshape(rows, m + 1)[:, :m].argmax(axis=1)
 
 
 def log_bayes_factor_closed_form(gap: int, model: AnswerModel) -> float:

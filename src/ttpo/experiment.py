@@ -3,10 +3,11 @@
 Three entry points, one per mode family. ``run_compare`` races the adaptive
 allocator against fixed-budget majority voting on a shared corpus, both
 arms reading one vote stream per instance, so the arms differ only in the
-rule that reads it. ``run_ttpo`` closes the loop on synthetic policies:
-allocate, pseudo-label, update, repeat. ``run_ablation`` re-runs the
-comparison across one stopping-rule axis with everything else held fixed,
-including the random streams, so differences isolate the axis.
+rule that reads it, and one counting pass labels both. ``run_ttpo`` closes
+the loop on synthetic policies: allocate, pseudo-label, update, repeat.
+``run_ablation`` re-runs the comparison across one stopping-rule axis with
+everything else held fixed, including the random streams, so differences
+isolate the axis.
 
 All drivers are deterministic in (config, seed). They take each instance's
 votes as arrays and decide a chunk of up to ``seeding._LANES`` instances
@@ -38,7 +39,7 @@ from .config import (
     _ablated_stopper,
     config_echo,
 )
-from .consensus import _log_softmax, _softmax, plurality
+from .consensus import _log_softmax, _softmax
 from .errors import ConfigurationError
 from .optimizer import advantages, consensus_rewards, pg_step, sft_step
 from .report import ExperimentReport, InstanceRow, build_report
@@ -110,21 +111,20 @@ def _compare_rows(
 ) -> list[InstanceRow]:
     """Both arms over one chunk of instances: the chunk's comparison rows.
 
-    Both arms read the same votes. The adaptive arm's tau, pseudo-label,
-    decision kind, truncated flag and cost come from ``stop_batch``; the
-    fixed arm's label is the plurality of the first ``fixed_budget`` votes
-    (fewer where a replay runs dry), and each arm pays for the votes it
-    read. ``judge`` maps a column of answer ids to the labels the report
-    shows and whether each is correct.
+    Both arms read the same votes, and one ``stop_batch`` call counts them
+    for both. The adaptive arm's tau, pseudo-label, decision kind, truncated
+    flag and cost come from it; the fixed arm's label is its ``leader``
+    after the first ``fixed_budget`` votes (fewer where a replay runs dry),
+    and each arm pays for the votes it read. ``judge`` maps a column of
+    answer ids to the labels the report shows and whether each is correct.
     """
     votes, costs, lengths = draws
     stops = stop_batch(votes, lengths, m, table)
-    budget = config.fixed_budget
-    fixed_tau = np.minimum(lengths, budget)
+    fixed_tau = np.minimum(lengths, config.fixed_budget)
     cost = _spent(costs, stops.tau).tolist()
     fixed_cost = _spent(costs, fixed_tau).tolist()
     pseudo, pseudo_correct = judge(stops.label)
-    fixed, fixed_correct = judge(plurality(votes[:, :budget], fixed_tau, int(m.max())))
+    fixed, fixed_correct = judge(stops.leader[np.arange(len(ids)), fixed_tau - 1])
     return list(
         map(
             InstanceRow,

@@ -18,16 +18,13 @@ fraction, then frozen: re-estimating mid-test would couple the test statistic
 to its own threshold and void the error guarantee.
 
 :func:`stop_batch` is the one implementation of the rule. It decides any
-number of vote streams at once from the running largest and second-largest
-answer counts, which it builds one answer id at a time. Its arrays are
-``[rows, votes]`` in shape, but that loop runs once per answer id up to the
-largest vote, and the :func:`~ttpo.consensus.plurality` giving its label
-counts ``rows × (largest vote + 2)`` cells, so its cost grows with the
-answer ids in play (ROADMAP open item 1 measures it at ``m = 100,000``).
-Because the frozen threshold depends only on ``m`` and the warm-up maximum
-count, one :class:`ThresholdTable` per run covers every instance. The
-online driver, :func:`~ttpo.allocator.allocate`, calls it on the prefix a
-live source has produced so far.
+number of vote streams at once from the running top two answer counts and
+plurality leader, built one answer id at a time over the ids its rows hold:
+its memory does not grow with ``m``, and its time grows with the ids held
+(ROADMAP open item 1). The frozen threshold depends only on ``m`` and the
+warm-up maximum count, so one :class:`ThresholdTable` per run covers every
+instance. The online driver, :func:`~ttpo.allocator.allocate`, calls it on
+the prefix a live source has produced so far.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from enum import Enum
 
 import numpy as np
 
-from .consensus import plurality
 from .errors import AllocationError, ConfigurationError
 
 
@@ -215,6 +211,8 @@ class ThresholdTable:
 class BatchStops:
     """Per-row outcome of :func:`stop_batch`, aligned with its input rows.
 
+    ``leader[i, s]`` is the plurality leader of row ``i``'s first ``s + 1``
+    votes, ties to the lowest id, and ``label[i]`` is ``leader[i, tau[i] - 1]``.
     ``gap_upper`` is the frozen threshold, 0 for a row that ran dry before
     an adaptive ``p0`` was frozen; ``gap`` and ``streak`` are the top-two
     gap and the run of consecutive threshold crossings after ``tau`` votes.
@@ -222,6 +220,7 @@ class BatchStops:
 
     tau: np.ndarray
     label: np.ndarray
+    leader: np.ndarray
     kind: tuple[StopKind, ...]
     truncated: np.ndarray
     p0_used: np.ndarray
@@ -235,11 +234,10 @@ def stop_batch(
 ) -> BatchStops:
     """Run the sequential test over every row of a ``[B, L]`` vote matrix.
 
-    Row ``i`` holds one instance's votes in draw order; only its first
-    ``lengths[i]`` entries are read, and ``m[i]`` is its answer-space size.
-    A row shorter than ``table.config.m_max`` is a source that ran dry.
-    Row ``i``'s decision reads only its first ``tau[i]`` votes, so a prefix
-    decides as the whole stream would: :func:`~ttpo.allocator.allocate`
+    Row ``i`` holds one instance's votes in draw order. Its first ``lengths[i]``
+    entries, each in ``[0, m[i])``, are all counted for ``leader``; its decision
+    reads only the first ``tau[i]`` (at most ``m_max``; a shorter row is a source
+    that ran dry), so a prefix decides as the whole stream would: ``allocate``
     relies on this to read a live source no further than the test reads.
     """
     config = table.config
@@ -252,7 +250,8 @@ def stop_batch(
     if rows == 0:
         empty = np.empty(0, dtype=np.int64)
         return BatchStops(
-            empty, empty, (), np.empty(0, dtype=bool), np.empty(0), empty, empty, empty
+            empty, empty, empty.reshape(0, votes.shape[1]), (), np.empty(0, dtype=bool),
+            np.empty(0), empty, empty, empty,
         )
     if m.min() < 2:
         raise ConfigurationError(f"need at least two candidate answers, got m={m.min()}")
@@ -261,31 +260,44 @@ def stop_batch(
     if lengths.max() > votes.shape[1]:
         raise ValueError("a row length exceeds the vote matrix width")
 
-    # Votes past the budget are never read; unread entries become -1.
-    width = min(votes.shape[1], config.m_max)
-    seen = np.minimum(lengths, width)
-    steps = np.arange(width)
-    live = steps < seen[:, None]
-    live_votes = np.where(live, votes[:, :width], -1)
+    # Every vote within a row's length is counted; unread entries become -1.
+    steps = np.arange(votes.shape[1], dtype=np.int32)
+    live = steps < lengths[:, None]
+    live_votes = np.where(live, votes, -1)
     # Read as unsigned, a negative vote is too large, so one comparison
     # checks both ends of the range.
     if (live & (live_votes.view(np.uint64) >= m.view(np.uint64)[:, None])).any():
         raise ValueError("vote out of range for its row's answer space")
 
-    # top1[i, s] and top2[i, s]: the largest and second-largest answer count
-    # among row i's first s + 1 votes, kept as a running top two over the
-    # answers one at a time. Answers above the largest vote have count 0.
-    top1 = np.add.accumulate(live_votes == 0, axis=1, dtype=np.int32)
-    top2 = np.zeros_like(top1)
-    count = np.empty_like(top1)
-    below = np.empty_like(top1)
-    top_vote = int(live_votes.max())
-    for answer in range(1, top_vote + 1):
+    # The answers the rows hold, ascending, along one flat sort of the votes.
+    flat = np.sort(live_votes, axis=None)
+    held = [flat[flat.searchsorted(0)]]
+    while held[-1] < flat[-1]:
+        held.append(flat[flat.searchsorted(held[-1], "right")])
+
+    # top1[i, s]: the largest answer count among row i's first s + 1 votes,
+    # and leader[i, s] the lowest answer with it: a later answer leads only
+    # with a larger count. top2, the second-largest count, is kept only where
+    # the decision reads. leader reuses the sorted votes' buffer.
+    width = min(votes.shape[1], config.m_max)
+    read = np.s_[:, :width]
+    top1 = np.add.accumulate(live_votes == held[0], axis=1, dtype=np.int32)
+    top2 = np.zeros((rows, width), dtype=np.int32)
+    leader = flat.reshape(top1.shape)
+    leader.fill(held[0])
+    count, below = np.empty_like(top1), np.empty_like(top2)
+    ahead = np.empty(top1.shape, dtype=bool)
+    for answer in held[1:]:
         np.add.accumulate(live_votes == answer, axis=1, dtype=np.int32, out=count)
-        np.maximum(top2, np.minimum(top1, count, out=below), out=top2)
+        np.greater(count, top1, out=ahead)
+        leader[ahead] = answer
+        np.maximum(top2, np.minimum(top1[read], count[read], out=below), out=top2)
         np.maximum(top1, count, out=top1)
-    gap = np.subtract(top1, top2, out=top2)
-    del count, below
+    del live_votes, count, below, ahead
+
+    seen = np.minimum(lengths, width)
+    steps, live = steps[:width], live[read]
+    gap = np.subtract(top1[read], top2, out=top2)
 
     n_min = config.n_min
     warmed = seen >= n_min
@@ -316,7 +328,8 @@ def stop_batch(
     )
     return BatchStops(
         tau=tau,
-        label=plurality(live_votes, tau, top_vote + 1),
+        label=leader[every, last],
+        leader=leader,
         kind=kind,
         truncated=~stopped & (seen < config.m_max),
         p0_used=p0_used,

@@ -205,6 +205,25 @@ def test_bad_values_exit_one(argv, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", [2**63, 10**19])
+def test_answer_space_past_int64_exits_one(m, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"count = 2\nm = {m}\n")
+    assert run_cli("compare", "--config", str(cfg)) == 1
+    assert f"configuration error: m must be <= 2**63 - 1, got {m}" in capsys.readouterr().err
+
+
+def test_largest_answer_space_compares(tmp_path, capsys):
+    # The vote kernels loop over the ids the votes hold and allocate
+    # nothing per answer id, so the widest answer space runs.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"count = 2\nm = {2**63 - 1}\n")
+    assert run_cli("compare", "--config", str(cfg)) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    labels = [row[key] for row in rows for key in ("pseudo_label", "fixed_label")]
+    assert len(labels) == 4 and all(0 <= label < 2**63 - 1 for label in labels)
+
+
 @pytest.mark.parametrize(
     "argv,code,message",
     [

@@ -1,7 +1,8 @@
 """Tests for vote accounting, the answer-noise model, and Bayes factors.
 
 Tally stepping and leader extraction live in the per-vote oracle,
-``stopper_reference``, which the other tests lean on; they are tested here.
+``stopper_reference``, which the other tests lean on; they are tested here,
+as is the plurality leader the batched stopper keeps at every prefix.
 """
 
 import math
@@ -18,9 +19,9 @@ from ttpo.consensus import (
     AnswerModel,
     VoteTally,
     log_bayes_factor_closed_form,
-    plurality,
     posterior,
 )
+from ttpo.stopper import StopperConfig, ThresholdTable, stop_batch
 
 
 def tallies(max_m: int = 6, max_count: int = 50):
@@ -285,9 +286,15 @@ class TestPlurality:
                 assert Counter(row.tolist()).most_common(2)[1][1] == top
             votes[i, : row.size] = row
             lengths[i] = row.size
-        expected = []
-        for row, length in zip(votes, lengths):
-            counts = Counter(row[:length].tolist())
-            best = max(counts.values())
-            expected.append(min(a for a, c in counts.items() if c == best))
-        assert plurality(votes, lengths, m).tolist() == expected
+        # The budget is shorter than the rows, so the leader is also kept
+        # past the votes the decision reads.
+        table = ThresholdTable(StopperConfig(n_min=4, m_max=width // 2, streak_k=2))
+        stops = stop_batch(votes, lengths, np.full(500, m), table)
+        for i, (row, length) in enumerate(zip(votes.tolist(), lengths.tolist())):
+            counts = Counter()
+            for s, vote in enumerate(row[:length]):
+                counts[vote] += 1
+                best = max(counts.values())
+                expected = min(a for a, c in counts.items() if c == best)
+                assert stops.leader[i, s] == expected, (i, s)
+            assert stops.label[i] == stops.leader[i, stops.tau[i] - 1]

@@ -725,7 +725,7 @@ def _oracle_cases(draw):
 # round-0 policy stream is 0.832778407726228 and its true answer is 0, so
 # with that p0 the first cdf entry equals the vote's uniform exactly, a tie
 # ``choice`` breaks upward. With p0 = 0.5, m = 2 and 256-vote arms, vote 256,
-# the last of the first refill, often decides a plurality.
+# the last vote either arm reads, often decides a plurality.
 @example(
     case=(
         {"mode": "ttpo_rl", "count": "1", "m": "2", "p0": "constant:0.832778407726228",

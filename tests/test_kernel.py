@@ -209,6 +209,62 @@ def test_kernel_rejects_bad_blocks():
     assert empty.tau.size == 0 and empty.kind == ()
 
 
+def test_kernel_range_checks_votes_past_the_budget():
+    # Votes past m_max but within a row's length are counted for the leader,
+    # so they are range-checked too.
+    table = ThresholdTable(StopperConfig(n_min=2, m_max=4))
+    with pytest.raises(ValueError):
+        stop_batch(np.array([[0, 1, 0, 1, 2]]), [5], [2], table)
+    stops = stop_batch(np.array([[1, 0, 0, 1, 2, 1]]), [4], [2], table)
+    assert stops.leader.tolist() == [[1, 0, 0, 0, 0, 0]]
+
+
+HUGE_M = 2**62
+
+
+def spread_ids(rng, n):
+    """``n`` increasing ids in ``[1, HUGE_M)``, the last ``HUGE_M - 1``, neighbours
+    over 2**39 apart."""
+    ids = np.sort(rng.choice(2**22 - 1, size=n - 1, replace=False)) << 40
+    ids += rng.integers(1, 2**39, size=n - 1)
+    return np.append(ids, HUGE_M - 1)
+
+
+@pytest.mark.parametrize("name", ["short_warm_up", "p0_fixed"])
+def test_kernel_decides_alike_with_ids_spread_over_a_huge_answer_space(name):
+    # Small-id rows against the same rows with each id moved, in order, far
+    # apart into [1, 2**62): only the labels may differ, by that map.
+    config = CASES[name]
+    rng = np.random.default_rng(sorted(CASES).index(name) + 6200)
+    width = config.m_max + 20  # the fixed arm's columns, past the budget
+    votes, lengths, _ = random_block(rng, 300, width, [2, 3, 7])
+    # Rows alternating between the farthest ids tie at every even prefix.
+    votes[:20] = np.where(np.arange(width) % 2 == (np.arange(20) % 2)[:, None], 6, 0)
+    lengths[:20] = width
+    ids = spread_ids(rng, 7)
+    live = np.arange(width) < lengths[:, None]
+    padding = rng.choice([-1, HUGE_M, 2**63 - 1], size=votes.shape)  # never read
+    near, far = (np.where(live, block, padding) for block in (votes, ids[votes]))
+    m = np.full(len(votes), HUGE_M)
+    small, big = (stop_batch(block, lengths, m, ThresholdTable(config)) for block in (near, far))
+    for field in ("tau", "truncated", "p0_used", "gap_upper", "gap", "streak"):
+        assert np.array_equal(getattr(small, field), getattr(big, field)), field
+    assert small.kind == big.kind
+    assert np.array_equal(ids[small.label], big.label)
+    assert np.array_equal(ids[small.leader], big.leader)
+    assert (big.leader[:20, 1::2] == ids[0]).all() and (big.label[:20] == ids[0]).all()
+    # Every outcome path is exercised, and rows both run dry and outrun m_max.
+    assert set(big.kind) == {StopKind.STOP_LEADER, StopKind.BUDGET_EXHAUSTED}
+    assert big.truncated.any() and (lengths > config.m_max).any()
+
+
+def test_compare_over_a_huge_answer_space():
+    config = resolve_config({"mode": "compare", "count": "50", "m": str(HUGE_M), "seed": "5"})
+    rows = run_compare(config).rows
+    labels = [label for row in rows for label in (row.pseudo_label, row.fixed_label)]
+    assert len(labels) == 100 and all(0 <= label < HUGE_M for label in labels)
+
+
 def test_trace_compare_matches_scalar_reference(tmp_path):
     # Ragged traces: shorter than the warm-up, between warm-up and budget,
     # and longer than both arms; answer spaces of different sizes in one
