@@ -12,8 +12,6 @@ kept and the rollouts saved against fixed-budget majority voting.
 from .allocator import AllocationResult, VoteSource, allocate
 from .config import (
     ExperimentConfig,
-    SyntheticCorpusSpec,
-    TraceCorpusSpec,
     config_echo,
     parse_kv_file,
     resolve_config,
@@ -68,10 +66,8 @@ __all__ = [
     "P0Spec",
     "StopKind",
     "StopperConfig",
-    "SyntheticCorpusSpec",
     "SyntheticInstance",
     "ThresholdTable",
-    "TraceCorpusSpec",
     "TraceVoteSource",
     "UpdateConfig",
     "VoteSource",

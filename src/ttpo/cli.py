@@ -137,7 +137,6 @@ def _run(config: ExperimentConfig) -> None:
         emit_report(run_ttpo(config), config.out, config.format)
     else:
         reports = run_ablation(config)
-        assert config.axis is not None
         emit_ablation(
             config.axis,
             config.values,

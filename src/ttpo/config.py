@@ -1,118 +1,83 @@
 """Experiment configuration: flat key=value files, typed resolution, echo.
 
 A run is fully described by a flat string mapping (file values overlaid by
-CLI flags). ``resolve_config`` turns that mapping into typed sub-configs
-with validation, and ``config_echo`` inverts it: the echo embedded in every
-report is itself a valid mapping that resolves back to the same experiment.
+CLI flags) whose keys are :class:`ExperimentConfig`'s fields. Every given
+value is parsed by its field's type, and ``config_echo`` inverts that: the
+echo in every report resolves back to the same experiment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigurationError
-from .optimizer import ADVANTAGE_MODES, UpdateConfig
+from .optimizer import UpdateConfig
 from .stopper import ErrorBudget, StopperConfig
 from .synth import MAX_COST, P0Spec
 
 MODES = ("compare", "ttpo_rl", "ttpo_sft", "ablate")
 FORMATS = ("csv", "json")
 ABLATION_AXES = ("alpha_beta", "n_min")
-
-_DEFAULTS: dict[str, str] = {
-    "mode": "compare",
-    "seed": "0",
-    "out": "-",
-    "format": "json",
-    "fixed_budget": "64",
-    "rounds": "1",
-    "corpus": "synthetic",
-    "count": "200",
-    "m": "4",
-    "p0": "constant:0.8",
-    "cost_per_vote": "1",
-    "trace": "",
-    "labels": "",
-    "alpha": "0.05",
-    "beta": "0.05",
-    "n_min": "32",
-    "m_max": "64",
-    "streak_k": "5",
-    "degradation": "0.6",
-    "p0_mode": "adaptive",
-    "learning_rate": "0.01",
-    "beta_kl": "0.001",
-    "advantage_mode": "mean_baseline",
-    "std_epsilon": "1e-08",
-    "axis": "",
-    "values": "",
-}
-
-
-@dataclass(frozen=True)
-class SyntheticCorpusSpec:
-    count: int
-    m: int
-    p0: P0Spec
-    cost_per_vote: int = 1
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ConfigurationError(f"m must be >= 2, got {self.m}")
-        if self.m > 2**63 - 1:  # answer ids are int64
-            raise ConfigurationError(f"m must be <= 2**63 - 1, got {self.m}")
-        if self.cost_per_vote < 1:
-            raise ConfigurationError(f"cost_per_vote must be >= 1, got {self.cost_per_vote}")
-
-
-@dataclass(frozen=True)
-class TraceCorpusSpec:
-    trace_path: str
-    labels_path: str | None = None
+CORPORA = ("synthetic", "trace")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One fully resolved experiment: corpus, stopper, update rule, outputs."""
+    """One fully resolved experiment: its fields are the config keys.
 
-    mode: str
-    corpus: SyntheticCorpusSpec | TraceCorpusSpec
-    stopper: StopperConfig
-    update: UpdateConfig
-    fixed_budget: int = 64
-    rounds: int = 1
+    The key ``p0_mode`` is the field ``p0_fixed`` (None when adaptive);
+    ``axis``, ``trace`` and ``labels`` are ``""`` when unset. ``stopper``
+    and ``update`` are derived, and building the config checks them.
+    """
+
+    mode: str = "compare"
     seed: int = 0
     out: str = "-"
     format: str = "json"
-    axis: str | None = None
+    corpus: str = "synthetic"
+    count: int = 200
+    m: int = 4
+    p0: P0Spec = P0Spec.constant(0.8)
+    cost_per_vote: int = 1
+    trace: str = ""
+    labels: str = ""
+    alpha: float = ErrorBudget.alpha
+    beta: float = ErrorBudget.beta
+    n_min: int = StopperConfig.n_min
+    m_max: int = StopperConfig.m_max
+    streak_k: int = StopperConfig.streak_k
+    degradation: float = StopperConfig.degradation
+    p0_fixed: float | None = StopperConfig.p0_fixed
+    fixed_budget: int = 64
+    rounds: int = 1
+    learning_rate: float = UpdateConfig.learning_rate
+    beta_kl: float = UpdateConfig.beta_kl
+    advantage_mode: str = UpdateConfig.advantage_mode
+    std_epsilon: float = UpdateConfig.std_epsilon
+    axis: str = ""
     values: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.format not in FORMATS:
+        for key, choices in (("mode", MODES), ("format", FORMATS), ("corpus", CORPORA)):
+            if (value := getattr(self, key)) not in choices:
+                raise ConfigurationError(f"{key} must be one of {choices}, got {value!r}")
+        for key, least in (("fixed_budget", 1), ("rounds", 1), ("m", 2), ("cost_per_vote", 1)):
+            if (value := getattr(self, key)) < least:
+                raise ConfigurationError(f"{key} must be >= {least}, got {value}")
+        if self.m > 2**63 - 1:  # answer ids are int64
+            raise ConfigurationError(f"m must be <= 2**63 - 1, got {self.m}")
+        if self.corpus == "trace" and not self.trace:
+            raise ConfigurationError("corpus = trace requires a trace path")
+        _ = self.stopper, self.update  # building them checks their fields
+        worst = self.cost_per_vote * self.rounds * max(self.m_max, self.fixed_budget)
+        if self.corpus == "synthetic" and worst > MAX_COST:  # the most one instance costs
             raise ConfigurationError(
-                f"format must be one of {FORMATS}, got {self.format!r}"
+                f"cost_per_vote * rounds * max(m_max, fixed_budget) = {worst} "
+                f"exceeds {MAX_COST}"
             )
-        if self.fixed_budget < 1:
-            raise ConfigurationError(
-                f"fixed_budget must be >= 1, got {self.fixed_budget}"
-            )
-        if self.rounds < 1:
-            raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
-        if isinstance(self.corpus, SyntheticCorpusSpec):
-            # The most a run can spend on one instance.
-            worst = (
-                self.corpus.cost_per_vote
-                * self.rounds
-                * max(self.stopper.m_max, self.fixed_budget)
-            )
-            if worst > MAX_COST:
-                raise ConfigurationError(
-                    f"cost_per_vote * rounds * max(m_max, fixed_budget) = {worst} "
-                    f"exceeds {MAX_COST}"
-                )
         if self.mode == "ablate":
             if self.axis not in ABLATION_AXES:
                 raise ConfigurationError(
@@ -120,26 +85,42 @@ class ExperimentConfig:
                 )
             if not self.values:
                 raise ConfigurationError("ablation needs a non-empty values list")
-            # Every sweep point's stopper is built, so a bad value fails
-            # here rather than after the points before it have run.
+            # Every sweep point is built, so a bad value fails here rather
+            # than after the points before it have run.
             for value in self.values:
-                _ablated_stopper(self, value)
-        if self.mode in ("ttpo_rl", "ttpo_sft") and isinstance(
-            self.corpus, TraceCorpusSpec
-        ):
-            raise ConfigurationError(
-                "closed-loop modes need a synthetic corpus; trace replay "
-                "cannot reflect policy updates"
-            )
+                self.point(value)
+        if self.mode in ("ttpo_rl", "ttpo_sft"):
+            if self.corpus == "trace":
+                raise ConfigurationError(
+                    "closed-loop modes need a synthetic corpus; trace replay "
+                    "cannot reflect policy updates"
+                )
+            if self.count * self.m * 8 > 2**63 - 1:
+                raise ConfigurationError(
+                    f"count * m * 8 = {self.count * self.m * 8} exceeds 2**63 - 1: "
+                    "the closed loop holds a [count, m] float64 logits matrix"
+                )
 
+    @cached_property
+    def stopper(self) -> StopperConfig:
+        return StopperConfig(
+            ErrorBudget(self.alpha, self.beta), self.n_min, self.m_max, self.streak_k,
+            self.degradation, p0_fixed=self.p0_fixed,
+        )
 
-def _ablated_stopper(config: ExperimentConfig, value: float) -> StopperConfig:
-    """The stopper of one sweep point: ``config.stopper`` with its axis at ``value``."""
-    if config.axis == "alpha_beta":
-        return replace(config.stopper, budget=ErrorBudget(alpha=value, beta=value))
-    if not float(value).is_integer():
-        raise ConfigurationError(f"n_min values must be integers, got {value}")
-    return replace(config.stopper, n_min=int(value))
+    @cached_property
+    def update(self) -> UpdateConfig:
+        return UpdateConfig(
+            self.learning_rate, self.beta_kl, self.advantage_mode, self.std_epsilon
+        )
+
+    def point(self, value: float) -> ExperimentConfig:
+        """One sweep point: the comparison with ``axis`` at ``value``."""
+        if self.axis == "alpha_beta":
+            return replace(self, mode="compare", axis="", values=(), alpha=value, beta=value)
+        if not float(value).is_integer():
+            raise ConfigurationError(f"n_min values must be integers, got {value}")
+        return replace(self, mode="compare", axis="", values=(), n_min=int(value))
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -164,9 +145,7 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigurationError(
-                f"{path}:{line_no}: expected 'key = value', got {raw!r}"
-            )
+            raise ConfigurationError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key = key.strip()
         if not key:
             raise ConfigurationError(f"{path}:{line_no}: empty key")
@@ -190,127 +169,72 @@ def _parse_float(key: str, raw: str) -> float:
         raise ConfigurationError(f"{key} must be a number, got {raw!r}") from exc
 
 
-def _parse_p0_mode(raw: str) -> float | None:
+def _parse_p0_mode(key: str, raw: str) -> float | None:
     if raw == "adaptive":
         return None
     kind, sep, value = raw.partition(":")
     if kind == "fixed" and sep:
-        return _parse_float("p0_mode", value)
-    raise ConfigurationError(
-        f"p0_mode must be 'adaptive' or 'fixed:<value>', got {raw!r}"
-    )
+        return _parse_float(key, value)
+    raise ConfigurationError(f"p0_mode must be 'adaptive' or 'fixed:<value>', got {raw!r}")
+
+
+def _parse_values(key: str, raw: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in raw.split(",")) if raw else ()
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"values must be a comma-separated number list, got {raw!r}"
+        ) from exc
+
+
+# Each field type's (parse, show) pair; ``float | None`` is p0_mode's type.
+_CODECS = {
+    int: (_parse_int, str),
+    float: (_parse_float, str),
+    str: (lambda key, raw: raw, str),
+    float | None: (_parse_p0_mode, lambda p0: "adaptive" if p0 is None else f"fixed:{p0}"),
+    P0Spec: (
+        lambda key, raw: P0Spec.parse(raw),
+        lambda spec: f"{spec.kind}:" + ",".join(map(str, spec.params)),
+    ),
+    tuple[float, ...]: (_parse_values, lambda values: ",".join(map(str, values))),
+}
+_HINTS = get_type_hints(ExperimentConfig)
+# Config key -> (field name, parse, show), in field order.
+_KEYS = {
+    "p0_mode" if f.name == "p0_fixed" else f.name: (f.name, *_CODECS[_HINTS[f.name]])
+    for f in fields(ExperimentConfig)
+}
+# The keys each corpus kind leaves unused.
+_UNUSED = {"synthetic": {"trace", "labels"}, "trace": {"count", "m", "p0", "cost_per_vote"}}
 
 
 def resolve_config(mapping: dict[str, str]) -> ExperimentConfig:
-    """Build a typed config from a flat mapping; unknown keys are errors."""
-    unknown = sorted(set(mapping) - set(_DEFAULTS))
+    """Build a typed config from a flat mapping; unknown keys are errors.
+
+    Values are parsed in mapping order, so where several are malformed the
+    first one given is reported.
+    """
+    unknown = sorted(set(mapping) - set(_KEYS))
     if unknown:
         raise ConfigurationError(f"unknown config key(s): {', '.join(unknown)}")
-    merged = {**_DEFAULTS, **mapping}
-
-    corpus_kind = merged["corpus"]
-    if corpus_kind == "synthetic":
-        corpus: SyntheticCorpusSpec | TraceCorpusSpec = SyntheticCorpusSpec(
-            count=_parse_int("count", merged["count"]),
-            m=_parse_int("m", merged["m"]),
-            p0=P0Spec.parse(merged["p0"]),
-            cost_per_vote=_parse_int("cost_per_vote", merged["cost_per_vote"]),
-        )
-    elif corpus_kind == "trace":
-        if not merged["trace"]:
-            raise ConfigurationError("corpus = trace requires a trace path")
-        corpus = TraceCorpusSpec(
-            trace_path=merged["trace"],
-            labels_path=merged["labels"] or None,
-        )
-    else:
-        raise ConfigurationError(
-            f"corpus must be 'synthetic' or 'trace', got {corpus_kind!r}"
-        )
-
-    stopper = StopperConfig(
-        budget=ErrorBudget(
-            alpha=_parse_float("alpha", merged["alpha"]),
-            beta=_parse_float("beta", merged["beta"]),
-        ),
-        n_min=_parse_int("n_min", merged["n_min"]),
-        m_max=_parse_int("m_max", merged["m_max"]),
-        streak_k=_parse_int("streak_k", merged["streak_k"]),
-        degradation=_parse_float("degradation", merged["degradation"]),
-        p0_fixed=_parse_p0_mode(merged["p0_mode"]),
-    )
-    update = UpdateConfig(
-        learning_rate=_parse_float("learning_rate", merged["learning_rate"]),
-        beta_kl=_parse_float("beta_kl", merged["beta_kl"]),
-        advantage_mode=merged["advantage_mode"],
-        std_epsilon=_parse_float("std_epsilon", merged["std_epsilon"]),
-    )
-
-    values: tuple[float, ...] = ()
-    if merged["values"]:
-        try:
-            values = tuple(float(part) for part in merged["values"].split(","))
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"values must be a comma-separated number list, got {merged['values']!r}"
-            ) from exc
-
-    return ExperimentConfig(
-        mode=merged["mode"],
-        corpus=corpus,
-        stopper=stopper,
-        update=update,
-        fixed_budget=_parse_int("fixed_budget", merged["fixed_budget"]),
-        rounds=_parse_int("rounds", merged["rounds"]),
-        seed=_parse_int("seed", merged["seed"]),
-        out=merged["out"],
-        format=merged["format"],
-        axis=merged["axis"] or None,
-        values=values,
-    )
+    typed = {_KEYS[key][0]: _KEYS[key][1](key, raw) for key, raw in mapping.items()}
+    return ExperimentConfig(**typed)
 
 
 def config_echo(config: ExperimentConfig) -> dict[str, str]:
-    """The experiment-defining keys as a flat mapping.
+    """The experiment-defining keys as a flat mapping, which resolves back.
 
-    Resolving the echo reproduces the same experiment (output destination
-    and format are presentation, not identity, and are left out).
+    It leaves out ``out`` and ``format`` (presentation), the keys the corpus
+    kind does not read, and an unset ``labels`` or ``axis`` (and ``values``).
     """
-    echo = {
-        "mode": config.mode,
-        "seed": str(config.seed),
-        "fixed_budget": str(config.fixed_budget),
-        "rounds": str(config.rounds),
-        "alpha": str(config.stopper.budget.alpha),
-        "beta": str(config.stopper.budget.beta),
-        "n_min": str(config.stopper.n_min),
-        "m_max": str(config.stopper.m_max),
-        "streak_k": str(config.stopper.streak_k),
-        "degradation": str(config.stopper.degradation),
-        "p0_mode": (
-            "adaptive"
-            if config.stopper.p0_fixed is None
-            else f"fixed:{config.stopper.p0_fixed}"
-        ),
-        "learning_rate": str(config.update.learning_rate),
-        "beta_kl": str(config.update.beta_kl),
-        "advantage_mode": config.update.advantage_mode,
-        "std_epsilon": str(config.update.std_epsilon),
+    skip = {"out", "format", *_UNUSED[config.corpus]}
+    if not config.labels:
+        skip.add("labels")
+    if not config.axis:
+        skip |= {"axis", "values"}
+    return {
+        key: show(getattr(config, name))
+        for key, (name, _, show) in _KEYS.items()
+        if key not in skip
     }
-    if isinstance(config.corpus, SyntheticCorpusSpec):
-        echo["corpus"] = "synthetic"
-        echo["count"] = str(config.corpus.count)
-        echo["m"] = str(config.corpus.m)
-        echo["p0"] = f"{config.corpus.p0.kind}:" + ",".join(
-            str(p) for p in config.corpus.p0.params
-        )
-        echo["cost_per_vote"] = str(config.corpus.cost_per_vote)
-    else:
-        echo["corpus"] = "trace"
-        echo["trace"] = config.corpus.trace_path
-        if config.corpus.labels_path:
-            echo["labels"] = config.corpus.labels_path
-    if config.axis:
-        echo["axis"] = config.axis
-        echo["values"] = ",".join(str(v) for v in config.values)
-    return echo

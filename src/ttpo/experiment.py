@@ -28,17 +28,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
 
-from .config import (
-    ExperimentConfig,
-    SyntheticCorpusSpec,
-    _ablated_stopper,
-    config_echo,
-)
+from .config import ExperimentConfig, config_echo
 from .consensus import _log_softmax, _softmax
 from .errors import ConfigurationError
 from .optimizer import advantages, consensus_rewards, pg_step, sft_step
@@ -176,23 +170,22 @@ def run_compare(config: ExperimentConfig) -> ExperimentReport:
             f"run_compare needs mode 'compare', got {config.mode!r}"
         )
     table = ThresholdTable(config.stopper)
-    width = max(config.stopper.m_max, config.fixed_budget)
-    spec = config.corpus
-    if isinstance(spec, SyntheticCorpusSpec):
-        ids, true, p0 = _corpus(spec.count, spec.m, spec.p0, config.seed)
+    width = max(config.m_max, config.fixed_budget)
+    if config.corpus == "synthetic":
+        ids, true, p0 = _corpus(config.count, config.m, config.p0, config.seed)
 
         def chunk_of(part: slice) -> tuple[np.ndarray, Draws, Judge]:
             seeds = _stream_seeds(config.seed, "adaptive", 0, ids[part])
-            votes = _categorical_votes(true[part], p0[part], spec.m, seeds, width)
+            votes = _categorical_votes(true[part], p0[part], config.m, seeds, width)
             return (
-                np.full(len(seeds), spec.m),
-                _synthetic_draws(votes, spec.cost_per_vote),
+                np.full(len(seeds), config.m),
+                _synthetic_draws(votes, config.cost_per_vote),
                 _synthetic_judge(true[part]),
             )
 
     else:
-        sources = list(load_trace(spec.trace_path).values())
-        labels = load_labels(spec.labels_path) if spec.labels_path else {}
+        sources = list(load_trace(config.trace).values())
+        labels = load_labels(config.labels) if config.labels else {}
         ids = [source.instance_id for source in sources]
 
         def chunk_of(part: slice) -> tuple[np.ndarray, Draws, Judge]:
@@ -223,19 +216,17 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigurationError(
             f"run_ttpo needs mode 'ttpo_rl' or 'ttpo_sft', got {config.mode!r}"
         )
-    spec = config.corpus
-    ids, true, p0 = _corpus(spec.count, spec.m, spec.p0, config.seed)
+    ids, true, p0 = _corpus(config.count, config.m, config.p0, config.seed)
     table = ThresholdTable(config.stopper)
-    m_max = config.stopper.m_max
-    update = config.update
+    m, m_max, update = config.m, config.m_max, config.update
     # Each initial policy puts exactly p0_true on the true answer: its logit
     # is ln(p0 (m-1) / (1-p0)) and the rest are 0. So the policy's vote
     # stream follows the symmetric noise model the stopper assumes, and
     # allocation and update effects compose coherently.
     count = len(ids)
     rows_index = np.arange(count)
-    initial = np.zeros((count, spec.m))
-    initial[rows_index, true] = [math.log(p * (spec.m - 1) / (1.0 - p)) for p in p0.tolist()]
+    initial = np.zeros((count, m))
+    initial[rows_index, true] = [math.log(p * (m - 1) / (1.0 - p)) for p in p0.tolist()]
     ref_log_probs = _log_softmax(initial)
     logits = initial.copy()
     total_tau = np.zeros(count, dtype=np.int64)
@@ -244,7 +235,7 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     labels = np.zeros(count, dtype=np.int64)
     truncated = np.zeros(count, dtype=bool)
     kinds = [""] * count
-    rounds, cost = config.rounds, spec.cost_per_vote
+    rounds, cost = config.rounds, config.cost_per_vote
     # The policy streams do not depend on the policy, so each chunk of
     # instances reads every round's uniforms at once, one lane per
     # (round, instance); only the cdf comparison waits for the round's logits.
@@ -259,7 +250,7 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
             probs = _softmax(logits[chunk])
             votes = _policy_votes(probs, uniforms[round_index])
             votes, costs, lengths = _synthetic_draws(votes, cost)
-            stops = stop_batch(votes, lengths, np.full(len(votes), spec.m), table)
+            stops = stop_batch(votes, lengths, np.full(len(votes), m), table)
             total_tau[chunk] += stops.tau
             total_cost[chunk] += _spent(costs, stops.tau)
             labels[chunk] = stops.label
@@ -270,7 +261,7 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
                 # row stopped at or after its n_min warm-up votes. They
                 # predate the stopping decision, so they carry no selection
                 # bias into the rewards.
-                retained = votes[:, : config.stopper.n_min]
+                retained = votes[:, : config.n_min]
                 rewards = consensus_rewards(retained, stops.label)
                 adv = advantages(rewards, update.advantage_mode, update.std_epsilon)
                 logits[chunk] = pg_step(
@@ -310,18 +301,11 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_ablation(config: ExperimentConfig) -> list[ExperimentReport]:
-    """One comparison report per axis value, sharing corpus and streams."""
+    """One comparison report per axis value, sharing corpus and streams.
+
+    Each report runs ``config.point(value)``: the config as a comparison,
+    with only the swept axis changed.
+    """
     if config.mode != "ablate":
         raise ConfigurationError(f"run_ablation needs mode 'ablate', got {config.mode!r}")
-    return [
-        run_compare(
-            replace(
-                config,
-                mode="compare",
-                stopper=_ablated_stopper(config, value),
-                axis=None,
-                values=(),
-            )
-        )
-        for value in config.values
-    ]
+    return [run_compare(config.point(value)) for value in config.values]

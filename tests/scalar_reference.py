@@ -17,12 +17,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from ttpo.config import SyntheticCorpusSpec, config_echo
+from ttpo.config import config_echo
 from ttpo.consensus import VoteTally
 from ttpo.errors import AllocationError
 from ttpo.report import InstanceRow, build_report
 from ttpo.seeding import stream_seed
-from ttpo.stopper import ErrorBudget
 from ttpo.synth import SyntheticInstance, load_labels, load_trace
 from ttpo.version import __version__
 
@@ -214,19 +213,16 @@ def _trace_compare_row(config, source, fixed, label):
 
 
 def reference_compare(config):
-    if isinstance(config.corpus, SyntheticCorpusSpec):
-        spec = config.corpus
+    if config.corpus == "synthetic":
         instances = reference_corpus(
-            spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote
+            config.count, config.m, config.p0, config.seed, config.cost_per_vote
         )
         rows = [_synthetic_compare_row(config, inst) for inst in instances]
     else:
         # One replay per arm, each read from the first rollout.
-        sources = load_trace(config.corpus.trace_path)
-        fixed = load_trace(config.corpus.trace_path)
-        labels = (
-            load_labels(config.corpus.labels_path) if config.corpus.labels_path else {}
-        )
+        sources = load_trace(config.trace)
+        fixed = load_trace(config.trace)
+        labels = load_labels(config.labels) if config.labels else {}
         rows = [
             _trace_compare_row(
                 config, source, fixed[instance_id], labels.get(instance_id)
@@ -280,9 +276,8 @@ def _ttpo_row(config, instance):
 
 
 def reference_ttpo(config):
-    spec = config.corpus
     instances = reference_corpus(
-        spec.count, spec.m, spec.p0, config.seed, spec.cost_per_vote
+        config.count, config.m, config.p0, config.seed, config.cost_per_vote
     )
     rows = [_ttpo_row(config, inst) for inst in instances]
     return build_report(rows, config_echo(config), config.seed, __version__)
@@ -292,9 +287,8 @@ def reference_ablation(config):
     reports = []
     for value in config.values:
         if config.axis == "alpha_beta":
-            stopper = replace(config.stopper, budget=ErrorBudget(alpha=value, beta=value))
+            sub = replace(config, mode="compare", axis="", values=(), alpha=value, beta=value)
         else:
-            stopper = replace(config.stopper, n_min=int(value))
-        sub = replace(config, mode="compare", stopper=stopper, axis=None, values=())
+            sub = replace(config, mode="compare", axis="", values=(), n_min=int(value))
         reports.append(reference_compare(sub))
     return reports

@@ -20,10 +20,8 @@ PUBLIC = [
     "P0Spec",
     "StopKind",
     "StopperConfig",
-    "SyntheticCorpusSpec",
     "SyntheticInstance",
     "ThresholdTable",
-    "TraceCorpusSpec",
     "TraceVoteSource",
     "UpdateConfig",
     "VoteSource",
@@ -55,7 +53,7 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 43
     assert sorted(ttpo.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(ttpo, name) is not None, name

@@ -191,6 +191,36 @@ def test_malformed_trace_is_corpus_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_malformed_labels_row_is_corpus_error(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(canonical_trace_line(TraceRecord("q1", 0, "a", 1)) + "\n")
+    labels = tmp_path / "gold.csv"
+    labels.write_text("instance_id,answer\nq1,a\nq2\n")
+    assert run_cli("replay", str(trace), "--labels", str(labels)) == 2
+    assert "corpus error: labels line 3: expected two columns" in capsys.readouterr().err
+
+
+def test_replay_parses_the_synthetic_keys_too(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(canonical_trace_line(TraceRecord("q1", 0, "a", 1)) + "\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("count = abc\nm = 1\np0 = gaussian:1\n")
+    assert run_cli("replay", str(trace), "--config", str(cfg)) == 1
+    assert "configuration error: count must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("update", ["rl", "sft"])
+def test_closed_loop_logits_past_int64_bytes_exit_one(update, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"count = 2\nm = {2**62}\n")
+    assert run_cli("ttpo", "--update", update, "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert (
+        f"configuration error: count * m * 8 = {2**66} exceeds 2**63 - 1: "
+        "the closed loop holds a [count, m] float64 logits matrix"
+    ) in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

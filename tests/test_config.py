@@ -3,27 +3,40 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttpo.config import (
+    ABLATION_AXES,
+    FORMATS,
+    MODES,
     ExperimentConfig,
-    SyntheticCorpusSpec,
-    TraceCorpusSpec,
     config_echo,
     parse_kv_file,
     resolve_config,
 )
 from ttpo.errors import ConfigurationError
-from ttpo.stopper import ErrorBudget, StopperConfig
-from ttpo.optimizer import UpdateConfig
+from ttpo.stopper import StopperConfig
+from ttpo.optimizer import ADVANTAGE_MODES, UpdateConfig
 from ttpo.synth import P0Spec
+
+# The config keys, as the README's defaults block and the CLI name them.
+KEYS = (
+    "mode", "seed", "out", "format", "corpus", "count", "m", "p0", "cost_per_vote",
+    "trace", "labels", "alpha", "beta", "n_min", "m_max", "streak_k", "degradation",
+    "p0_mode", "fixed_budget", "rounds", "learning_rate", "beta_kl", "advantage_mode",
+    "std_epsilon", "axis", "values",
+)  # fmt: skip
 
 
 def test_defaults_resolve():
     config = resolve_config({})
+    assert config == ExperimentConfig()
     assert config.mode == "compare"
-    assert config.corpus == SyntheticCorpusSpec(
-        count=200, m=4, p0=P0Spec.constant(0.8), cost_per_vote=1
-    )
+    assert config.corpus == "synthetic"
+    assert (config.count, config.m, config.cost_per_vote) == (200, 4, 1)
+    assert config.p0 == P0Spec.constant(0.8)
+    assert config.trace == config.labels == config.axis == ""
+    assert config.values == ()
     assert config.stopper == StopperConfig()
     assert config.update == UpdateConfig()
     assert config.fixed_budget == 64
@@ -51,19 +64,23 @@ def test_overrides_apply():
     )
     assert config.mode == "ttpo_sft"
     assert config.seed == 17
-    assert config.corpus.m == 8
-    assert config.corpus.p0 == P0Spec.uniform(0.4, 0.9)
-    assert config.stopper.budget.alpha == 0.01
-    assert config.stopper.n_min == 16
-    assert config.stopper.p0_fixed == 0.7
-    assert config.update.learning_rate == 0.1
-    assert config.update.advantage_mode == "group_normalized"
+    assert config.count == 50
+    assert config.m == 8
+    assert config.p0 == P0Spec.uniform(0.4, 0.9)
+    assert config.alpha == config.stopper.budget.alpha == 0.01
+    assert config.n_min == config.stopper.n_min == 16
+    assert config.p0_fixed == config.stopper.p0_fixed == 0.7
+    assert config.learning_rate == config.update.learning_rate == 0.1
+    assert config.advantage_mode == config.update.advantage_mode == "group_normalized"
     assert config.rounds == 3
 
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigurationError, match="unknown config key"):
         resolve_config({"n_max": "10"})
+    # The field is p0_fixed, but the key stays p0_mode.
+    with pytest.raises(ConfigurationError, match=r"unknown config key\(s\): p0_fixed"):
+        resolve_config({"p0_fixed": "0.7"})
 
 
 @pytest.mark.parametrize(
@@ -86,6 +103,14 @@ def test_unknown_key_rejected():
         ({"mode": "ablate", "axis": "n_min", "values": "16,16.5"}, "integer"),
         ({"mode": "ablate", "axis": "n_min", "values": "16,100"}, r"n_min \(100\)"),
         ({"mode": "ablate", "axis": "alpha_beta", "values": "0.05,0.7"}, r"alpha \+ beta"),
+        # Every value is parsed, whatever the corpus kind reads.
+        (
+            {"corpus": "trace", "trace": "t.jsonl", "count": "abc", "m": "1", "p0": "gaussian:1"},
+            "count must be an integer",
+        ),
+        ({"corpus": "trace", "trace": "t.jsonl", "m": "1"}, "m must be >= 2"),
+        ({"corpus": "trace", "trace": "t.jsonl", "p0": "gaussian:1"}, "gaussian"),
+        ({"mode": "ttpo_rl", "count": "2", "m": str(2**62)}, r"\[count, m\] float64 logits"),
     ],
 )
 def test_invalid_mappings_rejected(mapping, fragment):
@@ -168,6 +193,73 @@ def test_parse_kv_file_empty_key(tmp_path):
         parse_kv_file(path)
 
 
+_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_positive = st.floats(0.0, 1e6, exclude_min=True)
+
+
+@st.composite
+def _p0_specs(draw):
+    kind = draw(st.sampled_from(("constant", "uniform", "mixture")))
+    if kind == "constant":
+        return P0Spec.constant(draw(_unit))
+    if kind == "uniform":
+        lo, hi = sorted(draw(st.lists(_unit, min_size=2, max_size=2, unique=True)))
+        return P0Spec.uniform(lo, hi)
+    return P0Spec.mixture(draw(st.floats(0.0, 1.0)), draw(_unit), draw(_unit))
+
+
+@st.composite
+def valid_configs(draw):
+    """A valid config with a drawn value for every key its corpus and mode read."""
+    mode = draw(st.sampled_from(MODES))
+    closed_loop = mode in ("ttpo_rl", "ttpo_sft")
+    n_min = draw(st.integers(1, 64))
+    m_max = draw(st.integers(n_min, 128))
+    alpha = draw(_unit)
+    fields = dict(
+        mode=mode,
+        seed=draw(st.integers(0, 2**64)),
+        out=draw(st.text(max_size=8)),
+        format=draw(st.sampled_from(FORMATS)),
+        alpha=alpha,
+        beta=draw(_unit.filter(lambda beta: alpha + beta < 1.0)),
+        n_min=n_min,
+        m_max=m_max,
+        streak_k=draw(st.integers(1, 2**40)),
+        degradation=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        p0_fixed=draw(st.none() | _unit),
+        fixed_budget=draw(st.integers(1, 512)),
+        rounds=draw(st.integers(1, 8)),
+        learning_rate=draw(_positive),
+        beta_kl=draw(st.floats(0.0, 1e6)),
+        advantage_mode=draw(st.sampled_from(ADVANTAGE_MODES)),
+        std_epsilon=draw(_positive),
+    )
+    if closed_loop or draw(st.booleans()):
+        count = draw(st.integers(1, 10**4))
+        fields.update(
+            count=count,
+            m=draw(st.integers(2, (2**63 - 1) // (8 * count) if closed_loop else 2**63 - 1)),
+            p0=draw(_p0_specs()),
+            cost_per_vote=draw(st.integers(1, 2**40)),
+        )
+    else:
+        fields.update(
+            corpus="trace",
+            trace=draw(st.text(min_size=1, max_size=8)),
+            labels=draw(st.text(max_size=8)),
+        )
+    if mode == "ablate":
+        axis = draw(st.sampled_from(ABLATION_AXES))
+        points = (
+            st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+            if axis == "alpha_beta"
+            else st.integers(1, m_max).map(float)
+        )
+        fields.update(axis=axis, values=tuple(draw(st.lists(points, min_size=1, max_size=4))))
+    return ExperimentConfig(**fields)
+
+
 @pytest.mark.parametrize(
     "mapping",
     [
@@ -184,13 +276,28 @@ def test_echo_round_trip(mapping):
     assert again == replace(config, out="-", format="json")
 
 
+@settings(max_examples=200, deadline=None)
+@given(config=valid_configs())
+def test_echo_round_trip_of_any_valid_config(config):
+    echo = config_echo(config)
+    # Every key except the presentation keys, the other corpus kind's keys,
+    # an empty labels path, and axis and values when no axis is set.
+    synthetic = {"count", "m", "p0", "cost_per_vote"}
+    other = {"trace", "labels"} if config.corpus == "synthetic" else synthetic
+    unset = {"labels"} if not config.labels else set()
+    if not config.axis:
+        unset |= {"axis", "values"}
+    assert set(echo) == set(KEYS) - {"out", "format"} - other - unset
+    assert resolve_config(echo) == replace(config, out="-", format="json")
+
+
 def test_echo_round_trip_trace(tmp_path):
     trace = tmp_path / "t.jsonl"
     labels = tmp_path / "l.csv"
     config = resolve_config(
         {"corpus": "trace", "trace": str(trace), "labels": str(labels)}
     )
-    assert config.corpus == TraceCorpusSpec(str(trace), str(labels))
+    assert (config.corpus, config.trace, config.labels) == ("trace", str(trace), str(labels))
     assert resolve_config(config_echo(config)) == config
 
 
@@ -200,12 +307,9 @@ def test_echo_excludes_presentation_keys():
 
 
 def test_direct_construction_validates():
-    base = resolve_config({})
     with pytest.raises(ConfigurationError, match="rounds"):
-        ExperimentConfig(
-            mode=base.mode,
-            corpus=base.corpus,
-            stopper=base.stopper,
-            update=base.update,
-            rounds=0,
-        )
+        ExperimentConfig(rounds=0)
+    with pytest.raises(ConfigurationError, match="alpha"):
+        ExperimentConfig(alpha=1.5)
+    with pytest.raises(ConfigurationError, match="learning_rate"):
+        ExperimentConfig(learning_rate=0.0)

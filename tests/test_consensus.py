@@ -44,6 +44,10 @@ class TestVoteTally:
         with pytest.raises(ValueError):
             VoteTally(counts=(1, -1))
 
+    def test_no_answer_slot_rejected(self):
+        with pytest.raises(ValueError, match="at least one answer slot"):
+            VoteTally(counts=())
+
     def test_ingest_from_empty(self):
         tally = tally_ingest(tally_of({}, 4), 2)
         assert tally.counts[2] == 1
@@ -128,6 +132,10 @@ class TestAnswerModel:
     def test_degenerate_p0_rejected(self, p0):
         with pytest.raises(ValueError):
             AnswerModel(p0=p0, m=2)
+
+    def test_one_answer_rejected(self):
+        with pytest.raises(ValueError, match="at least two candidate answers"):
+            AnswerModel(0.9, 1)
 
     @given(st.integers(min_value=2, max_value=20), st.data())
     def test_kappa_exceeds_one_above_chance(self, m, data):
@@ -234,6 +242,10 @@ class TestPosterior:
         model = AnswerModel(p0=0.8, m=2)
         got = posterior(tally_of({0: 1}, m=2), model)
         np.testing.assert_allclose(got, [0.8, 0.2], atol=1e-12)
+
+    def test_answer_space_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="tally covers 3 answers but model expects 4"):
+            posterior(tally_of({0: 1}, 3), AnswerModel(p0=0.8, m=4))
 
     def test_huge_gap_stays_finite(self):
         # Gap of 400 at kappa=9 overflows any linear-space ratio.

@@ -132,10 +132,9 @@ def test_both_arms_read_one_vote_stream():
 def test_mixture_easy_instances_stop_sooner():
     config = compare_config(count=300, p0="mixture:0.5,0.95,0.45", seed=29)
     report = run_compare(config)
-    spec = config.corpus
     by_id = {
         inst.instance_id: inst
-        for inst in gen_instances(spec.count, spec.m, spec.p0, config.seed)
+        for inst in gen_instances(config.count, config.m, config.p0, config.seed)
     }
     easy = [r.tau for r in report.rows if by_id[r.instance_id].p0_true == 0.95]
     hard = [r.tau for r in report.rows if by_id[r.instance_id].p0_true == 0.45]

@@ -203,6 +203,10 @@ def test_kernel_rejects_bad_blocks():
         stop_batch(np.array([[0, 3, 0, 0]]), [4], [3], table)
     with pytest.raises(ValueError):
         stop_batch(np.array([[0, -1, 0, 0]]), [4], [3], table)
+    with pytest.raises(ValueError, match="one entry per vote row"):
+        stop_batch(votes, [4, 4], [2], table)
+    with pytest.raises(ValueError, match="one entry per vote row"):
+        stop_batch(votes, [4], [2, 2], table)
     # Out-of-range entries past a row's length are padding, never read.
     assert stop_batch(np.array([[1, 1, 9, 9]]), [2], [2], table).label.tolist() == [1]
     empty = stop_batch(np.zeros((0, 4), dtype=np.int64), [], [], table)

@@ -261,6 +261,8 @@ def test_csv_aggregates_recomputable_from_rows():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError, match="format"):
         render_report(sample_report(), "xml")
+    with pytest.raises(ValueError, match="format"):
+        render_ablation("n_min", (16.0,), [sample_report()], {}, "yaml")
 
 
 def test_stdout_emission(capsys):

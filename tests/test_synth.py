@@ -577,6 +577,17 @@ class TestLoadLabels:
         with pytest.raises(CorpusError):
             load_labels(path)
 
+    def test_blank_row_skipped(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("instance_id,answer\nq1,7\n\nq2,13\n", encoding="utf-8")
+        assert load_labels(path) == {"q1": "7", "q2": "13"}
+
+    def test_one_column_row_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("instance_id,answer\nq1,7\nq2\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="labels line 3: expected two columns"):
+            load_labels(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError):
             load_labels(tmp_path / "absent.csv")
@@ -642,3 +653,5 @@ class TestTake:
             dry_answers, dry_costs = source.take(n)
             assert dry_answers.size == dry_costs.size == 0
             assert dry_answers.dtype == dry_costs.dtype == np.int64
+        with pytest.raises(ValueError, match="negative"):
+            source.take(-1)
