@@ -274,18 +274,35 @@ class TraceVoteSource:
     A take past the end returns what is left, possibly nothing; it never
     raises. Answers get ids in first-seen order over the full trace, and m
     is the distinct-answer count floored at 2 so the noise model stays well
-    formed even for unanimous traces. The id and token columns are built
-    once and are read-only.
+    formed even for unanimous traces. The source holds each distinct answer
+    string once, plus read-only int64 columns of answer ids and token counts
+    in rollout order.
     """
 
     def __init__(self, instance_id: str, answers: Sequence[str], tokens: Sequence[int]):
+        answer_by_id = list(dict.fromkeys(answers))
+        id_by_answer = {answer: i for i, answer in enumerate(answer_by_id)}
+        ids = np.fromiter(map(id_by_answer.__getitem__, answers), np.int64, len(answers))
+        self._set_columns(instance_id, answer_by_id, ids, np.array(tokens, dtype=np.int64))
+
+    @classmethod
+    def _from_columns(
+        cls, instance_id: str, answer_by_id: list[str], ids: np.ndarray, tokens: np.ndarray
+    ) -> "TraceVoteSource":
+        """A source over columns already built: ``ids`` number ``answer_by_id``
+        in first-seen order, and the source takes both columns over read-only."""
+        source = cls.__new__(cls)
+        source._set_columns(instance_id, answer_by_id, ids, tokens)
+        return source
+
+    def _set_columns(
+        self, instance_id: str, answer_by_id: list[str], ids: np.ndarray, tokens: np.ndarray
+    ) -> None:
         self.instance_id = instance_id
-        self._answer_by_id = list(dict.fromkeys(answers))
-        id_by_answer = {answer: i for i, answer in enumerate(self._answer_by_id)}
-        self._ids = np.fromiter(map(id_by_answer.__getitem__, answers), np.int64, len(answers))
-        self._tokens = np.array(tokens, dtype=np.int64)
-        self._ids.flags.writeable = self._tokens.flags.writeable = False
-        self._m = max(2, len(id_by_answer))
+        self._answer_by_id = answer_by_id
+        self._ids, self._tokens = ids, tokens
+        ids.flags.writeable = tokens.flags.writeable = False
+        self._m = max(2, len(answer_by_id))
         self._pos = 0
 
     @property
@@ -379,8 +396,20 @@ def load_trace(path: str | Path) -> dict[str, TraceVoteSource]:
     object (plus its newline) is taken straight from the decoded dict; any
     other line goes through ``_parse_trace_line``, which accepts it or
     raises the error that names it.
+
+    No record outlives its line. Each instance keeps an answer-to-id dict in
+    first-seen order and ``array('q')`` columns of ids and tokens in line
+    order, so a rollout costs two int64s and each distinct answer string is
+    kept once per instance. While each of an instance's lines carries the
+    next index, the indices seen are exactly those below it. From its first
+    other line on, the instance also maps each index to its line position,
+    which finds duplicates; at the end such an instance is put in index
+    order and its ids are renumbered in first-seen order over it.
     """
-    grouped: dict[str, dict[int, tuple[str, int]]] = {}
+    from array import array
+
+    # instance_id -> [id_by_answer, ids, tokens, position_by_index or None]
+    grouped: dict[str, list] = {}
     with _open_corpus_file(path, "trace") as handle:
         for line_no, line in enumerate(handle, start=1):
             try:
@@ -405,32 +434,58 @@ def load_trace(path: str | Path) -> dict[str, TraceVoteSource]:
                 continue
             else:
                 instance_id, index, answer, tokens = _parse_trace_line(line_no, line)
-            per_instance = grouped.get(instance_id)
-            if per_instance is None:
-                per_instance = grouped[instance_id] = {}
-            elif index in per_instance:
-                raise CorpusError(
-                    f"trace line {line_no}: duplicate rollout_index "
-                    f"{index} for instance {instance_id!r}"
-                )
-            per_instance[index] = (answer, tokens)
+            columns = grouped.get(instance_id)
+            if columns is None:
+                columns = grouped[instance_id] = [{}, array("q"), array("q"), None]
+            id_by_answer, ids, costs, position_by_index = columns
+            position = len(ids)
+            if position_by_index is not None or index != position:
+                if position_by_index is None:
+                    position_by_index = columns[3] = {i: i for i in range(position)}
+                if index in position_by_index:
+                    raise CorpusError(
+                        f"trace line {line_no}: duplicate rollout_index "
+                        f"{index} for instance {instance_id!r}"
+                    )
+                position_by_index[index] = position
+            answer_id = id_by_answer.get(answer)
+            if answer_id is None:
+                answer_id = id_by_answer[answer] = len(id_by_answer)
+            ids.append(answer_id)
+            costs.append(tokens)
     sources = {}
-    for instance_id, by_index in grouped.items():
-        count = len(by_index)
-        if max(by_index) != count - 1:
-            indices = sorted(by_index)
-            raise CorpusError(
-                f"instance {instance_id!r}: rollout_index values must be dense "
-                f"from 0, got {indices[:8]}{'...' if count > 8 else ''}"
-            )
-        answers, tokens = zip(*map(by_index.__getitem__, range(count)))
+    for instance_id, columns in grouped.items():
+        id_by_answer, ids, costs, position_by_index = columns
+        # Emptied as it is read, so each instance's dict and arrays are freed
+        # before the next instance's copies are made.
+        columns.clear()
+        answer_by_id = list(id_by_answer)
+        id_column = np.array(ids, dtype=np.int64)
+        token_column = np.array(costs, dtype=np.int64)
+        if position_by_index is not None:
+            count = len(position_by_index)
+            if max(position_by_index) != count - 1:
+                indices = sorted(position_by_index)
+                raise CorpusError(
+                    f"instance {instance_id!r}: rollout_index values must be dense "
+                    f"from 0, got {indices[:8]}{'...' if count > 8 else ''}"
+                )
+            order = np.fromiter(map(position_by_index.__getitem__, range(count)), np.int64, count)
+            id_column, token_column = id_column[order], token_column[order]
+            # Old ids in the order they first appear in index order; the
+            # inverse permutation renumbers them.
+            by_first_seen = np.argsort(np.unique(id_column, return_index=True)[1])
+            id_column = np.argsort(by_first_seen)[id_column]
+            answer_by_id = [answer_by_id[i] for i in by_first_seen.tolist()]
         # A total that fits keeps every prefix sum exact.
-        total = sum(tokens)
+        total = sum(costs)
         if total > MAX_COST:
             raise CorpusError(
                 f"instance {instance_id!r}: tokens sum to {total}, more than {MAX_COST}"
             )
-        sources[instance_id] = TraceVoteSource(instance_id, answers, tokens)
+        sources[instance_id] = TraceVoteSource._from_columns(
+            instance_id, answer_by_id, id_column, token_column
+        )
     return sources
 
 

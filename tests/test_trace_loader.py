@@ -7,9 +7,12 @@ must raise the same error with the same message.
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import trace_reference
 from stopper_reference import draw
@@ -34,6 +37,11 @@ def raw_line(**fields):
     values = {"instance_id": '"q1"', "rollout_index": "0", "answer": '"a"', "tokens": "5"}
     values.update(fields)
     return "{" + ", ".join(f'"{k}": {v}' for k, v in values.items()) + "}"
+
+
+def lines_of(*rollouts, instance_id="q1"):
+    """Trace text of one instance's (rollout_index, answer) pairs, in the order given."""
+    return "".join(line(instance_id, index, answer) + "\n" for index, answer in rollouts)
 
 
 def write(tmp_path, text, name="trace.jsonl"):
@@ -110,6 +118,70 @@ def test_valid_traces_match_reference(tmp_path, seed):
     assert 2 in [source["m"] for source in got[1]]  # a unanimous or one-rollout source
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_partly_ordered_traces_match_reference(tmp_path, seed):
+    """Instances in index order, in order and then shuffled, and reversed,
+    merged so that each keeps its own line order."""
+    rng = random.Random(seed)
+    vocab = ["7", "-3/4", "\\frac{1}{2}", "é", "∞", "", "0"]
+    queues = []
+    for i in range(12):
+        length = rng.choice([1, 2, 5, 30, 70])
+        indices = list(range(length))
+        if i % 3 == 1:
+            tail = indices[rng.randrange(length) :]
+            rng.shuffle(tail)
+            indices[length - len(tail) :] = tail
+        elif i % 3 == 2:
+            indices.reverse()
+        answers = vocab[: rng.randint(1, len(vocab))]
+        queues.append(
+            [
+                line(f"inst-{i}", index, rng.choice(answers), rng.randint(1, 999))
+                for index in indices
+            ]
+        )
+    lines = []
+    while queues:
+        queue = rng.choice(queues)
+        lines.append(queue.pop(0))
+        if not queue:
+            queues.remove(queue)
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    got = outcome(load_trace, path)
+    assert got == outcome(trace_reference.load_trace, path)
+    assert len(got[0]) == 12
+
+
+@st.composite
+def small_traces(draw):
+    """Up to three instances of up to eight rollouts, in index order or
+    shuffled; a quarter of them have a gap and a quarter a duplicate."""
+    lines = []
+    for instance in range(draw(st.integers(1, 3))):
+        indices = list(range(draw(st.integers(1, 8))))
+        if draw(st.integers(0, 3)) == 0:
+            del indices[draw(st.integers(0, len(indices) - 1))]
+        if draw(st.integers(0, 3)) == 0:
+            indices.append(draw(st.integers(0, 8)))
+        lines += [
+            line(f"q{instance}", index, draw(st.sampled_from("abc")), draw(st.integers(1, 3)))
+            for index in indices
+        ]
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    return "".join(text + "\n" for text in lines)
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(text=small_traces())
+def test_small_traces_match_reference(tmp_path, text):
+    path = write(tmp_path, text)
+    assert outcome(load_trace, path) == outcome(trace_reference.load_trace, path)
+
+
 GOOD = line()
 
 MALFORMED = {
@@ -173,6 +245,28 @@ MALFORMED = {
         "\n".join([line("b", 1), line("a", 5), line("a", 0)]) + "\n"
     ),
     "bad-line-after-non-dense": line(rollout_index=3) + "\n{\n",
+    # Instances switch from in order to out of order at their first line whose
+    # index is not the next one.
+    "in-order-then-out-of-order": lines_of(
+        (0, "a"), (1, "b"), (2, "a"), (6, "d"), (4, "c"), (5, "e"), (3, "b")
+    ),
+    "in-order-then-gap": lines_of((0, "a"), (1, "b"), (3, "c")),
+    "duplicate-of-in-order-index": lines_of((0, "a"), (1, "b"), (2, "c"), (1, "d")),
+    "duplicate-after-switch-of-in-order-index": lines_of((0, "a"), (2, "b"), (1, "c"), (0, "d")),
+    "duplicate-after-switch-of-late-index": lines_of((0, "a"), (2, "b"), (1, "c"), (2, "d")),
+    "duplicate-after-switch-then-bad-line": lines_of((1, "a"), (0, "b"), (1, "c")) + "{\n",
+    "duplicate-then-missing-field": lines_of((0, "a"), (0, "b")) + raw_line(tokens="null"),
+    "interleaved-one-in-order-one-not": "".join(
+        line(instance_id, index, answer) + "\n"
+        for instance_id, index, answer in [
+            ("q1", 0, "a"), ("q2", 2, "x"), ("q1", 1, "b"), ("q2", 0, "y"),
+            ("q1", 2, "a"), ("q2", 1, "z"), ("q1", 3, "c"), ("q2", 3, "y"),
+        ]
+    ),
+    "interleaved-dense-error-after-out-of-order-instance": "".join(
+        line(instance_id, index) + "\n"
+        for instance_id, index in [("q1", 1), ("q2", 0), ("q1", 0), ("q2", 2)]
+    ),
 }
 
 
@@ -226,3 +320,34 @@ def test_columns_are_shared_and_read_only(tmp_path):
     assert rest.tolist() == [4]
     # Every take is a view of the same token column.
     assert rest.base is tokens.base is not None
+
+
+def test_ingest_memory_per_rollout(tmp_path):
+    """A rollout costs its id and token count, not a record of its own.
+
+    The trace is shaped like recorded math rollouts: 200 instances of 100
+    rollouts in index order, each drawing from 32 answer strings with
+    Zipf-like weights. Ingest's peak, sources included, is about 42 bytes
+    a rollout; a dict-of-tuples layout that keeps each line's answer string
+    and token int needs about 210.
+    """
+    rng = random.Random(0)
+    instances, rollouts = 200, 100
+    lines = []
+    for i in range(instances):
+        vocab = [f"{rng.randint(-999, 999)}/{rng.randint(2, 97)}" for _ in range(32)]
+        answers = rng.choices(vocab, [1 / rank for rank in range(1, 33)], k=rollouts)
+        lines += [
+            line(f"q-{i:05d}", index, answer, rng.randint(200, 2000))
+            for index, answer in enumerate(answers)
+        ]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        sources = load_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sources) == instances
+    per_rollout = peak / (instances * rollouts)
+    assert per_rollout < 80, f"{per_rollout:.0f} bytes per rollout"

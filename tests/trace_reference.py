@@ -1,10 +1,15 @@
 """Record-at-a-time trace loader: the oracle for ``ttpo.synth.load_trace``.
 
 This is the loader the columnar one replaced: ``json.loads`` and a per-field
-check on every line, one ``TraceRecord`` per rollout, and a source that keeps
-the record list. Tests require the two to accept the same traces, build the
-same sources, and reject the same lines with the same errors. Tests write
-their traces with ``canonical_trace_line``.
+check on every line, one ``TraceRecord`` per rollout kept in a dict per
+instance, duplicates found by index lookup and density checked by sorting
+the indices at the end, and a source that keeps the record list and maps
+answer strings to ids on every take. ``load_trace`` instead keeps only an id
+and a token count per rollout and sorts only instances whose lines are out
+of index order, so tests run both on traces in order, out of order, and in
+order for a while and then not. Tests require the two to accept the same
+traces, build the same sources, and reject the same lines with the same
+errors. Tests write their traces with ``canonical_trace_line``.
 """
 
 import json
