@@ -14,11 +14,11 @@ votes as arrays and decide a chunk of up to ``seeding._LANES`` instances
 (``_LANES // rounds`` in ``run_ttpo``) per ``stop_batch`` call, the rule
 ``allocate`` applies to one live source; rows come out in corpus order.
 A chunk is carried as columns from end to end: the synthetic corpus
-(``synth._corpus``), the chunk's stream seeds (``seeding._stream_seeds``),
-its votes, read from many instances' random streams at once as the vote
-sources would draw them (``synth._categorical_votes``,
-``synth._policy_votes``), and its report rows, built by one
-``map(InstanceRow, ...)`` over the outcome columns.
+(``synth._corpus``), the chunk's stream seeds as hash words
+(``seeding._stream_seeds``), its votes, read from many instances' random
+streams at once as the vote sources would draw them
+(``synth._categorical_votes``, ``synth._policy_votes``), and its report
+rows, built by one ``map(InstanceRow, ...)`` over the outcome columns.
 ``run_ttpo`` holds every policy as one row of a logits matrix and updates a
 chunk's rows with one batched step, which reproduces the one-policy updates
 row for row.
@@ -38,7 +38,7 @@ from .errors import ConfigurationError
 from .optimizer import advantages, consensus_rewards, pg_step, sft_step
 from .report import ExperimentReport, InstanceRow, build_report
 from .seeding import _LANES, _stream_seeds, _uniforms
-from .stopper import ThresholdTable, stop_batch
+from .stopper import StopKind, ThresholdTable, stop_batch
 from .synth import (
     TraceVoteSource,
     _categorical_votes,
@@ -50,6 +50,9 @@ from .synth import (
 from .version import __version__
 
 Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+# The report's name for each decision kind.
+_KIND_NAMES = {kind: kind.value for kind in StopKind}
 
 
 def _slices(start: int, stop: int, size: int) -> list[slice]:
@@ -128,7 +131,7 @@ def _compare_rows(
             pseudo_correct,
             cost,
             _savings(cost, fixed_cost),
-            [kind.value for kind in stops.kind],
+            map(_KIND_NAMES.__getitem__, stops.kind),
             stops.truncated.tolist(),
             fixed_cost,
             fixed,
@@ -240,11 +243,9 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     # instances reads every round's uniforms at once, one lane per
     # (round, instance); only the cdf comparison waits for the round's logits.
     for chunk in _slices(0, count, max(1, _LANES // rounds)):
-        seeds = [
-            seed
-            for r in range(rounds)
-            for seed in _stream_seeds(config.seed, "policy", r, ids[chunk])
-        ]
+        seeds = np.concatenate(
+            [_stream_seeds(config.seed, "policy", r, ids[chunk]) for r in range(rounds)]
+        )
         uniforms = _uniforms(seeds, m_max).reshape(rounds, -1, m_max)
         for round_index in range(rounds):
             probs = _softmax(logits[chunk])
@@ -253,9 +254,6 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
             stops = stop_batch(votes, lengths, np.full(len(votes), m), table)
             total_tau[chunk] += stops.tau
             total_cost[chunk] += _spent(costs, stops.tau)
-            labels[chunk] = stops.label
-            truncated[chunk] = stops.truncated
-            kinds[chunk] = [kind.value for kind in stops.kind]
             if config.mode == "ttpo_rl":
                 # Policy votes never run dry and m_max >= n_min, so every
                 # row stopped at or after its n_min warm-up votes. They
@@ -269,6 +267,10 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
                 )
             else:
                 logits[chunk] = sft_step(logits[chunk], probs, stops.label, update)
+        # A row reports its last round's label, kind and truncation.
+        labels[chunk] = stops.label
+        truncated[chunk] = stops.truncated
+        kinds[chunk] = map(_KIND_NAMES.__getitem__, stops.kind)
 
     # The fixed-budget baseline is deterministic here: every draw costs
     # cost_per_vote, so a fixed arm would cost exactly budget * rounds.

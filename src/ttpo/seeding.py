@@ -3,8 +3,10 @@
 Each stream is ``numpy.random.default_rng(stream_seed(...))``: a PCG64
 generator seeded through a ``SeedSequence``. Drivers derive a lane chunk's
 seeds with ``_stream_seeds``, which hashes the key prefix the chunk shares
-once. Every synthetic draw reads one double of its stream, so a stream is
-read only through ``_uniforms``, its ``Generator.random(n)``. That rests on
+once and keeps each seed as the ``[4]`` uint32 row of its little-endian
+words, the form ``SeedSequence`` hashes; no Python int is made per stream.
+Every synthetic draw reads one double of its stream, so a stream is read
+only through ``_uniforms``, its ``Generator.random(n)``. That rests on
 ``_pcg64_outputs``, which computes the first raw 64-bit outputs of many
 such generators at once, one lane per seed, with the same arithmetic numpy
 runs per generator, so drivers read the streams without building a
@@ -14,7 +16,7 @@ runs per generator, so drivers read the streams without building a
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -29,24 +31,29 @@ def stream_seed(global_seed: int, purpose: str, round_index: int, instance_id: s
     ``f"{global_seed}|{purpose}|{round_index}|{instance_id}"``, read
     big-endian, and feeds ``numpy.random.default_rng`` directly.
     """
-    return _stream_seeds(global_seed, purpose, round_index, [instance_id])[0]
+    words = _stream_seeds(global_seed, purpose, round_index, [instance_id])[0]
+    return int.from_bytes(words.astype("<u4").tobytes(), "little")
 
 
 def _stream_seeds(
     global_seed: int, purpose: str, round_index: int, instance_ids: Iterable[str]
-) -> list[int]:
+) -> np.ndarray:
     """``stream_seed`` of each id under one (seed, purpose, round) key prefix.
 
-    UTF-8 encodes a concatenation as the concatenation of the encodings, so
-    the prefix is hashed once and each id continues a copy of that hash.
+    Row ``i`` is id ``i``'s seed as four uint32 words, least significant
+    first: the digest's big-endian words in reverse order. UTF-8 encodes a
+    concatenation as the concatenation of the encodings, so the prefix is
+    hashed once and each id continues a copy of that hash.
     """
     prefix = hashlib.blake2b(f"{global_seed}|{purpose}|{round_index}|".encode(), digest_size=16)
-    seeds = []
-    for instance_id in instance_ids:
+
+    def digest(instance_id: str) -> bytes:
         key = prefix.copy()
         key.update(instance_id.encode())
-        seeds.append(int.from_bytes(key.digest(), "big"))
-    return seeds
+        return key.digest()
+
+    digests = np.frombuffer(b"".join(map(digest, instance_ids)), dtype=">u4")
+    return digests.reshape(-1, 4)[:, ::-1].astype(np.uint32)
 
 
 _MASK32 = 0xFFFF_FFFF
@@ -60,8 +67,12 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 
-# The 128-bit LCG multiplier of PCG64.
+# The 128-bit LCG multiplier of PCG64, as the 64-bit words and the 32-bit
+# limbs of its low word that _step multiplies by.
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+_MULT_B0, _MULT_B1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+_HALF, _LOW = np.uint64(32), np.uint64(_MASK32)
 
 # Lanes per pass of the generator. Its cost per lane falls with width while
 # per-op overhead dominates (about 37 us per lane for 96 outputs at 128
@@ -99,15 +110,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(16))
 
 
-def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` per seed: ``[B, 4]``.
 
-    A seed is hashed as its little-endian 32-bit words. A seed below 2**96
-    has fewer than four, and SeedSequence hashes the missing words as 0, so
-    padding every seed to four words gives the same pool.
+    ``seeds`` holds each seed as ``_stream_seeds`` does, ``[B, 4]`` uint32
+    words, least significant first: SeedSequence hashes a seed as its
+    little-endian 32-bit words. A seed below 2**96 has fewer than four, and
+    SeedSequence hashes the missing words as 0, so four words per seed give
+    the same pool.
     """
-    raw = b"".join(seed.to_bytes(16, "little") for seed in seeds)
-    entropy = np.frombuffer(raw, dtype="<u4").astype(np.uint32).reshape(-1, 4).T
+    entropy = np.asarray(seeds, dtype=np.uint32).T
     constants = iter(zip([_INIT_A] + _HASH_A, _HASH_A))
     pool = [_hashmix(word, *next(constants)) for word in entropy]
     for src in range(4):
@@ -127,37 +139,47 @@ def _seed_words(seeds: Sequence[int]) -> np.ndarray:
     )
 
 
-def _mul_const(hi: np.ndarray, lo: np.ndarray, const: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(hi, lo) * const`` modulo 2**128.
+def _step(
+    hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray, scratch: list
+) -> None:
+    """One PCG64 step of every lane, in place: ``state = state * mult + inc`` mod 2**128.
 
-    The high word is ``hi * c_lo + lo * c_hi`` (mod 2**64) plus the carry of
-    ``lo * c_lo``, which is built from 32-bit limbs so no product overflows.
+    The new high word is ``hi * c_lo + lo * c_hi + inc_hi`` (mod 2**64), plus
+    the high half of ``lo * c_lo`` and the carry out of the low word. That
+    high half is built from 32-bit limbs as in the ``mulhu`` of Warren's
+    *Hacker's Delight*: each partial sum is at most ``(2**32 - 1)**2 +
+    2**32 - 1``, so none overflows. ``scratch`` holds four uint64 buffers and
+    one bool buffer of the lanes' shape, reused by every step.
     """
-    c_lo, c_hi = const & _MASK64, const >> 64
-    b0, b1 = np.uint64(c_lo & _MASK32), np.uint64(c_lo >> 32)
-    shift, mask = np.uint64(32), np.uint64(_MASK32)
-    a0 = lo & mask
-    a1 = lo >> shift
-    p01 = a0 * b1
-    p10 = a1 * b0
-    mid = ((a0 * b0) >> shift) + (p01 & mask) + (p10 & mask)
-    high = a1 * b1 + (p01 >> shift) + (p10 >> shift) + (mid >> shift)
-    high += hi * np.uint64(c_lo) + lo * np.uint64(c_hi)
-    return high, lo * np.uint64(c_lo)
+    a0, a1, t, w, carry = scratch
+    np.bitwise_and(lo, _LOW, out=a0)
+    np.right_shift(lo, _HALF, out=a1)
+    np.multiply(a0, _MULT_B0, out=t)
+    t >>= _HALF
+    t += np.multiply(a1, _MULT_B0, out=w)
+    np.bitwise_and(t, _LOW, out=w)
+    a0 *= _MULT_B1
+    w += a0
+    a1 *= _MULT_B1
+    t >>= _HALF
+    a1 += t
+    w >>= _HALF
+    a1 += w
+    hi *= _MULT_LO
+    hi += np.multiply(lo, _MULT_HI, out=t)
+    hi += a1
+    lo *= _MULT_LO
+    lo += inc_lo
+    hi += inc_hi
+    hi += np.less(lo, inc_lo, out=carry)
 
 
-def _add(
-    hi: np.ndarray, lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    low = lo + b_lo
-    return hi + b_hi + (low < b_lo), low
-
-
-def _pcg64_outputs(seeds: Sequence[int], n: int) -> np.ndarray:
+def _pcg64_outputs(seeds: np.ndarray, n: int) -> np.ndarray:
     """Outputs 1..n of ``np.random.default_rng(seed).bit_generator`` per seed.
 
-    The result is ``[len(seeds), n]`` uint64. Lanes step together, one
-    128-bit multiply by the PCG64 constant per output.
+    ``seeds`` is ``[B, 4]`` seed words, as ``_stream_seeds`` gives. The
+    result is ``[B, n]`` uint64. Lanes step together, one 128-bit multiply
+    by the PCG64 constant per output.
     """
     out = np.empty((n, len(seeds)), dtype=np.uint64)
     for start in range(0, len(seeds), _LANES):
@@ -165,26 +187,37 @@ def _pcg64_outputs(seeds: Sequence[int], n: int) -> np.ndarray:
     return out.T
 
 
-def _lane_outputs(seeds: Sequence[int], out: np.ndarray) -> None:
-    """One pass of ``_pcg64_outputs``, written to ``out`` as ``[outputs, lanes]``."""
+def _lane_outputs(seeds: np.ndarray, out: np.ndarray) -> None:
+    """One pass of ``_pcg64_outputs``, written to ``out`` as ``[outputs, lanes]``.
+
+    The lanes' states step in place, in buffers every output reuses.
+    """
     words = _seed_words(seeds)
     # pcg64_set_seed takes words 0-1 as initstate and 2-3 as initseq, high
     # word first: state = 0, inc = initseq << 1 | 1, step, add initstate, step.
-    inc_hi = (words[:, 2] << np.uint64(1)) | (words[:, 3] >> np.uint64(63))
-    inc_lo = (words[:, 3] << np.uint64(1)) | np.uint64(1)
-    hi, lo = _add(inc_hi, inc_lo, words[:, 0], words[:, 1])
-    hi, lo = _add(*_mul_const(hi, lo, _PCG_MULT), inc_hi, inc_lo)
-    rotate = np.uint64(58)
+    one = np.uint64(1)
+    inc_hi = (words[:, 2] << one) | (words[:, 3] >> np.uint64(63))
+    inc_lo = (words[:, 3] << one) | one
+    lo = inc_lo + words[:, 1]
+    hi = inc_hi + words[:, 0] + (lo < inc_lo)
+    scratch = [np.empty_like(lo) for _ in range(4)] + [np.empty(lo.shape, dtype=bool)]
+    # The output reads the step's first three buffers, which each step rewrites.
+    folded, turn, right = scratch[:3]
+    _step(hi, lo, inc_hi, inc_lo, scratch)
     for row in out:
-        hi, lo = _add(*_mul_const(hi, lo, _PCG_MULT), inc_hi, inc_lo)
+        _step(hi, lo, inc_hi, inc_lo, scratch)
         # XSL-RR: rotate the xor of the halves right by the top six bits.
-        folded = hi ^ lo
-        turn = hi >> rotate
-        np.bitwise_or(folded >> turn, folded << ((np.uint64(64) - turn) & np.uint64(63)), out=row)
+        np.bitwise_xor(hi, lo, out=folded)
+        np.right_shift(hi, np.uint64(58), out=turn)
+        np.right_shift(folded, turn, out=right)
+        np.subtract(np.uint64(64), turn, out=turn)
+        turn &= np.uint64(63)
+        folded <<= turn
+        np.bitwise_or(right, folded, out=row)
 
 
-def _uniforms(seeds: Sequence[int], n: int) -> np.ndarray:
-    """``np.random.default_rng(seed).random(n)`` per seed: ``[len(seeds), n]`` float64.
+def _uniforms(seeds: np.ndarray, n: int) -> np.ndarray:
+    """``np.random.default_rng(seed).random(n)`` per row of seed words: ``[B, n]`` float64.
 
     ``random()`` is the top 53 bits of the next output over 2**53, so double
     ``j`` is output ``j`` however the stream is split into calls.

@@ -75,6 +75,10 @@ class StopKind(Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
+# A row's kind, indexed by whether it stopped on its leader.
+_KINDS = np.array([StopKind.BUDGET_EXHAUSTED, StopKind.STOP_LEADER], dtype=object)
+
+
 @dataclass(frozen=True)
 class StopperConfig:
     """Knobs for one sequential test.
@@ -235,8 +239,9 @@ def stop_batch(
     """Run the sequential test over every row of a ``[B, L]`` vote matrix.
 
     Row ``i`` holds one instance's votes in draw order. Its first ``lengths[i]``
-    entries, each in ``[0, m[i])``, are all counted for ``leader``; its decision
-    reads only the first ``tau[i]`` (at most ``m_max``; a shorter row is a source
+    entries, each in ``[0, m[i])``, are all counted for ``leader``, and the
+    entries past them are never read, whatever they hold; its decision reads
+    only the first ``tau[i]`` (at most ``m_max``; a shorter row is a source
     that ran dry), so a prefix decides as the whole stream would: ``allocate``
     relies on this to read a live source no further than the test reads.
     """
@@ -260,80 +265,98 @@ def stop_batch(
     if lengths.max() > votes.shape[1]:
         raise ValueError("a row length exceeds the vote matrix width")
 
-    # Every vote within a row's length is counted; unread entries become -1.
+    # Every vote within a row's length is counted; the cells past it are
+    # never read, whatever they hold. One bool buffer serves every mask.
     steps = np.arange(votes.shape[1], dtype=np.int32)
     live = steps < lengths[:, None]
-    live_votes = np.where(live, votes, -1)
+    flags = np.empty(votes.shape, dtype=bool)
     # Read as unsigned, a negative vote is too large, so one comparison
     # checks both ends of the range.
-    if (live & (live_votes.view(np.uint64) >= m.view(np.uint64)[:, None])).any():
+    np.greater_equal(votes.view(np.uint64), m.view(np.uint64)[:, None], out=flags)
+    flags &= live
+    if flags.any():
         raise ValueError("vote out of range for its row's answer space")
 
-    # The answers the rows hold, ascending, along one flat sort of the votes.
-    flat = np.sort(live_votes, axis=None)
-    held = [flat[flat.searchsorted(0)]]
+    # The answers the rows hold, ascending, along one sort of the live votes.
+    flat = votes[live]
+    flat.sort()
+    held = [flat[0]]
     while held[-1] < flat[-1]:
         held.append(flat[flat.searchsorted(held[-1], "right")])
+    del flat
 
     # top1[i, s]: the largest answer count among row i's first s + 1 votes,
     # and leader[i, s] the lowest answer with it: a later answer leads only
     # with a larger count. top2, the second-largest count, is kept only where
-    # the decision reads. leader reuses the sorted votes' buffer.
+    # the decision reads. Counts fit the narrowest type that holds the width.
     width = min(votes.shape[1], config.m_max)
     read = np.s_[:, :width]
-    top1 = np.add.accumulate(live_votes == held[0], axis=1, dtype=np.int32)
-    top2 = np.zeros((rows, width), dtype=np.int32)
-    leader = flat.reshape(top1.shape)
-    leader.fill(held[0])
+    counts = np.int16 if votes.shape[1] < 2**15 else np.int32
+    np.equal(votes, held[0], out=flags)
+    flags &= live
+    top1 = np.add.accumulate(flags, axis=1, dtype=counts)
+    top2 = np.zeros((rows, width), dtype=counts)
+    leader = np.full(votes.shape, held[0])
     count, below = np.empty_like(top1), np.empty_like(top2)
-    ahead = np.empty(top1.shape, dtype=bool)
     for answer in held[1:]:
-        np.add.accumulate(live_votes == answer, axis=1, dtype=np.int32, out=count)
-        np.greater(count, top1, out=ahead)
-        leader[ahead] = answer
+        np.equal(votes, answer, out=flags)
+        flags &= live
+        np.add.accumulate(flags, axis=1, dtype=counts, out=count)
+        np.greater(count, top1, out=flags)
+        np.copyto(leader, answer, where=flags)
         np.maximum(top2, np.minimum(top1[read], count[read], out=below), out=top2)
         np.maximum(top1, count, out=top1)
-    del live_votes, count, below, ahead
+    del count, below
 
     seen = np.minimum(lengths, width)
-    steps, live = steps[:width], live[read]
     gap = np.subtract(top1[read], top2, out=top2)
 
     n_min = config.n_min
     warmed = seen >= n_min
-    warm_max = top1[:, n_min - 1] if width >= n_min else np.zeros(rows, np.int32)
+    warm_max = top1[:, n_min - 1] if width >= n_min else np.zeros(rows, counts)
     p0_used = np.empty(rows)
     threshold = np.zeros(rows, dtype=np.int64)
     frozen = np.flatnonzero(warmed) if config.p0_fixed is None else np.arange(rows)
     if frozen.size:
-        # One table lookup per distinct (m, warm-up maximum) pair.
-        pairs = list(zip(m[frozen].tolist(), warm_max[frozen].tolist()))
-        entries = {pair: table.lookup(*pair) for pair in set(pairs)}
-        p0_used[frozen], threshold[frozen] = zip(*map(entries.__getitem__, pairs))
+        # One table lookup per distinct (m, warm-up maximum) pair, keyed as
+        # m's rank among the sizes times a base above every warm-up maximum,
+        # plus that maximum; a fixed p0 reads no warm-up.
+        base = width + 1
+        sizes, size_of = np.unique(m[frozen], return_inverse=True)
+        key = size_of * base
+        if config.p0_fixed is None:
+            key += warm_max[frozen]
+        keys, entry_of = np.unique(key, return_inverse=True)
+        p0s, gaps = zip(*(table.lookup(int(sizes[k // base]), k % base) for k in keys.tolist()))
+        p0_used[frozen] = np.array(p0s)[entry_of]
+        threshold[frozen] = np.array(gaps)[entry_of]
     if config.p0_fixed is None:
         for i in np.flatnonzero(~warmed).tolist():
             t = int(seen[i])
             p0_used[i] = _majority_p0(config, int(top1[i, t - 1]), t, int(m[i]))
+    del top1
 
     # Streaks of gap >= threshold from t = n_min on; a run's length at step s
     # is s minus the last step at or before s that missed.
-    hit = live & (steps >= n_min - 1) & (gap >= threshold[:, None])
-    last_miss = np.maximum.accumulate(np.where(hit, -1, steps), axis=1)
-    confirmed = steps - last_miss >= config.streak_k
+    hit = np.greater_equal(gap, threshold[:, None], out=flags[read])
+    hit &= live[read]
+    hit[:, : n_min - 1] = False
+    steps = steps[:width]
+    run = np.where(hit, -1, steps)
+    np.maximum.accumulate(run, axis=1, out=run)
+    np.subtract(steps, run, out=run)
+    confirmed = np.greater_equal(run, config.streak_k, out=hit)
     stopped = confirmed.any(axis=1)
     tau = np.where(stopped, confirmed.argmax(axis=1) + 1, seen)
     every, last = np.arange(rows), tau - 1
-    kind = tuple(
-        StopKind.STOP_LEADER if s else StopKind.BUDGET_EXHAUSTED for s in stopped.tolist()
-    )
     return BatchStops(
         tau=tau,
         label=leader[every, last],
         leader=leader,
-        kind=kind,
+        kind=tuple(_KINDS.take(stopped.view(np.int8)).tolist()),
         truncated=~stopped & (seen < config.m_max),
         p0_used=p0_used,
         gap_upper=threshold,
-        gap=gap[every, last],
-        streak=last - last_miss[every, last],
+        gap=gap[every, last].astype(np.int32),
+        streak=run[every, last].astype(np.int64),
     )

@@ -238,12 +238,14 @@ class CategoricalVoteSource:
 
 
 def _categorical_votes(
-    true: np.ndarray, p0: np.ndarray, m: int, seeds: Sequence[int], n: int
+    true: np.ndarray, p0: np.ndarray, m: int, seeds: np.ndarray, n: int
 ) -> np.ndarray:
-    """``CategoricalVoteSource(instance_i, seeds[i]).take(n)[0]`` per row.
+    """``CategoricalVoteSource(instance_i, seed_i).take(n)[0]`` per row.
 
     Row ``i`` is an instance with true answer ``true[i]``, vote accuracy
-    ``p0[i]`` and ``m`` answers; every row reads its first ``n`` doubles.
+    ``p0[i]`` and ``m`` answers, whose stream seed ``seed_i`` is
+    ``seeds[i]`` in ``_stream_seeds``' words; every row reads its first
+    ``n`` doubles.
     """
     return _categorical(_uniforms(seeds, n), true[:, None], p0[:, None], m)
 

@@ -1,5 +1,7 @@
 """The array stopping kernel against the per-vote oracle's ``allocate``."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,55 @@ def test_kernel_range_checks_votes_past_the_budget():
         stop_batch(np.array([[0, 1, 0, 1, 2]]), [5], [2], table)
     stops = stop_batch(np.array([[1, 0, 0, 1, 2, 1]]), [4], [2], table)
     assert stops.leader.tolist() == [[1, 0, 0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("name", ["short_warm_up", "p0_fixed"])
+def test_dead_cells_never_count(name):
+    # Cells past a row's length hold ids at or above its m, negative ids, the
+    # row's runner-up and an id no live cell holds (in range where m is
+    # huge); the rows must decide as they do with those cells zeroed.
+    config = CASES[name]
+    rng = np.random.default_rng(sorted(CASES).index(name) + 7300)
+    width = config.m_max + 20
+    votes, lengths, m = random_block(rng, 400, width, [2, 3, 7, 2**40])
+    votes = np.minimum(votes, m[:, None] - 1) % 7
+    live = np.arange(width) < lengths[:, None]
+    zeroed = np.where(live, votes, 0)
+    unheld = 100
+    assert not (zeroed[live] == unheld).any()
+    garbage = zeroed.copy()
+    for i in range(len(votes)):
+        counts = np.bincount(votes[i, : lengths[i]], minlength=2)
+        runner_up = int(np.argsort(-counts, kind="stable")[1])
+        fill = [int(m[i]), -3, runner_up, unheld, -(2**62), 2**63 - 1]
+        dead = width - lengths[i]
+        garbage[i, lengths[i] :] = (fill * dead)[:dead]
+    table = ThresholdTable(config)
+    clean, dirty = stop_batch(zeroed, lengths, m, table), stop_batch(garbage, lengths, m, table)
+    for field in ("tau", "label", "leader", "truncated", "p0_used", "gap_upper", "gap", "streak"):
+        a, b = getattr(clean, field), getattr(dirty, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert clean.kind == dirty.kind
+    assert (lengths < width).mean() > 0.9 and (m == 2**40).any()
+
+
+def test_kernel_working_set_per_cell():
+    """``stop_batch`` counts in place: a 2,000 x 64 block over four answers peaks
+    under 28 bytes a cell. Each held id reuses one bool and two narrow count
+    buffers, and no full-width int64 copy of the votes is made; copying the
+    votes with dead cells set to -1 and counting in int32 needs about 39."""
+    rng = np.random.default_rng(7400)
+    votes, lengths, m = random_block(rng, 2000, 64, [4])
+    table = ThresholdTable(StopperConfig())
+    stop_batch(votes, lengths, m, table)
+    tracemalloc.start()
+    try:
+        stop_batch(votes, lengths, m, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_cell = peak / votes.size
+    assert per_cell < 28, f"{per_cell:.1f} bytes per cell"
 
 
 HUGE_M = 2**62

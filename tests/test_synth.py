@@ -22,8 +22,10 @@ from trace_reference import TraceRecord, canonical_trace_line
 from ttpo import seeding
 from ttpo.errors import ConfigurationError, CorpusError
 from ttpo.seeding import (
+    _PCG_MULT,
     _pcg64_outputs,
     _seed_words,
+    _step,
     _stream_seeds,
     _uniforms,
     stream_seed,
@@ -254,16 +256,41 @@ class TestStreamSeed:
         self, global_seed, purpose, round_index, instance_ids
     ):
         # The key is hashed whole, as UTF-8, so the shared-prefix hash must
-        # give what a hash of each full key gives.
+        # give what a hash of each full key gives, one row of words per id.
         got = _stream_seeds(global_seed, purpose, round_index, instance_ids)
-        assert got == [
+        assert got.dtype == np.uint32 and got.shape == (len(instance_ids), 4)
+        assert list(map(seed_of, got)) == [
             stream_seed(global_seed, purpose, round_index, instance_id)
             for instance_id in instance_ids
         ]
         keys = [f"{global_seed}|{purpose}|{round_index}|{i}".encode() for i in instance_ids]
-        assert got == [
+        assert list(map(seed_of, got)) == [
             int.from_bytes(hashlib.blake2b(key, digest_size=16).digest(), "big") for key in keys
         ]
+
+    @given(
+        global_seed=st.integers(),
+        purpose=st.text(),
+        round_index=st.integers(),
+        instance_id=st.text(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_words_row_is_the_stream_seed(self, global_seed, purpose, round_index, instance_id):
+        (words,) = _stream_seeds(global_seed, purpose, round_index, [instance_id])
+        assert seed_of(words) == stream_seed(global_seed, purpose, round_index, instance_id)
+        assert seed_words([seed_of(words)]).tolist() == [words.tolist()]
+
+
+def seed_of(words):
+    """The int seed of one ``_stream_seeds`` row: its words, least significant first."""
+    return sum(int(word) << (32 * k) for k, word in enumerate(words))
+
+
+def seed_words(seeds):
+    """``_stream_seeds``' rows for int seeds below 2**128."""
+    return np.array(
+        [[seed >> (32 * k) & 0xFFFF_FFFF for k in range(4)] for seed in seeds], dtype=np.uint32
+    )
 
 
 # Stream seeds as the drivers make them, plus seeds of one, two, three and
@@ -277,6 +304,8 @@ LANE_SEEDS = [stream_seed(6, "lanes", 0, f"inst-{i:05d}") for i in range(200)] +
     2**96,
     2**128 - 1,
 ]
+# The same seeds in the form the lane functions read.
+LANE_WORDS = seed_words(LANE_SEEDS)
 
 
 def _columns(instances):
@@ -291,15 +320,37 @@ class TestLanes:
     """Reading many streams at once equals one numpy Generator per stream."""
 
     def test_seed_words_match_seed_sequence(self):
-        for seed, words in zip(LANE_SEEDS, _seed_words(LANE_SEEDS)):
+        drivers = _stream_seeds(6, "lanes", 0, [f"inst-{i:05d}" for i in range(200)])
+        assert np.array_equal(LANE_WORDS[:200], drivers)
+        assert list(map(seed_of, LANE_WORDS)) == LANE_SEEDS
+        for seed, words in zip(LANE_SEEDS, _seed_words(LANE_WORDS)):
             expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
             assert words.tolist() == expected.tolist(), seed
+
+    def test_step_matches_python_ints(self):
+        # The limb products and partial sums peak where every limb is
+        # 2**32 - 1, so the all-ones words are among the operands.
+        rng = np.random.default_rng(91)
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+        def words(first):
+            return np.array(first + rng.integers(0, 2**64, 200, dtype=np.uint64).tolist(), np.uint64)
+
+        hi, lo, inc_hi = words(edges), words(edges[::-1]), words(edges[1:] + edges[:1])
+        inc_lo = words(edges[2:] + edges[:2]) | np.uint64(1)
+        state = [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())]
+        inc = [(h << 64) | l for h, l in zip(inc_hi.tolist(), inc_lo.tolist())]
+        scratch = [np.empty_like(lo) for _ in range(4)] + [np.empty(lo.shape, dtype=bool)]
+        for _ in range(3):
+            _step(hi, lo, inc_hi, inc_lo, scratch)
+            state = [(s * _PCG_MULT + i) % 2**128 for s, i in zip(state, inc)]
+            assert [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())] == state
 
     @pytest.mark.parametrize("lanes", [3, 4096])
     def test_outputs_match_the_bit_generator(self, lanes, monkeypatch):
         monkeypatch.setattr(seeding, "_LANES", lanes)
-        got = _pcg64_outputs(LANE_SEEDS, 100)
-        doubles = _uniforms(LANE_SEEDS, 100)
+        got = _pcg64_outputs(LANE_WORDS, 100)
+        doubles = _uniforms(LANE_WORDS, 100)
         for seed, outputs, uniforms in zip(LANE_SEEDS, got, doubles):
             rng = np.random.default_rng(seed)
             assert outputs.tolist() == rng.bit_generator.random_raw(100).tolist(), seed
@@ -309,7 +360,7 @@ class TestLanes:
     def test_categorical_votes_match_sources(self, m):
         instances = gen_instances(len(LANE_SEEDS), m, P0Spec.uniform(0.05, 0.95), seed=8)
         for n in (0, 1, 63, 64, 65, 256, 300):
-            got = _categorical_votes(*_columns(instances), m, LANE_SEEDS, n)
+            got = _categorical_votes(*_columns(instances), m, LANE_WORDS, n)
             assert got.shape == (len(instances), n)
             for inst, seed, votes in zip(instances, LANE_SEEDS, got):
                 expected = CategoricalVoteSource(inst, seed).take(n)[0]
@@ -322,6 +373,7 @@ class TestLanes:
         # one pass per lane or three, so they read the last nine rows only,
         # which hold every hand-picked seed.
         seeds = LANE_SEEDS[:40] + LANE_SEEDS[-7:]
+        words = seed_words(seeds)
         instances = reference_corpus(len(seeds), m, P0Spec.uniform(0.05, 0.95), seed=8)
         for n in (1, 64, 256, 257, 1000):
             want = [
@@ -337,7 +389,7 @@ class TestLanes:
                 monkeypatch.setattr(seeding, "_LANES", lanes)
                 rows = slice(None) if lanes == 4096 else slice(-9, None)
                 true, p0 = _columns(instances[rows])
-                got = _categorical_votes(true, p0, m, seeds[rows], n)
+                got = _categorical_votes(true, p0, m, words[rows], n)
                 assert got.tolist() == want[rows], (m, n, lanes)
 
     @pytest.mark.parametrize("m", [2, 4, 37, 2**40, 2**62])
@@ -397,7 +449,7 @@ class TestLanes:
         probs = rng.dirichlet(np.full(m, 0.4), size=len(LANE_SEEDS))
         probs[0] = np.eye(m)[-1]
         for n in (0, 1, 64, 256, 300, 600):
-            uniforms = _uniforms(LANE_SEEDS, n)
+            uniforms = _uniforms(LANE_WORDS, n)
             got = _policy_votes(probs, uniforms)
             for p, seed, votes in zip(probs, LANE_SEEDS, got):
                 assert votes.tolist() == PolicyVoteSource(p, seed).take(n)[0].tolist()
@@ -413,7 +465,7 @@ class TestLanes:
         probs = np.where(zero, 0.0, probs)
         probs /= probs.sum(axis=1, keepdims=True)
         probs[:2] = np.eye(m)[[0, -1]]
-        uniforms = _uniforms(LANE_SEEDS, 64)
+        uniforms = _uniforms(LANE_WORDS, 64)
         got = _policy_votes(probs, uniforms)
         assert (probs[np.arange(len(probs))[:, None], got] > 0).all()
         for p, seed, votes in zip(probs, LANE_SEEDS, got):
