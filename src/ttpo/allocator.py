@@ -106,7 +106,7 @@ def allocate(source: VoteSource, config: StopperConfig) -> AllocationResult:
     return AllocationResult(
         pseudo_label=int(stops.label[0]),
         tau=tau,
-        decision_kind=stops.kind[0],
+        decision_kind=StopKind.STOP_LEADER if stops.stopped[0] else StopKind.BUDGET_EXHAUSTED,
         votes=tuple(zip(answers[:t].tolist(), cost_list)),
         retained=tuple(range(min(config.n_min, tau))),
         # Python ints: an exact sum, whatever the costs add up to.

@@ -51,8 +51,8 @@ from .version import __version__
 
 Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-# The report's name for each decision kind.
-_KIND_NAMES = {kind: kind.value for kind in StopKind}
+# The report's decision kind names, indexed by ``BatchStops.stopped``.
+_DECISIONS = np.array([StopKind.BUDGET_EXHAUSTED.value, StopKind.STOP_LEADER.value], dtype=object)
 
 
 def _slices(start: int, stop: int, size: int) -> list[slice]:
@@ -131,7 +131,7 @@ def _compare_rows(
             pseudo_correct,
             cost,
             _savings(cost, fixed_cost),
-            map(_KIND_NAMES.__getitem__, stops.kind),
+            _DECISIONS.take(stops.stopped).tolist(),
             stops.truncated.tolist(),
             fixed_cost,
             fixed,
@@ -233,11 +233,9 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
     ref_log_probs = _log_softmax(initial)
     logits = initial.copy()
     total_tau = np.zeros(count, dtype=np.int64)
-    # No overflow: the config caps cost_per_vote * rounds * m_max at int64.
-    total_cost = np.zeros(count, dtype=np.int64)
     labels = np.zeros(count, dtype=np.int64)
+    stopped = np.zeros(count, dtype=bool)
     truncated = np.zeros(count, dtype=bool)
-    kinds = [""] * count
     rounds, cost = config.rounds, config.cost_per_vote
     # The policy streams do not depend on the policy, so each chunk of
     # instances reads every round's uniforms at once, one lane per
@@ -247,13 +245,13 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
             [_stream_seeds(config.seed, "policy", r, ids[chunk]) for r in range(rounds)]
         )
         uniforms = _uniforms(seeds, m_max).reshape(rounds, -1, m_max)
+        # A policy source never runs dry: each row holds m_max votes over m answers.
+        lengths, sizes = (np.full(uniforms.shape[1], n) for n in (m_max, m))
         for round_index in range(rounds):
             probs = _softmax(logits[chunk])
             votes = _policy_votes(probs, uniforms[round_index])
-            votes, costs, lengths = _synthetic_draws(votes, cost)
-            stops = stop_batch(votes, lengths, np.full(len(votes), m), table)
+            stops = stop_batch(votes, lengths, sizes, table)
             total_tau[chunk] += stops.tau
-            total_cost[chunk] += _spent(costs, stops.tau)
             if config.mode == "ttpo_rl":
                 # Policy votes never run dry and m_max >= n_min, so every
                 # row stopped at or after its n_min warm-up votes. They
@@ -269,14 +267,15 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
                 logits[chunk] = sft_step(logits[chunk], probs, stops.label, update)
         # A row reports its last round's label, kind and truncation.
         labels[chunk] = stops.label
+        stopped[chunk] = stops.stopped
         truncated[chunk] = stops.truncated
-        kinds[chunk] = map(_KIND_NAMES.__getitem__, stops.kind)
 
-    # The fixed-budget baseline is deterministic here: every draw costs
-    # cost_per_vote, so a fixed arm would cost exactly budget * rounds.
+    # Every draw costs cost_per_vote, so the adaptive arm costs tau votes'
+    # worth and a fixed arm exactly budget * rounds. No overflow: the config
+    # caps cost_per_vote * rounds * m_max at int64.
     pre, post = _softmax(initial), _softmax(logits)
     fixed_cost = rounds * config.fixed_budget * cost
-    spent = total_cost.tolist()
+    spent = (total_tau * cost).tolist()
     rows = list(
         map(
             InstanceRow,
@@ -286,7 +285,7 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
             (labels == true).tolist(),
             spent,
             _savings(spent, repeat(fixed_cost)),
-            kinds,
+            _DECISIONS.take(stopped).tolist(),
             truncated.tolist(),
             repeat(fixed_cost),
             repeat(None),

@@ -75,8 +75,8 @@ class StopKind(Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-# A row's kind, indexed by whether it stopped on its leader.
-_KINDS = np.array([StopKind.BUDGET_EXHAUSTED, StopKind.STOP_LEADER], dtype=object)
+# The margin that keeps a clamped p0 inside (1/m, 1), so kappa > 1.
+P0_FLOOR_EPSILON = 1e-3
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class StopperConfig:
     ``p0_fixed`` pins the vote-accuracy model up front; when None, ``p0`` is
     estimated at ``t = n_min`` from the warm-up majority fraction scaled by
     ``degradation``. Either way the value is clamped into
-    ``(1/m + p0_floor_epsilon, 1 - p0_floor_epsilon)`` so kappa > 1.
+    ``(1/m + P0_FLOOR_EPSILON, 1 - P0_FLOOR_EPSILON)`` so kappa > 1.
     """
 
     budget: ErrorBudget = field(default_factory=ErrorBudget)
@@ -94,7 +94,6 @@ class StopperConfig:
     m_max: int = 64
     streak_k: int = 5
     degradation: float = 0.6
-    p0_floor_epsilon: float = 1e-3
     p0_fixed: float | None = None
 
     def __post_init__(self) -> None:
@@ -109,10 +108,6 @@ class StopperConfig:
         if not 0.0 < self.degradation <= 1.0:
             raise ConfigurationError(
                 f"degradation must be in (0, 1], got {self.degradation}"
-            )
-        if self.p0_floor_epsilon <= 0.0:
-            raise ConfigurationError(
-                f"p0_floor_epsilon must be > 0, got {self.p0_floor_epsilon}"
             )
         if self.p0_fixed is not None and not 0.0 < self.p0_fixed < 1.0:
             raise ConfigurationError(
@@ -180,7 +175,7 @@ def _majority_p0(config: StopperConfig, max_count: int, t: int, m: int) -> float
     accuracy when the leader is wrong, and shrinking it widens the gap
     thresholds rather than narrowing them.
     """
-    return clamp_p0(config.degradation * max_count / t, m, config.p0_floor_epsilon)
+    return clamp_p0(config.degradation * max_count / t, m, P0_FLOOR_EPSILON)
 
 
 class ThresholdTable:
@@ -204,7 +199,7 @@ class ThresholdTable:
         entry = self._entries.get(key)
         if entry is None:
             if config.p0_fixed is not None:
-                p0 = clamp_p0(config.p0_fixed, m, config.p0_floor_epsilon)
+                p0 = clamp_p0(config.p0_fixed, m, P0_FLOOR_EPSILON)
             else:
                 p0 = _majority_p0(config, warm_max, config.n_min, m)
             entry = self._entries[key] = (p0, compute_thresholds(config, p0, m))
@@ -217,6 +212,8 @@ class BatchStops:
 
     ``leader[i, s]`` is the plurality leader of row ``i``'s first ``s + 1``
     votes, ties to the lowest id, and ``label[i]`` is ``leader[i, tau[i] - 1]``.
+    ``stopped[i]`` is whether row ``i`` stopped on its leader
+    (``StopKind.STOP_LEADER``) rather than at the end of its votes or budget.
     ``gap_upper`` is the frozen threshold, 0 for a row that ran dry before
     an adaptive ``p0`` was frozen; ``gap`` and ``streak`` are the top-two
     gap and the run of consecutive threshold crossings after ``tau`` votes.
@@ -225,7 +222,7 @@ class BatchStops:
     tau: np.ndarray
     label: np.ndarray
     leader: np.ndarray
-    kind: tuple[StopKind, ...]
+    stopped: np.ndarray
     truncated: np.ndarray
     p0_used: np.ndarray
     gap_upper: np.ndarray
@@ -253,9 +250,9 @@ def stop_batch(
     if lengths.shape != (rows,) or m.shape != (rows,):
         raise ValueError("lengths and m need one entry per vote row")
     if rows == 0:
-        empty = np.empty(0, dtype=np.int64)
+        empty, no_flags = np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
         return BatchStops(
-            empty, empty, empty.reshape(0, votes.shape[1]), (), np.empty(0, dtype=bool),
+            empty, empty, empty.reshape(0, votes.shape[1]), no_flags, no_flags,
             np.empty(0), empty, empty, empty,
         )
     if m.min() < 2:
@@ -353,7 +350,7 @@ def stop_batch(
         tau=tau,
         label=leader[every, last],
         leader=leader,
-        kind=tuple(_KINDS.take(stopped.view(np.int8)).tolist()),
+        stopped=stopped,
         truncated=~stopped & (seen < config.m_max),
         p0_used=p0_used,
         gap_upper=threshold,

@@ -17,7 +17,13 @@ from enum import Enum
 from ttpo.allocator import AllocationResult, VoteSource
 from ttpo.consensus import AnswerId, AnswerModel, VoteTally, posterior
 from ttpo.errors import AllocationError, ConfigurationError
-from ttpo.stopper import StopKind, StopperConfig, clamp_p0, compute_thresholds
+from ttpo.stopper import (
+    P0_FLOOR_EPSILON,
+    StopKind,
+    StopperConfig,
+    clamp_p0,
+    compute_thresholds,
+)
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ class StopDecision:
 
 def _majority_p0(config: StopperConfig, max_count: int, t: int, m: int) -> float:
     """Degraded majority fraction of a t-vote tally, clamped above chance."""
-    return clamp_p0(config.degradation * max_count / t, m, config.p0_floor_epsilon)
+    return clamp_p0(config.degradation * max_count / t, m, P0_FLOOR_EPSILON)
 
 
 def estimate_p0(tally_at_n_min: VoteTally, config: StopperConfig, m: int) -> float:
@@ -127,7 +133,7 @@ class SprtStopper:
         self._model: AnswerModel | None = None
         self._gap_upper: int | None = None
         if config.p0_fixed is not None:
-            self._freeze(clamp_p0(config.p0_fixed, m, config.p0_floor_epsilon))
+            self._freeze(clamp_p0(config.p0_fixed, m, P0_FLOOR_EPSILON))
 
     def _freeze(self, p0: float) -> None:
         self._model = AnswerModel(p0=p0, m=self.m)

@@ -356,14 +356,14 @@ class TestSuffixInvariance:
 
     def test_stop_batch_rows(self):
         rng = np.random.default_rng(8800)
-        kinds = set()
+        stopped = set()
         for name, config in sorted(CASES.items()):
             width = config.m_max + 20
             votes, lengths, m = random_block(rng, 400, width, [2, 3, 4, 7])
             stops = stop_batch(votes, lengths, m, ThresholdTable(config))
             decided = np.flatnonzero(~stops.truncated)
             tau = stops.tau[decided]
-            kinds.update(stops.kind[i] for i in decided)
+            stopped.update(stops.stopped[decided].tolist())
             # Fresh votes after tau, and any row length from tau to the width.
             block = votes[decided]
             fresh = (rng.random(block.shape) * m[decided, None]).astype(np.int64)
@@ -373,8 +373,8 @@ class TestSuffixInvariance:
             )
             assert again.tau.tolist() == tau.tolist(), name
             assert again.label.tolist() == stops.label[decided].tolist(), name
-            assert again.kind == tuple(stops.kind[i] for i in decided), name
-        assert kinds == {StopKind.STOP_LEADER, StopKind.BUDGET_EXHAUSTED}
+            assert again.stopped.tolist() == stops.stopped[decided].tolist(), name
+        assert stopped == {True, False}
 
     # 20 of the 32 warm-up votes for "a", then "a"/"b" alternating up to 72
     # rollouts: over m = 2 the warm-up p0 clamps to 0.501 and the budget

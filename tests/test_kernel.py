@@ -1,6 +1,7 @@
 """The array stopping kernel against the per-vote oracle's ``allocate``."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ttpo.experiment import run_compare, run_ttpo
 from ttpo.report import render_report
 from ttpo.seeding import _LANES
 from ttpo.stopper import (
+    BatchStops,
     ErrorBudget,
     StopKind,
     StopperConfig,
@@ -59,13 +61,13 @@ def assert_matches_allocate(votes, lengths, m, config):
         assert (
             int(stops.tau[i]),
             int(stops.label[i]),
-            stops.kind[i],
+            bool(stops.stopped[i]),
             bool(stops.truncated[i]),
             float(stops.p0_used[i]),
         ) == (
             result.tau,
             result.pseudo_label,
-            result.decision_kind,
+            result.decision_kind is StopKind.STOP_LEADER,
             result.truncated,
             result.p0_used,
         ), (i, row.tolist(), config)
@@ -99,12 +101,12 @@ def test_kernel_matches_allocate_on_random_streams(name):
     for _ in range(6):
         votes, lengths, m = random_block(rng, 250, width, [2, 3, 4, 7])
         stops.append(assert_matches_allocate(votes, lengths, m, config))
-    kinds = {kind for s in stops for kind in s.kind}
+    stopped = np.concatenate([s.stopped for s in stops])
     truncated = np.concatenate([s.truncated for s in stops])
     taus = np.concatenate([s.tau for s in stops])
     # Every outcome path is exercised: stops, full budgets, and sources
     # running dry both before and after the warm-up ends.
-    assert kinds == {StopKind.STOP_LEADER, StopKind.BUDGET_EXHAUSTED}
+    assert set(stopped.tolist()) == {True, False}
     assert np.any(truncated & (taus < config.n_min))
     if config.n_min < config.m_max:
         assert np.any(truncated & (taus >= config.n_min))
@@ -157,7 +159,7 @@ def test_kernel_matches_stepped_oracle_on_a_lane_wide_block(config):
     votes, lengths, m = sparse_block(rng, _LANES + 300, config.m_max + 6)
     stops = assert_matches_allocate(votes, lengths, m, config)
     read_max = np.where(np.arange(votes.shape[1]) < lengths[:, None], votes, -1).max(axis=1)
-    assert set(stops.kind) == {StopKind.STOP_LEADER, StopKind.BUDGET_EXHAUSTED}
+    assert set(stops.stopped.tolist()) == {True, False}
     assert np.any(lengths < config.n_min)
     assert np.any((m == 64) & (read_max < 32)) and np.any((m == 64) & (read_max == 63))
     assert (
@@ -177,8 +179,35 @@ def test_kernel_reads_no_vote_past_the_budget():
     for block in (votes, tail):
         stops = stop_batch(block, [16], [3], ThresholdTable(config))
         assert stops.tau.tolist() == [10]
-        assert stops.kind == (StopKind.BUDGET_EXHAUSTED,)
+        assert stops.stopped.tolist() == [False]
         assert not stops.truncated[0]
+
+
+@pytest.mark.parametrize("name", ["short_warm_up", "p0_fixed"])
+def test_batch_stops_holds_arrays_only(name):
+    # Every field is an array with one entry per row (leader one per row and
+    # column), and stopped is the bool for the oracle's STOP_LEADER; so is a
+    # zero-row block's.
+    config = CASES[name]
+    rng = np.random.default_rng(sorted(CASES).index(name) + 7600)
+    width = config.m_max + 20
+    votes, lengths, m = random_block(rng, 300, width, [2, 3, 7])
+    table = ThresholdTable(config)
+    stops = stop_batch(votes, lengths, m, table)
+    empty = stop_batch(np.zeros((0, width), dtype=np.int64), [], [], table)
+    for block, rows in ((stops, len(votes)), (empty, 0)):
+        for field in fields(BatchStops):
+            value = getattr(block, field.name)
+            shape = (rows, width) if field.name == "leader" else (rows,)
+            assert isinstance(value, np.ndarray) and value.shape == shape, field.name
+        assert block.stopped.dtype == np.bool_
+    oracle = [
+        allocate(RecordedSource(int(m[i]), votes[i, : lengths[i]], np.ones(lengths[i])), config)
+        .decision_kind is StopKind.STOP_LEADER
+        for i in range(len(votes))
+    ]
+    assert stops.stopped.tolist() == oracle
+    assert set(oracle) == {True, False}
 
 
 def test_threshold_table_matches_compute_thresholds():
@@ -212,7 +241,7 @@ def test_kernel_rejects_bad_blocks():
     # Out-of-range entries past a row's length are padding, never read.
     assert stop_batch(np.array([[1, 1, 9, 9]]), [2], [2], table).label.tolist() == [1]
     empty = stop_batch(np.zeros((0, 4), dtype=np.int64), [], [], table)
-    assert empty.tau.size == 0 and empty.kind == ()
+    assert empty.tau.size == 0 and empty.stopped.size == 0
 
 
 def test_kernel_range_checks_votes_past_the_budget():
@@ -248,10 +277,9 @@ def test_dead_cells_never_count(name):
         garbage[i, lengths[i] :] = (fill * dead)[:dead]
     table = ThresholdTable(config)
     clean, dirty = stop_batch(zeroed, lengths, m, table), stop_batch(garbage, lengths, m, table)
-    for field in ("tau", "label", "leader", "truncated", "p0_used", "gap_upper", "gap", "streak"):
-        a, b = getattr(clean, field), getattr(dirty, field)
-        assert a.dtype == b.dtype and np.array_equal(a, b), field
-    assert clean.kind == dirty.kind
+    for field in fields(BatchStops):
+        a, b = getattr(clean, field.name), getattr(dirty, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
     assert (lengths < width).mean() > 0.9 and (m == 2**40).any()
 
 
@@ -302,14 +330,13 @@ def test_kernel_decides_alike_with_ids_spread_over_a_huge_answer_space(name):
     near, far = (np.where(live, block, padding) for block in (votes, ids[votes]))
     m = np.full(len(votes), HUGE_M)
     small, big = (stop_batch(block, lengths, m, ThresholdTable(config)) for block in (near, far))
-    for field in ("tau", "truncated", "p0_used", "gap_upper", "gap", "streak"):
+    for field in ("tau", "stopped", "truncated", "p0_used", "gap_upper", "gap", "streak"):
         assert np.array_equal(getattr(small, field), getattr(big, field)), field
-    assert small.kind == big.kind
     assert np.array_equal(ids[small.label], big.label)
     assert np.array_equal(ids[small.leader], big.leader)
     assert (big.leader[:20, 1::2] == ids[0]).all() and (big.label[:20] == ids[0]).all()
     # Every outcome path is exercised, and rows both run dry and outrun m_max.
-    assert set(big.kind) == {StopKind.STOP_LEADER, StopKind.BUDGET_EXHAUSTED}
+    assert set(big.stopped.tolist()) == {True, False}
     assert big.truncated.any() and (lengths > config.m_max).any()
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from oc_reference import gap_threshold, operating_characteristic
 from ttpo.seeding import _LANES, _stream_seeds
-from ttpo.stopper import ErrorBudget, StopKind, StopperConfig, ThresholdTable, stop_batch
+from ttpo.stopper import ErrorBudget, StopperConfig, ThresholdTable, stop_batch
 from ttpo.synth import P0Spec, _categorical_votes, _corpus
 
 GRID = [
@@ -95,7 +95,6 @@ def test_stop_batch_agrees_with_the_exact_error(m, p0):
         votes = _categorical_votes(true[rows], p0s[rows], m, seeds, budget)
         lengths = np.full(len(seeds), budget)
         stops = stop_batch(votes, lengths, np.full(len(seeds), m), table)
-        leader = np.array([kind is StopKind.STOP_LEADER for kind in stops.kind])
-        wrong += int((leader & (stops.label != true[rows])).sum())
+        wrong += int((stops.stopped & (stops.label != true[rows])).sum())
     sd = math.sqrt(oc.p_wrong * (1 - oc.p_wrong) / count)
     assert abs(wrong / count - oc.p_wrong) <= 3 * sd

@@ -5,6 +5,9 @@ The per-vote stepping rule (``SprtStopper``) is the oracle in
 tests stay here.
 """
 
+import math
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -94,6 +97,17 @@ class TestGapThresholds:
         # must walk the estimate back down to 2.
         assert gap_upper(0.072, 0.278, 0.76, 2) == 2
         assert gap_upper(0.1, 0.856, 0.375, 3) == 2
+
+    def test_undershooting_estimate_stepped_up(self):
+        # kappa = 3, and (1 - beta) / alpha lies just above kappa**2 = 9 but
+        # rounds to the float 9.0, so the quotient of logs is exactly 2.0:
+        # the exact check must step the estimate up to 3.
+        alpha, beta, p0, m = 0.1, 0.09999999999999999, 0.5, 4
+        ratio = (1 - Fraction(repr(beta))) / Fraction(repr(alpha))
+        assert ratio > 9 and float(ratio) == 9.0
+        assert math.ceil(math.log(float(ratio)) / math.log(3.0)) == 2
+        assert gap_upper(alpha, beta, p0, m) == 3
+        assert oracle_gap_thresholds(repr(alpha), repr(beta), repr(p0), m)[0] == 3
 
     def test_grid_matches_high_precision_oracle(self):
         alphas_betas = [
@@ -190,7 +204,6 @@ class TestStopperConfig:
             {"streak_k": 0},
             {"degradation": 0.0},
             {"degradation": 1.5},
-            {"p0_floor_epsilon": 0.0},
             {"p0_fixed": 1.0},
         ],
     )
