@@ -204,6 +204,7 @@ class TestStopperConfig:
             {"streak_k": 0},
             {"degradation": 0.0},
             {"degradation": 1.5},
+            {"p0_fixed": 0.0},
             {"p0_fixed": 1.0},
         ],
     )
