@@ -5,9 +5,10 @@ allocator against fixed-budget majority voting on a shared corpus, both
 arms reading one vote stream per instance, so the arms differ only in the
 rule that reads it, and one counting pass labels both. ``run_ttpo`` closes
 the loop on synthetic policies: allocate, pseudo-label, update, repeat.
-``run_ablation`` re-runs the comparison across one stopping-rule axis with
-everything else held fixed, including the random streams, so differences
-isolate the axis.
+``run_ablation`` runs the comparison at each value of one stopping-rule
+axis as one sweep, and ``run_compare`` is a sweep of one point: a sweep
+builds the corpus once, draws (or reads) and prices each chunk's votes
+once, and its points share the fixed arm, so differences isolate the axis.
 
 All drivers are deterministic in (config, seed). They take each instance's
 votes as arrays and decide a chunk of up to ``seeding._LANES`` instances
@@ -49,8 +50,6 @@ from .synth import (
 )
 from .version import __version__
 
-Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
-
 # The report's decision kind names, indexed by ``BatchStops.stopped``.
 _DECISIONS = np.array([StopKind.BUDGET_EXHAUSTED.value, StopKind.STOP_LEADER.value], dtype=object)
 
@@ -60,31 +59,21 @@ def _slices(start: int, stop: int, size: int) -> list[slice]:
     return [slice(first, min(first + size, stop)) for first in range(start, stop, size)]
 
 
-def _take_all(sources: list, n: int) -> Draws:
-    """Up to n draws from each source, zero-padded: (votes, costs, lengths)."""
+def _take_all(sources: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Up to n draws from each source, zero-padded: (votes, spent, lengths).
+
+    ``spent[i, t - 1]`` is the cost of source i's first t votes. It is exact:
+    a source's tokens sum to at most ``MAX_COST``, and the padding adds nothing.
+    """
     votes = np.zeros((len(sources), n), dtype=np.int64)
     costs = np.zeros_like(votes)
     lengths = np.empty(len(sources), dtype=np.int64)
     for row, source in enumerate(sources):
-        answers, spent = source.take(n)
+        answers, tokens = source.take(n)
         votes[row, : answers.size] = answers
-        costs[row, : answers.size] = spent
+        costs[row, : answers.size] = tokens
         lengths[row] = answers.size
-    return votes, costs, lengths
-
-
-def _spent(costs: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Per-row cost of the first tau votes."""
-    return np.where(np.arange(costs.shape[1]) < tau[:, None], costs, 0).sum(axis=1)
-
-
-def _synthetic_draws(votes: np.ndarray, cost: int) -> Draws:
-    """A synthetic source's draws: it never runs dry and every vote costs ``cost``."""
-    return (
-        votes,
-        np.broadcast_to(np.int64(cost), votes.shape),
-        np.full(votes.shape[0], votes.shape[1], dtype=np.int64),
-    )
+    return votes, costs.cumsum(axis=1, out=costs), lengths
 
 
 def _savings(cost: list[int], fixed_cost: Iterable[int]) -> list[float]:
@@ -99,45 +88,47 @@ Judge = Callable[[np.ndarray], Judged]
 
 
 def _compare_rows(
-    config: ExperimentConfig,
-    table: ThresholdTable,
-    ids: list[str],
-    m: np.ndarray,
-    draws: Draws,
-    judge: Judge,
-) -> list[InstanceRow]:
-    """Both arms over one chunk of instances: the chunk's comparison rows.
+    fixed_budget: int, tables: list[ThresholdTable], ids: list[str], chunk: tuple, rows: list
+) -> None:
+    """Both arms over one chunk of instances, appended to each sweep point's rows.
 
-    Both arms read the same votes, and one ``stop_batch`` call counts them
-    for both. The adaptive arm's tau, pseudo-label, decision kind, truncated
-    flag and cost come from it; the fixed arm's label is its ``leader``
-    after the first ``fixed_budget`` votes (fewer where a replay runs dry),
-    and each arm pays for the votes it read. ``judge`` maps a column of
-    answer ids to the labels the report shows and whether each is correct.
+    ``chunk`` holds the instances' answer-space sizes, votes, lengths and
+    prefix costs, in ``_take_all``'s layout, and a judge, which maps a column
+    of answer ids to the labels the report shows and whether each is correct.
+    The chunk is read once, and every point decides the same votes. The
+    fixed arm's label is the plurality ``leader`` after the first
+    ``fixed_budget`` votes (fewer where a replay runs dry), which no stopping
+    rule moves, so the points share one fixed arm; each point's
+    ``stop_batch`` call decides its adaptive arm. Each arm pays for the
+    votes it read.
     """
-    votes, costs, lengths = draws
-    stops = stop_batch(votes, lengths, m, table)
-    fixed_tau = np.minimum(lengths, config.fixed_budget)
-    cost = _spent(costs, stops.tau).tolist()
-    fixed_cost = _spent(costs, fixed_tau).tolist()
-    pseudo, pseudo_correct = judge(stops.label)
-    fixed, fixed_correct = judge(stops.leader[np.arange(len(ids)), fixed_tau - 1])
-    return list(
-        map(
-            InstanceRow,
-            ids,
-            stops.tau.tolist(),
-            pseudo,
-            pseudo_correct,
-            cost,
-            _savings(cost, fixed_cost),
-            _DECISIONS.take(stops.stopped).tolist(),
-            stops.truncated.tolist(),
-            fixed_cost,
-            fixed,
-            fixed_correct,
+    m, votes, lengths, spent, judge = chunk
+    every = np.arange(len(ids))
+    fixed_last = np.minimum(lengths, fixed_budget) - 1
+    fixed_cost = spent[every, fixed_last].tolist()
+    fixed = None
+    for table, point_rows in zip(tables, rows):
+        stops = stop_batch(votes, lengths, m, table)
+        if fixed is None:
+            fixed, fixed_correct = judge(stops.leader[every, fixed_last])
+        cost = spent[every, stops.tau - 1].tolist()
+        pseudo, pseudo_correct = judge(stops.label)
+        point_rows.extend(
+            map(
+                InstanceRow,
+                ids,
+                stops.tau.tolist(),
+                pseudo,
+                pseudo_correct,
+                cost,
+                _savings(cost, fixed_cost),
+                _DECISIONS.take(stops.stopped).tolist(),
+                stops.truncated.tolist(),
+                fixed_cost,
+                fixed,
+                fixed_correct,
+            )
         )
-    )
 
 
 def _synthetic_judge(true: np.ndarray) -> Judge:
@@ -160,6 +151,44 @@ def _trace_judge(sources: list[TraceVoteSource], labels: dict[str, str]) -> Judg
     return judge
 
 
+def _sweep(points: list[ExperimentConfig]) -> list[ExperimentReport]:
+    """Each point's comparison report; the points differ only in the stopping rule."""
+    config = points[0]
+    tables = [ThresholdTable(point.stopper) for point in points]
+    width = max(config.m_max, config.fixed_budget)
+    if config.corpus == "synthetic":
+        ids, true, p0 = _corpus(config.count, config.m, config.p0, config.seed)
+        # A synthetic source never runs dry and each vote costs cost_per_vote;
+        # the config caps width * cost_per_vote at MAX_COST.
+        spent = np.arange(1, width + 1, dtype=np.int64) * config.cost_per_vote
+
+        def chunk_of(part: slice) -> tuple:
+            seeds = _stream_seeds(config.seed, "adaptive", 0, ids[part])
+            votes = _categorical_votes(true[part], p0[part], config.m, seeds, width)
+            sizes, lengths = (np.full(len(seeds), n) for n in (config.m, width))
+            judge = _synthetic_judge(true[part])
+            return sizes, votes, lengths, np.broadcast_to(spent, votes.shape), judge
+
+    else:
+        sources = list(load_trace(config.trace).values())
+        labels = load_labels(config.labels) if config.labels else {}
+        ids = [source.instance_id for source in sources]
+
+        def chunk_of(part: slice) -> tuple:
+            batch: list[TraceVoteSource] = sources[part]
+            votes, spent, lengths = _take_all(batch, width)
+            sizes = np.array([source.m for source in batch])
+            return sizes, votes, lengths, spent, _trace_judge(batch, labels)
+
+    rows: list[list[InstanceRow]] = [[] for _ in points]
+    for part in _slices(0, len(ids), _LANES):
+        _compare_rows(config.fixed_budget, tables, ids[part], chunk_of(part), rows)
+    return [
+        build_report(point_rows, config_echo(point), point.seed, __version__)
+        for point, point_rows in zip(points, rows)
+    ]
+
+
 def run_compare(config: ExperimentConfig) -> ExperimentReport:
     """Race adaptive allocation against fixed-budget majority voting.
 
@@ -169,40 +198,8 @@ def run_compare(config: ExperimentConfig) -> ExperimentReport:
     lane chunk at a time.
     """
     if config.mode != "compare":
-        raise ConfigurationError(
-            f"run_compare needs mode 'compare', got {config.mode!r}"
-        )
-    table = ThresholdTable(config.stopper)
-    width = max(config.m_max, config.fixed_budget)
-    if config.corpus == "synthetic":
-        ids, true, p0 = _corpus(config.count, config.m, config.p0, config.seed)
-
-        def chunk_of(part: slice) -> tuple[np.ndarray, Draws, Judge]:
-            seeds = _stream_seeds(config.seed, "adaptive", 0, ids[part])
-            votes = _categorical_votes(true[part], p0[part], config.m, seeds, width)
-            return (
-                np.full(len(seeds), config.m),
-                _synthetic_draws(votes, config.cost_per_vote),
-                _synthetic_judge(true[part]),
-            )
-
-    else:
-        sources = list(load_trace(config.trace).values())
-        labels = load_labels(config.labels) if config.labels else {}
-        ids = [source.instance_id for source in sources]
-
-        def chunk_of(part: slice) -> tuple[np.ndarray, Draws, Judge]:
-            batch: list[TraceVoteSource] = sources[part]
-            return (
-                np.array([source.m for source in batch]),
-                _take_all(batch, width),
-                _trace_judge(batch, labels),
-            )
-
-    rows = []
-    for part in _slices(0, len(ids), _LANES):
-        rows.extend(_compare_rows(config, table, ids[part], *chunk_of(part)))
-    return build_report(rows, config_echo(config), config.seed, __version__)
+        raise ConfigurationError(f"run_compare needs mode 'compare', got {config.mode!r}")
+    return _sweep([config])[0]
 
 
 def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
@@ -302,11 +299,13 @@ def run_ttpo(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_ablation(config: ExperimentConfig) -> list[ExperimentReport]:
-    """One comparison report per axis value, sharing corpus and streams.
+    """One comparison report per axis value, sharing corpus, streams and fixed arm.
 
-    Each report runs ``config.point(value)``: the config as a comparison,
-    with only the swept axis changed.
+    Each report is ``config.point(value)``'s comparison: the config as a
+    comparison, with only the swept axis changed. The points share one
+    sweep, so each chunk's votes are drawn or read, and its fixed arm
+    decided, once for all of them.
     """
     if config.mode != "ablate":
         raise ConfigurationError(f"run_ablation needs mode 'ablate', got {config.mode!r}")
-    return [run_compare(config.point(value)) for value in config.values]
+    return _sweep([config.point(value) for value in config.values])

@@ -434,6 +434,63 @@ def test_ablation_reports_echo_overridden_values():
     assert [r.config["beta"] for r in reports] == ["0.01", "0.1"]
 
 
+@pytest.mark.parametrize("corpus", ["synthetic", "trace"])
+def test_sweep_reads_each_chunk_once(corpus, tmp_path, monkeypatch):
+    # Seven instances in lanes of three are three chunks. A three-value
+    # sweep draws (or takes) each chunk's votes once and loads the trace
+    # once, not once per point, and still renders the per-vote oracle's bytes.
+    mapping = {"mode": "ablate", "axis": "alpha_beta", "values": "0.01,0.05,0.2",
+               "count": "7", "p0": "uniform:0.4,0.9", "n_min": "4", "seed": "5"}
+    if corpus == "trace":
+        trace, labels = tmp_path / "t.jsonl", tmp_path / "gold.csv"
+        answers = ["a", "b", "a", "c", "a", "a", "b", "a", "a", "a", "a", "a"]
+        write_trace(trace, {f"q{i}": [(x, i + 1) for x in answers[i:]] for i in range(7)})
+        labels.write_text("instance_id,answer\nq0,a\nq3,b\n")
+        mapping.update(corpus="trace", trace=str(trace), labels=str(labels))
+    config = resolve_config(mapping)
+    calls = {"_categorical_votes": 0, "_take_all": 0, "load_trace": 0}
+
+    def counted(name):
+        inner = getattr(experiment, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(experiment, "_LANES", 3)
+    for name in calls:
+        monkeypatch.setattr(experiment, name, counted(name))
+    got = run_ablation(config)
+    if corpus == "synthetic":
+        assert calls == {"_categorical_votes": 3, "_take_all": 0, "load_trace": 0}
+    else:
+        assert calls == {"_categorical_votes": 0, "_take_all": 3, "load_trace": 1}
+    want = reference_ablation(config)
+    for fmt in ("json", "csv"):
+        assert [render_report(r, fmt) for r in got] == [render_report(r, fmt) for r in want]
+
+
+def test_replay_costs_reach_max_cost_exactly(tmp_path):
+    # One instance whose two rollouts' tokens sum to exactly 2**63 - 1: both
+    # arms read both rollouts, so each pays every token, with no overflow
+    # and no rounding, in a comparison and at every point of a sweep.
+    trace, labels = tmp_path / "t.jsonl", tmp_path / "gold.csv"
+    write_trace(trace, {"edge": [("a", 2**62), ("b", 2**62 - 1)]})
+    labels.write_text("instance_id,answer\nedge,a\n")
+    common = {"corpus": "trace", "trace": str(trace), "labels": str(labels)}
+    compare = resolve_config({"mode": "compare", **common})
+    sweep = resolve_config({"mode": "ablate", "axis": "n_min", "values": "1,32", **common})
+    reports = [run_compare(compare), *run_ablation(sweep)]
+    assert len(reports) == 3
+    for report in reports:
+        (row,) = report.rows
+        assert row.tau == 2
+        assert row.cost == row.fixed_cost == MAX_COST
+        assert row.savings_fraction == 0.0
+
+
 def test_report_json_is_loadable_structure():
     doc = json.loads(render_report(run_compare(compare_config(count=5)), "json"))
     assert doc["config"]["count"] == "5"
