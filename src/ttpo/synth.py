@@ -33,7 +33,12 @@ sum too high is one naming the instance.
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import pickle
+import stat
+import warnings
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -391,13 +396,253 @@ def _open_corpus_file(path: str | Path, what: str, newline: str | None = None):
             ) from exc
 
 
+def _group_lines(lines, grouped: dict[str, list]) -> None:
+    """Read trace lines into ``grouped``, one instance's columns per key.
+
+    ``grouped`` maps instance_id -> [id_by_answer, ids, tokens,
+    position_by_index or None], and the lines add to what it holds. Line
+    numbers in errors count from 1 at the first of ``lines``.
+    """
+    from array import array
+
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            raw, end = _scan_value(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            raw = end = None
+        if type(raw) is dict and line[end:] in ("\n", ""):
+            instance_id = raw.get("instance_id")
+            index = raw.get("rollout_index")
+            answer = raw.get("answer")
+            tokens = raw.get("tokens")
+            if not (
+                type(instance_id) is str
+                and type(index) is int
+                and type(answer) is str
+                and type(tokens) is int
+                and index >= 0
+                and 1 <= tokens <= MAX_COST
+            ):
+                instance_id, index, answer, tokens = _parse_trace_line(line_no, line)
+        elif not line.strip():
+            continue
+        else:
+            instance_id, index, answer, tokens = _parse_trace_line(line_no, line)
+        columns = grouped.get(instance_id)
+        if columns is None:
+            columns = grouped[instance_id] = [{}, array("q"), array("q"), None]
+        id_by_answer, ids, costs, position_by_index = columns
+        position = len(ids)
+        if position_by_index is not None or index != position:
+            if position_by_index is None:
+                position_by_index = columns[3] = {i: i for i in range(position)}
+            if index in position_by_index:
+                raise CorpusError(
+                    f"trace line {line_no}: duplicate rollout_index "
+                    f"{index} for instance {instance_id!r}"
+                )
+            position_by_index[index] = position
+        answer_id = id_by_answer.get(answer)
+        if answer_id is None:
+            answer_id = id_by_answer[answer] = len(id_by_answer)
+        ids.append(answer_id)
+        costs.append(tokens)
+
+
+def _merge_halves(grouped: dict[str, list], later: dict[str, list]) -> bool:
+    """Add the state of the lines after a split to that of the lines before it.
+
+    ``grouped`` ends as one ``_group_lines`` pass over both halves would
+    leave it: the later half counted its positions from 0 per instance, and
+    its answer ids are renumbered into the earlier half's first-seen order.
+    An instance with lines in both halves keeps its index map even when its
+    lines are in index order, which builds the same source. False when both
+    halves hold one instance's ``rollout_index``; ``grouped`` is then spoilt.
+    """
+    for instance_id, columns in later.items():
+        head = grouped.setdefault(instance_id, columns)
+        if head is columns:
+            continue
+        id_by_answer, ids, costs, position_by_index = head
+        later_answers, later_ids, later_costs, later_positions = columns
+        offset = len(ids)
+        if position_by_index is None:
+            position_by_index = {i: i for i in range(offset)}
+        if later_positions is None:
+            later_positions = {i: i for i in range(len(later_ids))}
+        for index, position in later_positions.items():
+            if index in position_by_index:
+                return False
+            position_by_index[index] = offset + position
+        head[3] = position_by_index
+        renumber = [id_by_answer.setdefault(answer, len(id_by_answer)) for answer in later_answers]
+        ids.extend(map(renumber.__getitem__, later_ids))
+        costs.extend(later_costs)
+    return True
+
+
+# Traces this large or larger are read as two halves at once, the second by
+# a forked helper process, when a second CPU is there to run it. Fork, pipe
+# and pickle cost a fixed ~3 ms, which equals half the one-process read at
+# ~450-500 KB (~5-6k lines of `perfbench`'s replay trace). Min of 40
+# alternating loads, one process vs two, on a 2-vCPU x86-64 host with
+# Python 3.11: 7.8 vs 8.2 ms at 400 KB, 9.7 vs 9.4 ms at 500 KB, 19.2 vs
+# 15.9 ms at 1 MB.
+_SPLIT_MIN_BYTES = 500_000
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (a CPU quota below that is not seen)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``[start, end)`` of an open file, read with ``os.pread``."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        self._fd, self._pos, self._end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self._fd, min(len(buffer), self._end - self._pos), self._pos)
+        buffer[: len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+
+def _group_range(fd: int, start: int, end: int, grouped: dict[str, list]) -> None:
+    """``_group_lines`` over bytes ``[start, end)`` of a file, decoded as a
+    whole-file read decodes them; a line ending splits no UTF-8 character."""
+    buffer = io.BufferedReader(_ByteRange(fd, start, end))
+    with io.TextIOWrapper(buffer, encoding="utf-8") as lines:
+        _group_lines(lines, grouped)
+
+
+def _split_offset(fd: int, size: int) -> int | None:
+    """Offset just past the first ``\n`` byte at or after the middle of the
+    file, or None when no such byte leaves a second half to read."""
+    offset = size // 2
+    while offset < size:
+        chunk = os.pread(fd, 1 << 16, offset)
+        if not chunk:
+            return None
+        found = chunk.find(b"\n")
+        if found >= 0:
+            split = offset + found + 1
+            return split if split < size else None
+        offset += len(chunk)
+    return None
+
+
+def _group_halves(path: str | Path) -> dict[str, list] | None:
+    """The ``_group_lines`` state of a trace read as two halves at once.
+
+    None when the file is not to be split (not a regular file, too small,
+    one usable CPU, no ``os.fork``) or when anything goes wrong: a line
+    error or undecodable bytes in either half, a ``rollout_index`` in both
+    halves, or a helper that failed or died. The caller then reads the
+    whole file in one pass, which raises exactly the error a one-pass read
+    raises, line number and all. Only a regular file is split, since the
+    fall-back reads it a second time.
+    """
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        return None
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return None
+    pid = 0
+    try:
+        size = os.fstat(fd).st_size
+        split = _split_offset(fd, size) if size >= _SPLIT_MIN_BYTES else None
+        if split is None:
+            return None
+        try:
+            read_end, write_end = os.pipe()
+        except OSError:
+            return None
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns when a process with threads forks (numpy's
+                # BLAS starts some at import), since the child may inherit a
+                # lock a thread held. That is safe here: the helper runs only
+                # json, array and pickle on what it reads itself, then leaves
+                # through os._exit.
+                warnings.filterwarnings(
+                    "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+                )
+                pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            return None
+        if pid == 0:
+            # The helper: group the second half, send it, exit without
+            # running any cleanup or finaliser that belongs to the parent,
+            # so no garbage collection either.
+            status = 1
+            try:
+                import gc
+
+                gc.disable()
+                os.close(read_end)
+                later: dict[str, list] = {}
+                _group_range(fd, split, size, later)
+                with open(write_end, "wb") as pipe:
+                    # Fast mode writes no memo, so the reader does not keep
+                    # every column's bytes alive until the load ends. Nothing
+                    # in the state is shared or refers to itself.
+                    pickler = pickle.Pickler(pipe, pickle.HIGHEST_PROTOCOL)
+                    pickler.fast = True
+                    pickler.dump(later)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        grouped: dict[str, list] = {}
+        with open(read_end, "rb") as pipe:
+            try:
+                _group_range(fd, 0, split, grouped)
+            except (CorpusError, UnicodeDecodeError):
+                return None
+            try:
+                later = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the helper sent nothing whole
+                return None
+        status = os.waitpid(pid, 0)[1]
+        pid = 0
+        if status != 0 or not _merge_halves(grouped, later):
+            return None
+        return grouped
+    finally:
+        os.close(fd)
+        if pid:
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def load_trace(path: str | Path) -> dict[str, TraceVoteSource]:
     """Load a line-delimited trace file into per-instance replay sources.
 
-    Each line is decoded once. A line that is exactly one well-formed record
-    object (plus its newline) is taken straight from the decoded dict; any
-    other line goes through ``_parse_trace_line``, which accepts it or
-    raises the error that names it.
+    A line that is exactly one well-formed record object (plus its newline)
+    is taken straight from its decoded dict; any other line goes through
+    ``_parse_trace_line``, which accepts it or raises the error that names
+    it.
+
+    A regular file of at least ``_SPLIT_MIN_BYTES`` is cut after the first
+    ``\n`` past its middle when two CPUs are usable, and a forked helper
+    reads the second half while this process reads the first
+    (``_group_halves``). The halves are merged in file order into what one
+    pass leaves. If anything goes wrong, both halves are dropped and the
+    file is read again in one pass, so errors and their line numbers are
+    those of a one-pass read, and a line may then be decoded twice. FIFOs
+    and other files that cannot be read twice are always read in one pass.
 
     No record outlives its line. Each instance keeps an answer-to-id dict in
     first-seen order and ``array('q')`` columns of ids and tokens in line
@@ -408,53 +653,11 @@ def load_trace(path: str | Path) -> dict[str, TraceVoteSource]:
     which finds duplicates; at the end such an instance is put in index
     order and its ids are renumbered in first-seen order over it.
     """
-    from array import array
-
-    # instance_id -> [id_by_answer, ids, tokens, position_by_index or None]
-    grouped: dict[str, list] = {}
-    with _open_corpus_file(path, "trace") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            try:
-                raw, end = _scan_value(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                raw = end = None
-            if type(raw) is dict and line[end:] in ("\n", ""):
-                instance_id = raw.get("instance_id")
-                index = raw.get("rollout_index")
-                answer = raw.get("answer")
-                tokens = raw.get("tokens")
-                if not (
-                    type(instance_id) is str
-                    and type(index) is int
-                    and type(answer) is str
-                    and type(tokens) is int
-                    and index >= 0
-                    and 1 <= tokens <= MAX_COST
-                ):
-                    instance_id, index, answer, tokens = _parse_trace_line(line_no, line)
-            elif not line.strip():
-                continue
-            else:
-                instance_id, index, answer, tokens = _parse_trace_line(line_no, line)
-            columns = grouped.get(instance_id)
-            if columns is None:
-                columns = grouped[instance_id] = [{}, array("q"), array("q"), None]
-            id_by_answer, ids, costs, position_by_index = columns
-            position = len(ids)
-            if position_by_index is not None or index != position:
-                if position_by_index is None:
-                    position_by_index = columns[3] = {i: i for i in range(position)}
-                if index in position_by_index:
-                    raise CorpusError(
-                        f"trace line {line_no}: duplicate rollout_index "
-                        f"{index} for instance {instance_id!r}"
-                    )
-                position_by_index[index] = position
-            answer_id = id_by_answer.get(answer)
-            if answer_id is None:
-                answer_id = id_by_answer[answer] = len(id_by_answer)
-            ids.append(answer_id)
-            costs.append(tokens)
+    grouped = _group_halves(path)
+    if grouped is None:
+        grouped = {}
+        with _open_corpus_file(path, "trace") as handle:
+            _group_lines(handle, grouped)
     sources = {}
     for instance_id, columns in grouped.items():
         id_by_answer, ids, costs, position_by_index = columns

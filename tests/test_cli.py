@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,59 @@ def test_replay_positional_trace(tmp_path, capsys):
     assert doc["config"]["corpus"] == "trace"
     assert doc["rows"][0]["instance_id"] == "q1"
     assert doc["rows"][0]["pseudo_correct"] is True
+
+
+def test_replay_from_a_fifo_matches_a_regular_file(tmp_path):
+    """A trace replayed from a regular file, then from a FIFO at the same
+    path, with the size floor for a two-half read set to 0. A FIFO can be
+    read only once, so it must never be opened to be split; a replay that
+    opened it twice could hang, hence the time limit."""
+    lines = [
+        canonical_trace_line(TraceRecord(f"q{i % 97}", i // 97, "ab"[i % 3 == 0], 3))
+        for i in range(3_000)
+    ]
+    data = ("\n".join(lines) + "\n").encode()
+    trace = tmp_path / "trace.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    # Each file considered for a split prints its size on stderr.
+    program = (
+        "import sys; from ttpo import cli, synth; "
+        "synth._SPLIT_MIN_BYTES = 0; synth._usable_cpus = lambda: 2; "
+        "split = synth._split_offset; "
+        "synth._split_offset = lambda fd, size: print(size, file=sys.stderr) or split(fd, size); "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+
+    def replay():
+        return subprocess.run(
+            [sys.executable, "-c", program, "replay", str(trace), "--format", "csv"],
+            env=env, capture_output=True, timeout=60,
+        )
+
+    trace.write_bytes(data)
+    regular = replay()
+    trace.unlink()
+    os.mkfifo(trace)
+
+    def feed():
+        try:
+            with open(trace, "wb") as fifo:
+                fifo.write(data)
+        except OSError:
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        piped = replay()
+    finally:
+        if writer.is_alive():  # the replay never opened the FIFO: release the writer
+            os.close(os.open(trace, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (regular.returncode, regular.stderr) == (0, f"{len(data)}\n".encode())
+    assert (piped.returncode, piped.stderr, piped.stdout) == (0, b"", regular.stdout)
+    assert regular.stdout.count(b"\nq") == 97
 
 
 def test_replay_trace_from_config_file(tmp_path, capsys):

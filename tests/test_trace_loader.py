@@ -2,12 +2,19 @@
 
 ``trace_reference`` keeps the loader that ``ttpo.synth.load_trace`` replaced.
 On valid traces both must build the same sources; on malformed ones both
-must raise the same error with the same message.
+must raise the same error with the same message. Each differential test
+runs twice through the ``ingest`` fixture: under its own name with every
+trace read in one process, and as ``<name>_in_halves`` with every trace that
+has a second half read as two halves at once, the second by a forked helper.
 """
 
 import json
+import os
 import random
+import signal
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +23,39 @@ from hypothesis import strategies as st
 
 import trace_reference
 from stopper_reference import draw
+from ttpo import synth
 from ttpo.errors import CorpusError
 from ttpo.synth import _parse_trace_line, load_trace
+
+
+@pytest.fixture
+def ingest(request, monkeypatch):
+    """Sends every ``load_trace`` call of a differential test down one path:
+    two halves at once, at any size, in the tests named ``*_in_halves``
+    (see the end of this file), one process in the others. Records, per
+    call, where the file was split (``splits``) and whether the two halves
+    were merged (``merged``; False when the trace was read in one pass)."""
+    two = request.node.originalname.endswith("_in_halves")
+    if two:
+        monkeypatch.setattr(synth, "_SPLIT_MIN_BYTES", 0)
+    else:
+        monkeypatch.setattr(os, "fork", None)  # any fork would fail the test
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: 2 if two else 1)
+    seen = SimpleNamespace(two=two, splits=[], merged=[])
+    split_offset, group_halves = synth._split_offset, synth._group_halves
+
+    def recorded_split(fd, size):
+        seen.splits.append(split_offset(fd, size))
+        return seen.splits[-1]
+
+    def recorded_halves(path):
+        grouped = group_halves(path)
+        seen.merged.append(grouped is not None)
+        return grouped
+
+    monkeypatch.setattr(synth, "_split_offset", recorded_split)
+    monkeypatch.setattr(synth, "_group_halves", recorded_halves)
+    return seen
 
 
 def line(instance_id="q1", rollout_index=0, answer="a", tokens=5, **extra):
@@ -46,8 +84,26 @@ def lines_of(*rollouts, instance_id="q1"):
 
 def write(tmp_path, text, name="trace.jsonl"):
     path = tmp_path / name
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     return path
+
+
+def split_after(head, tail):
+    """``head + tail`` padded with whitespace-only lines, at the start or the
+    end, so that a two-half read splits it right after ``head``, which ends
+    in a line ending with a ``\n`` byte, as ``tail`` does. Takes and gives
+    str or bytes; ``SPLIT_AT`` records where the split falls."""
+    text = isinstance(head, str)
+    head_bytes, tail_bytes = (head.encode(), tail.encode()) if text else (head, tail)
+    assert head_bytes.endswith(b"\n") and tail_bytes.endswith(b"\n")
+    # The split is just past the first \n at or after the middle byte, and
+    # head's last byte is the middle when the end padding minus the start
+    # padding is len(head) - len(tail) - 2.
+    skew = len(head_bytes) - len(tail_bytes) - 2
+    start = b" " * (-skew - 1) + b"\n" if skew < 0 else b""
+    end = b" " * (skew - 1) + b"\n" if skew > 0 else b""
+    padded = start + head_bytes + tail_bytes + end
+    return SimpleNamespace(text=padded.decode() if text else padded, split=len(start + head_bytes))
 
 
 def summary(source):
@@ -99,7 +155,7 @@ def valid_trace(rng):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_valid_traces_match_reference(tmp_path, seed):
+def test_valid_traces_match_reference(tmp_path, seed, ingest):
     rng = random.Random(seed)
     lines = valid_trace(rng)
     # Layout variants the line grammar allows: blank lines, CRLF endings,
@@ -116,10 +172,11 @@ def test_valid_traces_match_reference(tmp_path, seed):
     assert got == outcome(trace_reference.load_trace, path)
     assert len(got[0]) == 25
     assert 2 in [source["m"] for source in got[1]]  # a unanimous or one-rollout source
+    assert ingest.merged == [ingest.two]
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_partly_ordered_traces_match_reference(tmp_path, seed):
+def test_partly_ordered_traces_match_reference(tmp_path, seed, ingest):
     """Instances in index order, in order and then shuffled, and reversed,
     merged so that each keeps its own line order."""
     rng = random.Random(seed)
@@ -151,6 +208,7 @@ def test_partly_ordered_traces_match_reference(tmp_path, seed):
     got = outcome(load_trace, path)
     assert got == outcome(trace_reference.load_trace, path)
     assert len(got[0]) == 12
+    assert ingest.merged == [ingest.two]
 
 
 @st.composite
@@ -177,7 +235,7 @@ def small_traces(draw):
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(text=small_traces())
-def test_small_traces_match_reference(tmp_path, text):
+def test_small_traces_match_reference(tmp_path, ingest, text):
     path = write(tmp_path, text)
     assert outcome(load_trace, path) == outcome(trace_reference.load_trace, path)
 
@@ -269,14 +327,154 @@ MALFORMED = {
     ),
 }
 
+# Two-half reads split these right after the first part. The file as a whole
+# decides what is accepted and which error comes first.
+SPLIT_EDGES = {
+    name: split_after(head, tail)
+    for name, (head, tail) in {
+        "split-straddling-instance": (
+            lines_of((0, "a"), (1, "b"), (2, "a")) + line("q2", 0, "x") + "\n",
+            lines_of((3, "c"), (4, "b"), (5, "a")) + line("q2", 1, "a") + "\n",
+        ),
+        "split-straddling-out-of-order": (
+            lines_of((2, "a"), (0, "b")) + lines_of((1, "x"), instance_id="q2"),
+            lines_of((1, "c"), (3, "b")) + lines_of((0, "y"), instance_id="q2"),
+        ),
+        "split-straddling-in-order-then-not": (
+            lines_of((0, "a"), (1, "b")),
+            lines_of((3, "c"), (2, "a")),
+        ),
+        "split-straddling-not-dense": (lines_of((0, "a"), (1, "b")), lines_of((3, "c"))),
+        "split-second-half-restarts-at-zero": (
+            lines_of((0, "a"), (1, "b")),
+            lines_of((0, "c"), (1, "a")),
+        ),
+        "split-duplicate-across-halves": (
+            lines_of((0, "a"), (1, "b")),
+            lines_of((2, "a"), (1, "c")),
+        ),
+        "split-bad-line-then-duplicate-across-halves": (
+            lines_of((0, "a"), (1, "b")),
+            "not json\n" + lines_of((0, "c")),
+        ),
+        "split-duplicate-across-halves-then-bad-line": (
+            lines_of((0, "a"), (1, "b")),
+            lines_of((0, "c")) + "not json\n",
+        ),
+        "split-bad-line-before-split-duplicate-after": (
+            lines_of((0, "a")) + "{\n" + lines_of((1, "b")),
+            lines_of((1, "c")),
+        ),
+        "split-at-crlf": (
+            lines_of((0, "a")).replace("\n", "\r\n") + line(rollout_index=1) + "\r\n",
+            line(rollout_index=2) + "\r\n" + line(rollout_index=3) + "\r\n",
+        ),
+        "split-at-lone-cr": (
+            line(rollout_index=0) + "\r" + line(rollout_index=1) + "\n",
+            "\r" + line(rollout_index=2) + "\r\r" + line(rollout_index=3) + "\n",
+        ),
+        "split-after-multibyte": (
+            line(rollout_index=0) + "\n"
+            + '{"instance_id": "q1", "rollout_index": 1, "tokens": 5, "answer": "é€"}\n',
+            '{"answer": "∞", "instance_id": "q1", "rollout_index": 2, "tokens": 5}\n',
+        ),
+        "split-before-multibyte": (lines_of((0, "a"), (1, "b")), "\u00a0" + GOOD + "\n"),
+        "split-invalid-utf8-in-first-half": (
+            GOOD.encode() + b"\n\xff\xfe\n",
+            line(rollout_index=1).encode() + b"\n",
+        ),
+        "split-invalid-utf8-in-second-half": (
+            GOOD.encode() + b"\n" + line(rollout_index=1).encode() + b"\n",
+            b"\xe2\x88\n" + line(rollout_index=2).encode() + b"\n",
+        ),
+    }.items()
+}
+MALFORMED.update({name: edge.text for name, edge in SPLIT_EDGES.items()})
+SPLIT_AT = {name: edge.split for name, edge in SPLIT_EDGES.items()}
+
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_malformed_lines_match_reference(tmp_path, name):
+def test_malformed_lines_match_reference(tmp_path, name, ingest):
     path = write(tmp_path, MALFORMED[name])
     got = outcome(load_trace, path)
     assert got == outcome(trace_reference.load_trace, path)
     if isinstance(got[0], type):
         assert got[0] is CorpusError
+    if name in SPLIT_AT and ingest.two:
+        assert ingest.splits == [SPLIT_AT[name]]
+        # Line and decode errors drop both halves; instance errors come after the merge.
+        read_error = isinstance(got[0], type) and got[1].startswith(("trace line", "cannot read"))
+        assert ingest.merged == [not read_error]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "valid",
+        "error-in-first-half",
+        "error-in-second-half",
+        "helper-fails",
+        "helper-dies",
+        "helper-dies-mid-send",
+    ],
+)
+def test_no_helper_outlives_a_load(tmp_path, monkeypatch, capfd, case):
+    """Whatever happens, load_trace reaps its helper once, and neither
+    process prints anything. A helper still at work when the first half
+    fails is killed, not waited for."""
+    monkeypatch.setattr(synth, "_SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
+    head, tail = lines_of((0, "a"), (1, "b")), lines_of((2, "c"), (3, "a"))
+
+    def send_with(dump):  # the helper sends its half through pickle.Pickler
+        monkeypatch.setattr(
+            synth.pickle,
+            "Pickler",
+            lambda pipe, protocol: SimpleNamespace(dump=lambda state: dump(pipe, state)),
+        )
+
+    def die_mid_send(pipe, state):
+        pipe.write(synth.pickle.dumps(state)[:40])
+        pipe.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    if case == "error-in-first-half":
+        head = "{\n" + head
+        send_with(lambda pipe, state: time.sleep(5))
+    elif case == "error-in-second-half":
+        tail += "{\n"
+    elif case == "helper-fails":
+        send_with(lambda pipe, state: 1 / 0)
+    elif case == "helper-dies":
+        send_with(lambda pipe, state: os.kill(os.getpid(), signal.SIGKILL))
+    elif case == "helper-dies-mid-send":
+        send_with(die_mid_send)
+    merged, reaped = [], []
+    group_halves, waitpid = synth._group_halves, os.waitpid
+
+    def recorded_halves(path):
+        grouped = group_halves(path)
+        merged.append(grouped is not None)
+        return grouped
+
+    def recorded_waitpid(pid, options):
+        reaped.append(waitpid(pid, options))
+        return reaped[-1]
+
+    monkeypatch.setattr(synth, "_group_halves", recorded_halves)
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+    path = write(tmp_path, split_after(head, tail).text)
+    assert outcome(load_trace, path) == outcome(trace_reference.load_trace, path)
+    assert merged == [case == "valid"]
+    assert len(reaped) == 1
+    status = reaped[0][1]
+    if case == "valid":
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    elif case == "error-in-first-half":
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    with pytest.raises(ChildProcessError):
+        waitpid(-1, os.WNOHANG)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_tokens_beyond_int64_rejected(tmp_path):
@@ -292,7 +490,7 @@ def test_tokens_beyond_int64_rejected(tmp_path):
     ["[" * 100_000, raw_line(meta="[" * 100_000 + "]" * 100_000), '{"a": ' * 50_000],
     ids=["bare-array", "inside-a-record", "objects"],
 )
-def test_deep_nesting_is_invalid_json(tmp_path, text):
+def test_deep_nesting_is_invalid_json(tmp_path, text, ingest):
     path = write(tmp_path, GOOD + "\n" + text + "\n")
     message = r"^trace line 2: invalid JSON \(nested too deeply\)$"
     with pytest.raises(CorpusError, match=message):
@@ -301,7 +499,7 @@ def test_deep_nesting_is_invalid_json(tmp_path, text):
         _parse_trace_line(7, text)
 
 
-def test_non_utf8_trace_names_the_file(tmp_path):
+def test_non_utf8_trace_names_the_file(tmp_path, ingest):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(GOOD.encode() + b"\n\xff\xfe\n")
     with pytest.raises(CorpusError, match=f"cannot read trace file {path}: not valid UTF-8"):
@@ -351,3 +549,13 @@ def test_ingest_memory_per_rollout(tmp_path):
     assert len(sources) == instances
     per_rollout = peak / (instances * rollouts)
     assert per_rollout < 80, f"{per_rollout:.0f} bytes per rollout"
+
+
+# The differential tests again, each trace read as two halves where it has a
+# second half (see ``ingest``).
+test_valid_traces_match_reference_in_halves = test_valid_traces_match_reference
+test_partly_ordered_traces_match_reference_in_halves = test_partly_ordered_traces_match_reference
+test_small_traces_match_reference_in_halves = test_small_traces_match_reference
+test_malformed_lines_match_reference_in_halves = test_malformed_lines_match_reference
+test_non_utf8_trace_names_the_file_in_halves = test_non_utf8_trace_names_the_file
+test_deep_nesting_is_invalid_json_in_halves = test_deep_nesting_is_invalid_json
